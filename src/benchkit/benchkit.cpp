@@ -285,54 +285,37 @@ T3McpuRow run_t3_mcpu_row(u32 cpus, bool serial, u64 seed) {
 }
 
 // ---- Zero-copy staging leg (gated table3 row) -----------------------------
-// The same deployment run through the borrowed-span parser (default) and the
-// legacy copying parser (test seam); smm.staged_copies counts actual byte
-// copies of staged package data. Gated: copies_per_package must stay at 1
-// (the SMM write) and the zero-copy/legacy ratio must not grow.
+// smm.staged_copies counts actual byte copies of staged package data. Gated:
+// copies_per_package must stay at 1 (the SMM write); everything before it is
+// a borrowed span over the decrypted envelope.
 
 struct T3CopyRow {
   Status st = Status::ok();
-  u64 zero_copy_copies = 0;
-  u64 legacy_copies = 0;
+  u64 copies = 0;
 };
 
 T3CopyRow run_t3_copy_row(u64 seed) {
   T3CopyRow row;
   const size_t size = 4096;
   cve::CveCase c = testbed::make_size_sweep_case(size);
-  auto leg = [&](bool legacy) -> Result<u64> {
-    obs::MetricsRegistry reg;
-    testbed::TestbedOptions topts;
-    topts.layout = testbed::layout_for_patch_bytes(size);
-    topts.seed = seed;
-    topts.metrics = &reg;
-    auto tb = testbed::Testbed::boot(c, std::move(topts));
-    if (!tb) return tb.status();
-    if (legacy) {
-      (*tb)->kshot().handler().enable_legacy_copy_parser_for_selftest();
-    }
-    auto rep = (*tb)->kshot().live_patch(c.id);
-    if (!rep) return rep.status();
-    if (!rep->success) {
-      return Status{Errc::kInternal, "copy-leg apply failed"};
-    }
-    for (const auto& [name, v] : reg.snapshot().counters) {
-      if (name == "smm.staged_copies") return v;
-    }
-    return Status{Errc::kInternal, "smm.staged_copies counter missing"};
-  };
-  auto zc = leg(false);
-  if (!zc) {
-    row.st = zc.status();
+  obs::MetricsRegistry reg;
+  testbed::TestbedOptions topts;
+  topts.layout = testbed::layout_for_patch_bytes(size);
+  topts.seed = seed;
+  topts.metrics = &reg;
+  auto tb = testbed::Testbed::boot(c, std::move(topts));
+  if (!tb) {
+    row.st = tb.status();
     return row;
   }
-  row.zero_copy_copies = *zc;
-  auto legacy = leg(true);
-  if (!legacy) {
-    row.st = legacy.status();
-    return row;
+  auto rep = (*tb)->kshot().live_patch(c.id);
+  if (!rep) {
+    row.st = rep.status();
+  } else if (!rep->success) {
+    row.st = Status{Errc::kInternal, "copy-leg apply failed"};
+  } else {
+    row.copies = reg.counter("smm.staged_copies").value();
   }
-  row.legacy_copies = *legacy;
   return row;
 }
 
@@ -701,15 +684,10 @@ Result<BenchResults> run_bench(const BenchOptions& opts) {
                 static_cast<double>(mcpu[0].downtime_cycles));
     j.close_row();
     // Gated copy accounting: staged package bytes are copied exactly once
-    // (the SMM write) on the zero-copy path; the ratio against the legacy
-    // copying parser must not grow back toward 1.
+    // (the SMM write).
     j.open_row();
     j.field("name", std::string("zero-copy"));
-    j.field("copies_per_package", copy_row.zero_copy_copies);
-    j.field("legacy_copies_per_package", copy_row.legacy_copies);
-    j.field("zero_copy_ratio",
-            cs * static_cast<double>(copy_row.zero_copy_copies) /
-                static_cast<double>(copy_row.legacy_copies));
+    j.field("copies_per_package", copy_row.copies);
     j.close_row();
     j.close_arr();
     j.close_obj();

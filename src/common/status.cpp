@@ -1,5 +1,8 @@
 #include "common/status.hpp"
 
+#include <cstdio>
+#include <cstdlib>
+
 namespace kshot {
 
 const char* errc_name(Errc c) {
@@ -27,6 +30,12 @@ std::string Status::to_string() const {
     s += msg_;
   }
   return s;
+}
+
+void result_value_on_error(const Status& status) {
+  std::fprintf(stderr, "Result::value() on error: %s\n",
+               status.to_string().c_str());
+  std::abort();
 }
 
 }  // namespace kshot

@@ -50,7 +50,11 @@ class Status {
   std::string msg_;
 };
 
-/// A value or a failure Status. Dereferencing a failed Result asserts.
+/// Reports a value() access on a failed Result (with its status text) and
+/// aborts. Always on: the shipped build defines NDEBUG.
+[[noreturn]] void result_value_on_error(const Status& status);
+
+/// A value or a failure Status. Dereferencing a failed Result aborts.
 template <class T>
 class Result {
  public:
@@ -66,11 +70,11 @@ class Result {
   [[nodiscard]] const Status& status() const { return status_; }
 
   T& value() {
-    assert(is_ok());
+    if (!is_ok()) result_value_on_error(status_);
     return *value_;
   }
   const T& value() const {
-    assert(is_ok());
+    if (!is_ok()) result_value_on_error(status_);
     return *value_;
   }
   T& operator*() { return value(); }

@@ -326,9 +326,9 @@ SmmStatus SmmPatchHandler::decrypt_staged(
   u64 c0 = m.cycles();
   auto fetched = m.mem().read_bytes(layout_.mem_w_base(), staged, mode);
   if (!fetched) return SmmStatus::kBadPackage;
-  // The envelope buffer is SMRAM-owned for the rest of the session: on the
-  // zero-copy path it is decrypted in place and every downstream span (the
-  // package views, the installed bodies) borrows straight from it.
+  // The envelope buffer is SMRAM-owned for the rest of the session: it is
+  // decrypted in place and every downstream span (the package views, the
+  // installed bodies) borrows straight from it.
   auto envelope = std::make_shared<Bytes>(std::move(*fetched));
   crypto::Digest256 pin = crypto::sha256(*envelope);
   const u64 pin_cycles =
@@ -367,72 +367,38 @@ SmmStatus SmmPatchHandler::decrypt_staged(
       crypto::dh_shared(session_keys_->private_key, snap.enclave_pub);
   crypto::Key256 key = crypto::derive_key(
       ByteSpan(shared.data(), shared.size()), "sgx-smm");
-  if (legacy_copy_parser_) {
-    // Legacy copying pipeline: ciphertext copied out of the envelope, then
-    // the plaintext allocated fresh by the decrypt. Identical statuses,
-    // detections, and modeled charges as below — only the copy count
-    // differs.
-    auto box = crypto::SealedBox::deserialize(*envelope);
-    if (!box) {
-      session_keys_.reset();
-      record_detection(m, replayed ? DetectionClass::kReplay
-                                   : DetectionClass::kMemWRewrite,
-                       SmmStatus::kMacFailure,
-                       "staged bytes do not decode as a sealed envelope");
-      return SmmStatus::kMacFailure;
-    }
-    auto package = crypto::open(key, *box);
-    m.charge_cycles(cost.bytes_cost(cost.decrypt_cycles_per_byte, staged));
-    timings_.decrypt_ns = phase_span(m, "decrypt", c0, t0);
-    if (!package) {
-      session_keys_.reset();
-      emit_instant(m, "mac_failure");
-      record_detection(m, replayed ? DetectionClass::kReplay
-                                   : DetectionClass::kMemWRewrite,
-                       SmmStatus::kMacFailure,
-                       replayed ? "replayed sealed envelope rejected"
-                                : "staged bytes failed authentication");
-      return SmmStatus::kMacFailure;
-    }
-    c_staged_copies_->inc(2);  // deserialize copy-out + open's fresh plaintext
+  auto view = crypto::SealedBoxView::deserialize(
+      MutByteSpan(envelope->data(), envelope->size()));
+  if (!view) {
+    // Undecodable staging is indistinguishable from tampering; burn the
+    // session either way.
     session_keys_.reset();
-    auto owned = std::make_shared<Bytes>(std::move(*package));
-    out_plain = ByteSpan(owned->data(), owned->size());
-    out_retain = std::move(owned);
-  } else {
-    auto view = crypto::SealedBoxView::deserialize(
-        MutByteSpan(envelope->data(), envelope->size()));
-    if (!view) {
-      // Undecodable staging is indistinguishable from tampering; burn the
-      // session either way.
-      session_keys_.reset();
-      record_detection(m, replayed ? DetectionClass::kReplay
-                                   : DetectionClass::kMemWRewrite,
-                       SmmStatus::kMacFailure,
-                       "staged bytes do not decode as a sealed envelope");
-      return SmmStatus::kMacFailure;
-    }
-    auto plain = crypto::open_in_place(key, *view);
-    m.charge_cycles(cost.bytes_cost(cost.decrypt_cycles_per_byte, staged));
-    timings_.decrypt_ns = phase_span(m, "decrypt", c0, t0);
-    if (!plain) {
-      // MAC failure: tampered mem_W or a replayed blob from an old session.
-      session_keys_.reset();
-      emit_instant(m, "mac_failure");
-      record_detection(m, replayed ? DetectionClass::kReplay
-                                   : DetectionClass::kMemWRewrite,
-                       SmmStatus::kMacFailure,
-                       replayed ? "replayed sealed envelope rejected"
-                                : "staged bytes failed authentication");
-      return SmmStatus::kMacFailure;
-    }
-
-    out_plain = ByteSpan(plain->data(), plain->size());
-    out_retain = std::move(envelope);
-    // Session keys are single-use: replaying this exact ciphertext later
-    // cannot succeed (paper §V-C).
-    session_keys_.reset();
+    record_detection(m, replayed ? DetectionClass::kReplay
+                                 : DetectionClass::kMemWRewrite,
+                     SmmStatus::kMacFailure,
+                     "staged bytes do not decode as a sealed envelope");
+    return SmmStatus::kMacFailure;
   }
+  auto plain = crypto::open_in_place(key, *view);
+  m.charge_cycles(cost.bytes_cost(cost.decrypt_cycles_per_byte, staged));
+  timings_.decrypt_ns = phase_span(m, "decrypt", c0, t0);
+  if (!plain) {
+    // MAC failure: tampered mem_W or a replayed blob from an old session.
+    session_keys_.reset();
+    emit_instant(m, "mac_failure");
+    record_detection(m, replayed ? DetectionClass::kReplay
+                                 : DetectionClass::kMemWRewrite,
+                     SmmStatus::kMacFailure,
+                     replayed ? "replayed sealed envelope rejected"
+                              : "staged bytes failed authentication");
+    return SmmStatus::kMacFailure;
+  }
+
+  out_plain = ByteSpan(plain->data(), plain->size());
+  out_retain = std::move(envelope);
+  // Session keys are single-use: replaying this exact ciphertext later
+  // cannot succeed (paper §V-C).
+  session_keys_.reset();
   out_staged = staged;
   return SmmStatus::kOk;
 }
@@ -458,25 +424,10 @@ SmmStatus SmmPatchHandler::apply_batch(machine::Machine& m, Mailbox& mbox,
   if (st != SmmStatus::kOk) return st;
 
   arena_.reset();
-  std::vector<ByteSpan> pkg_wires;
-  std::vector<Bytes> pkg_copies;  // legacy mode: owned inner wires
-  if (legacy_copy_parser_) {
-    auto pkgs = patchtool::parse_batch(envelope);
-    if (!pkgs) {
-      emit_instant(m, "bad_batch_envelope");
-      return SmmStatus::kBadPackage;
-    }
-    pkg_copies = std::move(*pkgs);
-    c_staged_copies_->inc(pkg_copies.size());  // inner wires copied out
-    pkg_wires.reserve(pkg_copies.size());
-    for (const Bytes& b : pkg_copies) pkg_wires.emplace_back(b.data(), b.size());
-  } else {
-    auto pkgs = patchtool::parse_batch_view(envelope);
-    if (!pkgs) {
-      emit_instant(m, "bad_batch_envelope");
-      return SmmStatus::kBadPackage;
-    }
-    pkg_wires = std::move(*pkgs);
+  auto pkg_wires = patchtool::parse_batch_view(envelope);
+  if (!pkg_wires) {
+    emit_instant(m, "bad_batch_envelope");
+    return SmmStatus::kBadPackage;
   }
 
   // ---- Verification: every inner package is digest/CRC-checked and parsed
@@ -486,10 +437,8 @@ SmmStatus SmmPatchHandler::apply_batch(machine::Machine& m, Mailbox& mbox,
   //      per-byte hashing fans out across the rendezvoused CPUs. ----------
   auto t0 = Clock::now();
   u64 c0 = m.cycles();
-  std::vector<patchtool::PatchSet> owned_sets;  // legacy: keeps copies alive
   std::vector<patchtool::PatchSetView> sets;
-  owned_sets.reserve(pkg_wires.size());
-  sets.reserve(pkg_wires.size());
+  sets.reserve(pkg_wires->size());
   u64 verify_cycles = 0;
   SmmStatus verdict = SmmStatus::kOk;
   const char* fail_instant = nullptr;
@@ -499,55 +448,27 @@ SmmStatus SmmPatchHandler::apply_batch(machine::Machine& m, Mailbox& mbox,
   // later members still validate against them has no sane all-or-nothing
   // semantics, so an inner package carrying lifecycle data is rejected
   // outright.
-  auto check_set = [&](const auto& set) {
-    for (const auto& p : set.patches) {
-      if (p.op == patchtool::PatchOp::kRollback) {
-        verdict = SmmStatus::kBadPackage;
-        fail_instant = "rollback_in_batch";
-        return;
-      }
-    }
-    if (set.has_lifecycle()) {
-      verdict = SmmStatus::kBadPackage;
-      fail_instant = "lifecycle_in_batch";
-    }
-  };
-  for (ByteSpan pkg : pkg_wires) {
+  for (ByteSpan pkg : *pkg_wires) {
     u64 c = cost.verify_fixed_cycles +
             parallel_bytes_cost(m, cost.verify_cycles_per_byte, pkg.size());
     m.charge_cycles(c);
     verify_cycles += c;
-    if (legacy_copy_parser_) {
-      auto set = patchtool::parse_patchset(pkg);
-      if (!set) {
-        bool digest = set.status().code() == Errc::kIntegrityFailure;
-        verdict = digest ? SmmStatus::kDigestFailure : SmmStatus::kBadPackage;
-        fail_instant = digest ? "digest_failure" : "bad_package";
-        break;
-      }
-      check_set(*set);
-      if (verdict != SmmStatus::kOk) break;
-      c_staged_copies_->inc();  // names + code copied out of the wire
-      owned_sets.push_back(std::move(*set));
-    } else {
-      auto set = patchtool::parse_patchset_view(pkg, arena_);
-      if (!set) {
-        bool digest = set.status().code() == Errc::kIntegrityFailure;
-        verdict = digest ? SmmStatus::kDigestFailure : SmmStatus::kBadPackage;
-        fail_instant = digest ? "digest_failure" : "bad_package";
-        break;
-      }
-      check_set(*set);
-      if (verdict != SmmStatus::kOk) break;
-      sets.push_back(*set);
+    auto set = patchtool::parse_patchset_view(pkg, arena_);
+    if (!set) {
+      bool digest = set.status().code() == Errc::kIntegrityFailure;
+      verdict = digest ? SmmStatus::kDigestFailure : SmmStatus::kBadPackage;
+      fail_instant = digest ? "digest_failure" : "bad_package";
+      break;
     }
-  }
-  if (verdict == SmmStatus::kOk && legacy_copy_parser_) {
-    // Views are built only after owned_sets stops growing: view strings may
-    // point into SSO storage that a vector reallocation would move.
-    for (const auto& s : owned_sets) {
-      sets.push_back(patchtool::view_of_patchset(s, arena_));
+    const bool has_rollback = std::any_of(
+        set->patches.begin(), set->patches.end(),
+        [](const auto& p) { return p.op == patchtool::PatchOp::kRollback; });
+    if (has_rollback || set->has_lifecycle()) {
+      verdict = SmmStatus::kBadPackage;
+      fail_instant = has_rollback ? "rollback_in_batch" : "lifecycle_in_batch";
+      break;
     }
+    sets.push_back(*set);
   }
   timings_.verify_ns = phase_span(m, "verify", c0, t0);
   if (verdict != SmmStatus::kOk) {
@@ -581,7 +502,7 @@ SmmStatus SmmPatchHandler::apply_batch(machine::Machine& m, Mailbox& mbox,
   u32 total_functions = 0;
   const u32 aps = m.cpus() > 1 ? m.cpus() - 1 : 0;
   for (const auto& set : sets) {
-    SmmStatus s = apply_parsed(m, set, legacy_copy_parser_ ? nullptr : retain);
+    SmmStatus s = apply_parsed(m, set, retain);
     if (s != SmmStatus::kOk) {
       while (applied_units > 0) {
         restore_top_unit(m);
@@ -627,40 +548,22 @@ SmmStatus SmmPatchHandler::verify_and_apply(
   // ---- Patch verification (Table III "Patch Verification": SHA-2 digest
   //      over the package plus per-function CRCs, done by the parser). The
   //      per-byte hashing fans out across the rendezvoused CPUs when there
-  //      is more than one; the charge is identical under both parsers. -----
+  //      is more than one. -------------------------------------------------
   auto t0 = Clock::now();
   u64 c0 = m.cycles();
   arena_.reset();
-  std::optional<patchtool::PatchSet> owned;  // legacy: keeps the copies alive
-  patchtool::PatchSetView set;
-  Status parse_st = Status::ok();
-  if (legacy_copy_parser_) {
-    auto parsed = patchtool::parse_patchset(package);
-    if (parsed) {
-      c_staged_copies_->inc();  // names + code copied out of the wire
-      owned = std::move(*parsed);
-      set = patchtool::view_of_patchset(*owned, arena_);
-    } else {
-      parse_st = parsed.status();
-    }
-  } else {
-    auto parsed = patchtool::parse_patchset_view(package, arena_);
-    if (parsed) {
-      set = *parsed;
-    } else {
-      parse_st = parsed.status();
-    }
-  }
+  auto parsed = patchtool::parse_patchset_view(package, arena_);
   const u64 verify_cycles =
       cost.verify_fixed_cycles +
       parallel_bytes_cost(m, cost.verify_cycles_per_byte, package.size());
   m.charge_cycles(verify_cycles);
   timings_.verify_ns = phase_span(m, "verify", c0, t0);
-  if (!parse_st.is_ok()) {
-    bool digest = parse_st.code() == Errc::kIntegrityFailure;
+  if (!parsed) {
+    bool digest = parsed.status().code() == Errc::kIntegrityFailure;
     emit_instant(m, digest ? "digest_failure" : "bad_package");
     return digest ? SmmStatus::kDigestFailure : SmmStatus::kBadPackage;
   }
+  const patchtool::PatchSetView& set = *parsed;
 
   timings_.package_bytes = package.size();
   timings_.code_bytes = set.total_code_bytes();
@@ -694,7 +597,7 @@ SmmStatus SmmPatchHandler::verify_and_apply(
   if (any_rollback) {
     st = rollback_parsed(m, set);
   } else {
-    st = apply_parsed(m, set, legacy_copy_parser_ ? nullptr : retain);
+    st = apply_parsed(m, set, retain);
     // Fine-grained commit: once the text writes land, the rendezvoused APs
     // have nothing left to wait for — they resume while the BSP finishes
     // the bookkeeping tail.
@@ -776,7 +679,10 @@ SmmStatus SmmPatchHandler::stage_chunk(machine::Machine& m, Mailbox& mbox,
     return SmmStatus::kMacFailure;
   }
 
-  auto box = crypto::SealedBox::deserialize(*sealed_wire);
+  // Same AEAD-open path as decrypt_staged: the chunk is opened in place over
+  // the SMRAM copy fetched above.
+  auto box = crypto::SealedBoxView::deserialize(
+      MutByteSpan(sealed_wire->data(), sealed_wire->size()));
   if (!box) {
     record_detection(m, DetectionClass::kMemWRewrite, SmmStatus::kMacFailure,
                      "chunk does not decode as a sealed envelope");
@@ -794,7 +700,7 @@ SmmStatus SmmPatchHandler::stage_chunk(machine::Machine& m, Mailbox& mbox,
     abort_stream();
     return SmmStatus::kChunkOutOfOrder;
   }
-  auto plain = crypto::open(*stream_key_, *box);
+  auto plain = crypto::open_in_place(*stream_key_, *box);
   m.charge_cycles(cost.bytes_cost(cost.decrypt_cycles_per_byte, staged));
   if (!plain) {
     record_detection(m, DetectionClass::kMemWRewrite, SmmStatus::kMacFailure,
@@ -803,7 +709,7 @@ SmmStatus SmmPatchHandler::stage_chunk(machine::Machine& m, Mailbox& mbox,
     return SmmStatus::kMacFailure;
   }
 
-  ByteReader r(*plain);
+  ByteReader r(ByteSpan(plain->data(), plain->size()));
   auto index = r.get_u32();
   auto total = r.get_u32();
   if (!index || !total || *index != stream_expected_ || *total == 0 ||
@@ -815,7 +721,7 @@ SmmStatus SmmPatchHandler::stage_chunk(machine::Machine& m, Mailbox& mbox,
     return SmmStatus::kChunkOutOfOrder;
   }
   stream_total_ = *total;
-  auto payload = r.get_bytes(r.remaining());
+  auto payload = r.get_span(r.remaining());
   if (stream_buffer_.size() + payload->size() > kMaxStreamBytes) {
     abort_stream();
     return SmmStatus::kBadPackage;
@@ -1041,9 +947,6 @@ SmmStatus SmmPatchHandler::apply_parsed(
     }
   };
   std::vector<InstalledPatch> batch;
-  // Legacy retention: without a retained envelope the installed records must
-  // own their bytes, so the bodies are copied out of the parse.
-  if (!retain) c_staged_copies_->inc();
   for (const auto& p : set.patches) {
     InstalledPatch inst;
     inst.name = std::string(p.name);
@@ -1052,16 +955,10 @@ SmmStatus SmmPatchHandler::apply_parsed(
     inst.ftrace_off = p.ftrace_off;
     inst.code_size = static_cast<u32>(p.code.size());
     inst.memx_hash = crypto::sha256(p.code);
-    // SMRAM-kept authoritative body (§V-D): zero-copy installs borrow from
-    // the shared decrypted envelope; legacy installs own a copy.
-    if (retain) {
-      inst.retain = retain;
-      inst.code_ref = p.code;
-    } else {
-      auto copy = std::make_shared<Bytes>(p.code.begin(), p.code.end());
-      inst.code_ref = ByteSpan(copy->data(), copy->size());
-      inst.retain = std::move(copy);
-    }
+    // SMRAM-kept authoritative body (§V-D): borrowed from the shared
+    // decrypted envelope, which the record keeps alive.
+    inst.retain = retain;
+    inst.code_ref = p.code;
     inst.spliced = p.splice;
     if (!p.splice) {
       auto prev = m.mem().read_bytes(p.paddr, p.code.size(), mode);

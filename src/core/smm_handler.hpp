@@ -62,10 +62,9 @@ struct InstalledPatch {
   std::array<u8, 5> trampoline{};      // the jmp we wrote
   crypto::Digest256 memx_hash{};       // hash of the body (mem_X, or the
                                        // spliced-in text for splice entries)
-  /// SMRAM-kept authoritative body bytes for repair (§V-D). On the zero-copy
-  /// path `code_ref` borrows from `retain` — the decrypted session envelope,
-  /// shared by every record that envelope produced. Under the legacy copying
-  /// parser `retain` is a per-function owned copy instead. Either way the
+  /// SMRAM-kept authoritative body bytes for repair (§V-D). `code_ref`
+  /// borrows from `retain` — the decrypted session envelope (or completed
+  /// chunk stream), shared by every record that envelope produced — so the
   /// record never dangles: the bytes live as long as the record does.
   std::shared_ptr<const Bytes> retain;
   ByteSpan code_ref;
@@ -156,14 +155,6 @@ class SmmPatchHandler {
   void enable_legacy_double_fetch_for_selftest() {
     legacy_double_fetch_ = true;
   }
-
-  /// Differential-test seam: routes every package through the legacy copying
-  /// pipeline (SealedBox::deserialize + crypto::open + parse_patchset)
-  /// instead of the zero-copy span pipeline. Modeled charges are identical
-  /// in both modes — only the smm.staged_copies counter differs — so the
-  /// zero-copy differential suite can assert byte-identical outcomes over
-  /// the whole fuzz corpus. Nothing else may call it.
-  void enable_legacy_copy_parser_for_selftest() { legacy_copy_parser_ = true; }
 
   /// Models a concurrent writer racing the SMI (another core or a DMA
   /// engine scribbling while this core is in SMM): invoked once per staged-
@@ -271,9 +262,8 @@ class SmmPatchHandler {
   /// session-key reset. All mailbox fields come from `snap` — nothing is
   /// re-read from attacker-writable memory (unless the legacy double-fetch
   /// seam is enabled). Returns kOk with the plaintext span in `out_plain`
-  /// and the buffer that owns it in `out_retain` (zero-copy mode: the
-  /// envelope itself, decrypted in place; legacy seam: an owned copy), or
-  /// the status to report.
+  /// and the buffer that owns it in `out_retain` (the SMRAM copy of the
+  /// envelope itself, decrypted in place), or the status to report.
   SmmStatus decrypt_staged(machine::Machine& m, Mailbox& mbox,
                            const MailboxSnapshot& snap,
                            std::shared_ptr<const Bytes>& out_retain,
@@ -300,8 +290,7 @@ class SmmPatchHandler {
                              ByteSpan package, size_t staged_bytes);
 
   /// Applies one parsed set. `retain` is the buffer the set's code spans
-  /// borrow from; null (legacy copying parser) makes the installed records
-  /// take owned per-function copies instead.
+  /// borrow from; every installed record keeps it alive.
   SmmStatus apply_parsed(machine::Machine& m,
                          const patchtool::PatchSetView& set,
                          const std::shared_ptr<const Bytes>& retain);
@@ -390,7 +379,6 @@ class SmmPatchHandler {
   bool introspect_on_idle_ = false;
   bool legacy_wrapping_bounds_ = false;  // self-test seam, see above
   bool legacy_double_fetch_ = false;     // self-test seam, see above
-  bool legacy_copy_parser_ = false;      // differential-test seam, see above
   ConcurrentWriter concurrent_writer_;
   u64 detection_overhead_cycles_ = 0;  // hardening cycles, see accessor
 

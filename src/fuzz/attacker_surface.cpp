@@ -18,9 +18,7 @@
 #include <sstream>
 
 #include "attacks/async_adversary.hpp"
-#include "common/byte_io.hpp"
 #include "common/hex.hpp"
-#include "crypto/sha256.hpp"
 #include "cve/suite.hpp"
 #include "fuzz/fuzz.hpp"
 #include "testbed/testbed.hpp"
@@ -162,9 +160,6 @@ Surface::Verdict AttackerSurface::execute(ByteSpan encoded) {
   if (opts_.legacy_double_fetch) {
     t.kshot().handler().enable_legacy_double_fetch_for_selftest();
   }
-  if (opts_.legacy_copy_parser) {
-    t.kshot().handler().enable_legacy_copy_parser_for_selftest();
-  }
 
   Bytes pre = snap(t);
 
@@ -229,30 +224,6 @@ Surface::Verdict AttackerSurface::execute(ByteSpan encoded) {
     fail("silent-failure",
          "attack caused a failure with no classified detection (fired: " +
              std::to_string(adv.actions_fired()) + " action(s))");
-  }
-
-  // State digest for the zero-copy differential: run outcome, detections,
-  // downtime decomposition, and final memory outside the attacker scratch.
-  // smm.staged_copies is deliberately not part of this.
-  {
-    ByteWriter dw;
-    dw.put_u8(success ? 1 : 0);
-    dw.put_u32(apply_attempts);
-    if (rep.is_ok()) {
-      dw.put_u64(static_cast<u64>(rep->smm_status));
-      dw.put_u64(rep->downtime_cycles);
-      dw.put_u64(rep->rendezvous_cycles);
-      dw.put_u64(rep->handler_cycles);
-      dw.put_u64(rep->resume_cycles);
-    }
-    std::string ds = det.to_string();
-    dw.put_u32(static_cast<u32>(ds.size()));
-    dw.put_bytes(to_bytes(ds));
-    for (size_t i = 0; i < cur.size(); ++i) {
-      if (!excluded(lay, i)) dw.put_u8(cur[i]);
-    }
-    crypto::Digest256 d = crypto::sha256(dw.bytes());
-    v.state_digest = to_hex(ByteSpan(d.data(), d.size()));
   }
 
   v.kind = success ? Verdict::Kind::kAccepted : Verdict::Kind::kRejected;

@@ -90,12 +90,6 @@ class Surface {
     Kind kind = Kind::kRejected;
     /// Set when an invariant tripped: (oracle name, detail).
     std::optional<std::pair<std::string, std::string>> failure;
-    /// Hex digest over the case's observable outcome (final target memory,
-    /// per-step statuses, trace span content) where the surface computes
-    /// one; empty otherwise. Copy-vs-span accounting (smm.staged_copies) is
-    /// deliberately excluded: the zero-copy differential test asserts this
-    /// digest is byte-identical across parser modes.
-    std::string state_digest;
   };
   virtual Verdict execute(ByteSpan encoded) = 0;
 
@@ -112,10 +106,6 @@ struct PackageSurfaceOptions {
   /// check (SmmPatchHandler::enable_legacy_wrapping_bounds_for_selftest) so
   /// the harness can prove it detects that bug class. Test-only.
   bool legacy_wrapping_bounds = false;
-  /// Differential seam: runs the SMM target through the legacy copying
-  /// parser instead of the zero-copy span parser. Verdicts (including
-  /// state_digest) must be identical either way. Test-only.
-  bool legacy_copy_parser = false;
 };
 
 std::unique_ptr<Surface> make_package_surface(PackageSurfaceOptions o = {});
@@ -130,9 +120,6 @@ struct AttackerSurfaceOptions {
   /// the harness can prove its prevented-or-detected oracle catches that
   /// TOCTOU class. Test-only.
   bool legacy_double_fetch = false;
-  /// Differential seam: legacy copying parser instead of zero-copy spans.
-  /// Test-only; never changes verdicts.
-  bool legacy_copy_parser = false;
   /// Simulated CPUs on the fuzzed target (>= 1).
   u32 cpus = 1;
 };
@@ -144,18 +131,12 @@ struct AttackerSurfaceOptions {
 std::unique_ptr<Surface> make_attacker_schedule_surface(
     AttackerSurfaceOptions o = {});
 
-struct LifecycleSurfaceOptions {
-  /// Differential seam: legacy copying parser instead of zero-copy spans.
-  /// Test-only; never changes verdicts.
-  bool legacy_copy_parser = false;
-};
-
 /// Fuzzes patch-stack lifecycle op schedules (apply / supersede / revert /
 /// rollback) against the SMM handler through real SMI sessions. Oracle: a
 /// reference model of the applied stack predicts every op's status and the
 /// exact kQueryApplied blob, and a final rollback drain must restore all
 /// memory outside SMRAM/mailbox/mem_W/mem_X byte-identically.
-std::unique_ptr<Surface> make_lifecycle_surface(LifecycleSurfaceOptions o = {});
+std::unique_ptr<Surface> make_lifecycle_surface();
 
 struct SynthSurfaceOptions {
   /// Self-test seam: plants every generated case's defensive fault-site

@@ -21,7 +21,6 @@
 #include "common/hex.hpp"
 #include "core/smm_handler.hpp"
 #include "crypto/aead.hpp"
-#include "crypto/sha256.hpp"
 #include "crypto/simple_hash.hpp"
 #include "fuzz/fuzz.hpp"
 #include "machine/machine.hpp"
@@ -365,8 +364,6 @@ class StackModel {
 
 class LifecycleSurface final : public Surface {
  public:
-  explicit LifecycleSurface(LifecycleSurfaceOptions o) : opts_(o) {}
-
   const char* name() const override { return "lifecycle"; }
 
   Bytes generate(Rng& rng) override;
@@ -375,7 +372,6 @@ class LifecycleSurface final : public Surface {
   std::string describe(ByteSpan encoded) const override;
 
  private:
-  LifecycleSurfaceOptions opts_;
   kernel::MemoryLayout lay_ = fuzz_layout();
 };
 
@@ -407,10 +403,6 @@ Surface::Verdict LifecycleSurface::execute(ByteSpan encoded) {
 
   if (encoded.empty() || encoded.size() % 2 != 0 ||
       encoded.size() > 2 * kMaxOps) {
-    // No rig was booted, so the outcome is fully determined by the wire:
-    // digest the wire itself to keep the differential invariant total.
-    crypto::Digest256 d = crypto::sha256(encoded);
-    v.state_digest = to_hex(ByteSpan(d.data(), d.size()));
     v.kind = Verdict::Kind::kRejected;
     return v;
   }
@@ -419,19 +411,12 @@ Surface::Verdict LifecycleSurface::execute(ByteSpan encoded) {
   machine::Machine m(lay_.mem_bytes, lay_.smram_base, lay_.smram_size,
                      kRigSeed);
   core::SmmPatchHandler handler(lay_, kRigSeed, &metrics);
-  if (opts_.legacy_copy_parser) {
-    handler.enable_legacy_copy_parser_for_selftest();
-  }
   if (!m.set_smm_handler(
            [&handler](machine::Machine& mm) { handler.on_smi(mm); })
            .is_ok()) {
     fail("rig", "set_smm_handler failed");
     return v;
   }
-  // Zero-copy differential input: every op status, every query blob, final
-  // memory and the SMM cycle ledger. smm.staged_copies is deliberately out.
-  ByteWriter digest_w;
-
   auto fill = [&](PhysAddr base, size_t len) {
     u8* p = m.mem().raw(base, len);
     for (size_t i = 0; i < len; ++i) {
@@ -457,7 +442,6 @@ Surface::Verdict LifecycleSurface::execute(ByteSpan encoded) {
     mbox.write_command(cmd);
     m.trigger_smi();
     auto st = mbox.read_status();
-    if (st) digest_w.put_u64(static_cast<u64>(*st));
     auto back = mbox.read_command();
     if (!back || *back != SmmCommand::kIdle) {
       fail("command-not-reset", "command word not reset to kIdle after SMI");
@@ -512,8 +496,6 @@ Surface::Verdict LifecycleSurface::execute(ByteSpan encoded) {
       fail("query-blob", "query blob unreadable");
       return;
     }
-    digest_w.put_u32(static_cast<u32>(blob->size()));
-    digest_w.put_bytes(ByteSpan(blob->data(), blob->size()));
     Bytes expect = model.expected_query_blob(lay_);
     if (*blob != expect) {
       size_t at = 0;
@@ -623,19 +605,6 @@ Surface::Verdict LifecycleSurface::execute(ByteSpan encoded) {
     }
   }
 
-  {
-    const u8* cur = m.mem().raw(0, lay_.mem_bytes);
-    auto put_mem = [&](u64 lo, u64 hi) {
-      digest_w.put_bytes(ByteSpan(cur + lo, hi - lo));
-    };
-    put_mem(0, lay_.smram_base);
-    put_mem(lay_.smram_base + lay_.smram_size, lay_.mem_rw_base());
-    put_mem(lay_.mem_rw_base() + lay_.mem_rw_size, lay_.mem_bytes);
-    digest_w.put_u64(m.smm_cycles());
-    crypto::Digest256 d = crypto::sha256(digest_w.bytes());
-    v.state_digest = to_hex(ByteSpan(d.data(), d.size()));
-  }
-
   v.kind = applied_any && !v.failure ? Verdict::Kind::kAccepted
                                      : Verdict::Kind::kRejected;
   return v;
@@ -697,8 +666,8 @@ std::string LifecycleSurface::describe(ByteSpan encoded) const {
 
 }  // namespace
 
-std::unique_ptr<Surface> make_lifecycle_surface(LifecycleSurfaceOptions o) {
-  return std::make_unique<LifecycleSurface>(o);
+std::unique_ptr<Surface> make_lifecycle_surface() {
+  return std::make_unique<LifecycleSurface>();
 }
 
 std::vector<std::pair<std::string, Bytes>> seed_lifecycle_cases() {

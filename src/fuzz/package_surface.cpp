@@ -19,7 +19,6 @@
 #include "common/hex.hpp"
 #include "core/smm_handler.hpp"
 #include "crypto/aead.hpp"
-#include "crypto/sha256.hpp"
 #include "fuzz/fuzz.hpp"
 #include "machine/machine.hpp"
 #include "patchtool/package.hpp"
@@ -468,13 +467,7 @@ Surface::Verdict PackageSurface::execute(ByteSpan encoded) {
   if (opts_.legacy_wrapping_bounds) {
     handler.enable_legacy_wrapping_bounds_for_selftest();
   }
-  if (opts_.legacy_copy_parser) {
-    handler.enable_legacy_copy_parser_for_selftest();
-  }
-  // Everything the zero-copy differential compares across parser modes:
-  // every observed status lands here as it is read, final memory and the
-  // trace spans at the end. smm.staged_copies is deliberately not included.
-  ByteWriter digest_w;
+  // Read by the trace-downtime oracle below.
   obs::TraceRecorder trace;
   handler.set_trace(&trace, 0);
   if (!m.set_smm_handler(
@@ -544,7 +537,6 @@ Surface::Verdict PackageSurface::execute(ByteSpan encoded) {
     return v;
   }
   auto observed = static_cast<SmmStatus>(*raw_status);
-  digest_w.put_u64(*raw_status);
   auto cmd = mbox.read_command();
   if (!cmd || *cmd != SmmCommand::kIdle) {
     fail("command-not-reset", "command word not reset to kIdle after SMI");
@@ -618,7 +610,6 @@ Surface::Verdict PackageSurface::execute(ByteSpan encoded) {
       mbox.write_command(SmmCommand::kRollback);
       m.trigger_smi();
       auto rb = mbox.read_status();
-      if (rb) digest_w.put_u64(static_cast<u64>(*rb));
       if (!rb || *rb != SmmStatus::kOk) {
         fail("rollback-status",
              std::string("unit ") + std::to_string(*it) + ": expected ok got " +
@@ -647,7 +638,6 @@ Surface::Verdict PackageSurface::execute(ByteSpan encoded) {
     mbox.write_command(SmmCommand::kRollback);
     m.trigger_smi();
     auto rb = mbox.read_status();
-    if (rb) digest_w.put_u64(static_cast<u64>(*rb));
     if (!rb || *rb != SmmStatus::kNothingToRollback) {
       fail("rollback-exhausted",
            std::string("expected nothing-to-rollback got ") +
@@ -699,27 +689,6 @@ Surface::Verdict PackageSurface::execute(ByteSpan encoded) {
                           " disagrees with handler accessor " +
                           std::to_string(accessor));
     }
-  }
-
-  {
-    const u8* cur = m.mem().raw(0, lay_.mem_bytes);
-    auto put_mem = [&](u64 lo, u64 hi) {
-      digest_w.put_bytes(ByteSpan(cur + lo, hi - lo));
-    };
-    put_mem(0, lay_.smram_base);
-    put_mem(lay_.smram_base + lay_.smram_size, lay_.mem_rw_base());
-    put_mem(lay_.mem_rw_base() + lay_.mem_rw_size, lay_.mem_bytes);
-    for (const auto& e : trace.snapshot()) {
-      digest_w.put_u8(static_cast<u8>(e.kind));
-      digest_w.put_u32(static_cast<u32>(e.component.size()));
-      digest_w.put_bytes(to_bytes(e.component));
-      digest_w.put_u32(static_cast<u32>(e.name.size()));
-      digest_w.put_bytes(to_bytes(e.name));
-      digest_w.put_u64(e.virt_cycles());
-    }
-    digest_w.put_u64(m.smm_cycles());
-    crypto::Digest256 d = crypto::sha256(digest_w.bytes());
-    v.state_digest = to_hex(ByteSpan(d.data(), d.size()));
   }
 
   v.kind = applied ? Verdict::Kind::kAccepted : Verdict::Kind::kRejected;

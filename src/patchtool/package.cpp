@@ -304,7 +304,7 @@ Result<PatchSet> parse_patchset(ByteSpan wire) {
 Result<PatchSetView> parse_patchset_view(ByteSpan wire, Arena& arena) {
   // Mirrors parse_patchset check for check — including the exact Status
   // messages — so a package is accepted/rejected identically by both
-  // parsers and the zero-copy differential suite can compare verdicts.
+  // parsers and the fuzz harness's reference model predicts SMM verdicts.
   ByteReader r(wire);
   auto magic = r.get_u32();
   if (!magic || *magic != kPackageMagic) {
@@ -453,41 +453,6 @@ Result<PatchSetView> parse_patchset_view(ByteSpan wire, Arena& arena) {
   }
   set.patches = std::span<const FunctionPatchView>(patches, *count);
   return set;
-}
-
-PatchSetView view_of_patchset(const PatchSet& set, Arena& arena) {
-  PatchSetView v;
-  v.id = set.id;
-  v.kernel_version = set.kernel_version;
-  std::string_view* deps = arena.alloc_array<std::string_view>(
-      set.depends.size() + set.supersedes.size());
-  for (size_t i = 0; i < set.depends.size(); ++i) deps[i] = set.depends[i];
-  for (size_t i = 0; i < set.supersedes.size(); ++i) {
-    deps[set.depends.size() + i] = set.supersedes[i];
-  }
-  v.depends = std::span<const std::string_view>(deps, set.depends.size());
-  v.supersedes = std::span<const std::string_view>(deps + set.depends.size(),
-                                                   set.supersedes.size());
-  FunctionPatchView* patches =
-      arena.alloc_array<FunctionPatchView>(set.patches.size());
-  for (size_t i = 0; i < set.patches.size(); ++i) {
-    const FunctionPatch& p = set.patches[i];
-    FunctionPatchView& pv = patches[i];
-    pv.sequence = p.sequence;
-    pv.op = p.op;
-    pv.type = p.type;
-    pv.name = p.name;
-    pv.taddr = p.taddr;
-    pv.paddr = p.paddr;
-    pv.ftrace_off = p.ftrace_off;
-    pv.code = ByteSpan(p.code);
-    pv.relocs = std::span<const RelocEntry>(p.relocs);
-    pv.var_edits = std::span<const VarEdit>(p.var_edits);
-    pv.splice = p.splice;
-    pv.old_size = p.old_size;
-  }
-  v.patches = std::span<const FunctionPatchView>(patches, set.patches.size());
-  return v;
 }
 
 Bytes serialize_batch(const std::vector<Bytes>& packages) {

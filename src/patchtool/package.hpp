@@ -53,9 +53,10 @@ Bytes serialize_patchset_raw(const PatchSet& set);
 
 /// Parses and fully verifies a package (magic, version, set digest, per-
 /// function CRCs). Returns kIntegrityFailure on any mismatch. This is the
-/// legacy copying parser: every name and code payload is copied out of the
-/// wire. The hot path uses parse_patchset_view; this stays as the reference
-/// the zero-copy differential suite replays against.
+/// owning parser: every name and code payload is copied out of the wire.
+/// The SMM handler uses parse_patchset_view; this one serves consumers that
+/// rewrite an owned PatchSet (the enclave) and the fuzz harness's
+/// independent reference model.
 Result<PatchSet> parse_patchset(ByteSpan wire);
 
 // ---- Zero-copy views ------------------------------------------------------
@@ -113,11 +114,6 @@ struct PatchSetView {
 /// `arena` dies first.
 Result<PatchSetView> parse_patchset_view(ByteSpan wire, Arena& arena);
 
-/// Builds a view over an owned PatchSet (legacy-parser bridge: lets every
-/// downstream consumer take PatchSetView regardless of which parser ran).
-/// The view borrows from `set` and `arena`.
-PatchSetView view_of_patchset(const PatchSet& set, Arena& arena);
-
 /// The set digest stored in (and checked against) the set header.
 crypto::Digest256 package_digest(ByteSpan wire_after_digest);
 
@@ -143,7 +139,7 @@ Bytes serialize_batch(const std::vector<Bytes>& packages);
 
 /// Splits a batch envelope back into its inner package wires. Structural
 /// validation only (magic, count bounds, length framing); each inner wire
-/// still needs parse_patchset. Legacy copying variant.
+/// still needs parse_patchset. Owning variant: each inner wire is copied.
 Result<std::vector<Bytes>> parse_batch(ByteSpan wire);
 
 /// Zero-copy variant: identical framing validation, but each inner wire is

@@ -51,6 +51,15 @@ TEST(Result, ErrorPath) {
   EXPECT_EQ(r.value_or(-1), -1);
 }
 
+TEST(ResultDeathTest, ValueOnErrorAbortsWithStatus) {
+  // Always on, also in the NDEBUG build: never a read of an empty optional.
+  Result<int> r(Errc::kNotFound, "nope");
+  EXPECT_DEATH((void)r.value(),
+               "Result::value\\(\\) on error: NOT_FOUND: nope");
+  const Result<std::string> c(Errc::kInternal, "boom");
+  EXPECT_DEATH((void)c->size(), "INTERNAL: boom");
+}
+
 TEST(Result, MoveOnlyTypes) {
   Result<std::unique_ptr<int>> r(std::make_unique<int>(7));
   ASSERT_TRUE(r.is_ok());

@@ -5,6 +5,8 @@
 // with a shrunk, replayable repro.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "fuzz/fuzz.hpp"
 #include "patchtool/package.hpp"
 
@@ -194,18 +196,27 @@ TEST(FuzzCorpus, ReplaysCleanOnCurrentTree) {
   for (const auto& r : reports) {
     EXPECT_TRUE(r.failures.empty()) << r.to_string();
   }
-  // The valid package seeds must actually apply, not just parse: the two
-  // bare packages plus the batched pair.
-  for (const auto& r : reports) {
-    if (r.surface == "package") EXPECT_EQ(r.accepted, 3u) << r.to_string();
-    // Every checked-in lifecycle schedule lands at least one apply.
-    if (r.surface == "lifecycle") {
-      EXPECT_EQ(r.accepted, seed_lifecycle_cases().size()) << r.to_string();
-    }
-    // Every checked-in synth wire synthesizes a case passing all oracles.
-    if (r.surface == "cve_synth") {
-      EXPECT_EQ(r.accepted, seed_synth_cases().size()) << r.to_string();
-    }
+  // Frozen verdicts: every surface's exact accepted/rejected/skipped split.
+  // Package: the two bare valid seeds plus the batched pair apply. Every
+  // checked-in lifecycle schedule lands at least one apply, and every synth
+  // wire synthesizes a case passing all oracles.
+  struct Counts {
+    const char* surface;
+    u32 accepted, rejected, skipped;
+  };
+  const Counts want[] = {
+      {"attacker_schedule", 8, 0, 0}, {"kcc", 3, 0, 0},
+      {"lifecycle", 5, 0, 0},         {"netsim", 3, 6, 0},
+      {"package", 3, 8, 0},           {"cve_synth", 5, 0, 0},
+  };
+  for (const auto& w : want) {
+    auto it = std::find_if(reports.begin(), reports.end(), [&](const auto& r) {
+      return r.surface == w.surface;
+    });
+    ASSERT_NE(it, reports.end()) << w.surface;
+    EXPECT_EQ(it->accepted, w.accepted) << it->to_string();
+    EXPECT_EQ(it->rejected, w.rejected) << it->to_string();
+    EXPECT_EQ(it->skipped, w.skipped) << it->to_string();
   }
 }
 

@@ -65,32 +65,36 @@ TEST_P(EncodeDecodeRoundTrip, RoundTrips) {
   EXPECT_EQ(d->instr, in);
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    AllOps, EncodeDecodeRoundTrip,
-    ::testing::Values(
-        Instr{Op::kNop, 0, 0, 0}, Instr{Op::kNop5, 0, 0, 0},
-        Instr{Op::kJmp, 0, 0, -1234}, Instr{Op::kCall, 0, 0, 77},
-        Instr{Op::kRet, 0, 0, 0}, Instr{Op::kInt3, 0, 0, 0},
-        Instr{Op::kHlt, 0, 0, 0}, Instr{Op::kUd2, 0, 0, 0},
-        Instr{Op::kMov, 3, 4, 0}, Instr{Op::kMovi, 5, 0, -42},
-        Instr{Op::kAdd, 1, 2, 0}, Instr{Op::kSub, 15, 0, 0},
-        Instr{Op::kMul, 7, 7, 0}, Instr{Op::kDiv, 2, 3, 0},
-        Instr{Op::kMod, 4, 5, 0}, Instr{Op::kXor, 6, 7, 0},
-        Instr{Op::kAnd, 8, 9, 0}, Instr{Op::kOr, 10, 11, 0},
-        Instr{Op::kShl, 12, 13, 0}, Instr{Op::kShr, 14, 15, 0},
-        Instr{Op::kAddi, 1, 0, 100}, Instr{Op::kSubi, 2, 0, -100},
-        Instr{Op::kMuli, 3, 0, 7}, Instr{Op::kDivi, 4, 0, 2},
-        Instr{Op::kModi, 5, 0, 3}, Instr{Op::kXori, 6, 0, 0xFF},
-        Instr{Op::kAndi, 7, 0, 0xF0}, Instr{Op::kOri, 8, 0, 1},
-        Instr{Op::kShli, 9, 0, 4}, Instr{Op::kShri, 10, 0, 8},
-        Instr{Op::kLoadG, 1, 0, 0x400000}, Instr{Op::kStoreG, 2, 0, 0x400008},
-        Instr{Op::kLoadR, 3, 14, -16}, Instr{Op::kStoreR, 4, 14, 24},
-        Instr{Op::kCmp, 1, 2, 0}, Instr{Op::kCmpi, 3, 0, 4096},
-        Instr{Op::kJe, 0, 0, 10}, Instr{Op::kJne, 0, 0, -10},
-        Instr{Op::kJl, 0, 0, 5}, Instr{Op::kJge, 0, 0, 5},
-        Instr{Op::kJg, 0, 0, 5}, Instr{Op::kJle, 0, 0, 5},
-        Instr{Op::kPush, 14, 0, 0}, Instr{Op::kPop, 14, 0, 0},
-        Instr{Op::kTrap, 0, 0, 99}));
+// Kept in static storage so the padding after `b` is zero. gtest prints the
+// raw bytes of each case into the test name; stack temporaries carried
+// leftover, ASLR-dependent bytes there, so the names changed between runs.
+constexpr Instr kRoundTripCases[] = {
+    Instr{Op::kNop, 0, 0, 0}, Instr{Op::kNop5, 0, 0, 0},
+    Instr{Op::kJmp, 0, 0, -1234}, Instr{Op::kCall, 0, 0, 77},
+    Instr{Op::kRet, 0, 0, 0}, Instr{Op::kInt3, 0, 0, 0},
+    Instr{Op::kHlt, 0, 0, 0}, Instr{Op::kUd2, 0, 0, 0},
+    Instr{Op::kMov, 3, 4, 0}, Instr{Op::kMovi, 5, 0, -42},
+    Instr{Op::kAdd, 1, 2, 0}, Instr{Op::kSub, 15, 0, 0},
+    Instr{Op::kMul, 7, 7, 0}, Instr{Op::kDiv, 2, 3, 0},
+    Instr{Op::kMod, 4, 5, 0}, Instr{Op::kXor, 6, 7, 0},
+    Instr{Op::kAnd, 8, 9, 0}, Instr{Op::kOr, 10, 11, 0},
+    Instr{Op::kShl, 12, 13, 0}, Instr{Op::kShr, 14, 15, 0},
+    Instr{Op::kAddi, 1, 0, 100}, Instr{Op::kSubi, 2, 0, -100},
+    Instr{Op::kMuli, 3, 0, 7}, Instr{Op::kDivi, 4, 0, 2},
+    Instr{Op::kModi, 5, 0, 3}, Instr{Op::kXori, 6, 0, 0xFF},
+    Instr{Op::kAndi, 7, 0, 0xF0}, Instr{Op::kOri, 8, 0, 1},
+    Instr{Op::kShli, 9, 0, 4}, Instr{Op::kShri, 10, 0, 8},
+    Instr{Op::kLoadG, 1, 0, 0x400000}, Instr{Op::kStoreG, 2, 0, 0x400008},
+    Instr{Op::kLoadR, 3, 14, -16}, Instr{Op::kStoreR, 4, 14, 24},
+    Instr{Op::kCmp, 1, 2, 0}, Instr{Op::kCmpi, 3, 0, 4096},
+    Instr{Op::kJe, 0, 0, 10}, Instr{Op::kJne, 0, 0, -10},
+    Instr{Op::kJl, 0, 0, 5}, Instr{Op::kJge, 0, 0, 5},
+    Instr{Op::kJg, 0, 0, 5}, Instr{Op::kJle, 0, 0, 5},
+    Instr{Op::kPush, 14, 0, 0}, Instr{Op::kPop, 14, 0, 0},
+    Instr{Op::kTrap, 0, 0, 99}};
+
+INSTANTIATE_TEST_SUITE_P(AllOps, EncodeDecodeRoundTrip,
+                         ::testing::ValuesIn(kRoundTripCases));
 
 TEST(Decode, RejectsUnknownOpcode) {
   Bytes b = {0xFF};
