@@ -262,6 +262,13 @@ void Kshot::abort_session(PatchReport& report) {
   metrics().counter("kshot.session_aborts").inc();
 }
 
+bool Kshot::staged_size_flipped() {
+  Mailbox mbox(kernel_.machine().mem(), kernel_.layout().mem_rw_base(),
+               machine::AccessMode::normal());
+  auto size = mbox.read_staged_size();
+  return size.is_ok() && *size != staged_size_;
+}
+
 Status Kshot::apply_with_retry(
     const std::function<Result<SmmStatus>()>& attempt_once,
     PatchReport& report,
@@ -288,8 +295,13 @@ Status Kshot::apply_with_retry(
     // attempt's *rejection* is exactly what re-staging an already-applied
     // set looks like, and trusting it would report failure with the patch
     // live in kernel text.
-    const bool ask_probe = !res || outcome_unknown;
-    if (!res) outcome_unknown = true;
+    // kNoSession is unknown too: this attempt began its own session, so an
+    // unsolicited SMI consumed it between our begin and our apply — and an
+    // attacker who flipped that SMI's command word to an apply installed
+    // our staged package on our behalf.
+    const bool session_consumed = res && *res == SmmStatus::kNoSession;
+    const bool ask_probe = !res || session_consumed || outcome_unknown;
+    if (!res || session_consumed) outcome_unknown = true;
     if (ask_probe && applied_probe && applied_probe()) {
       emit_instant("apply_confirmed_by_query",
                    {{"attempt", std::to_string(attempt)}});
@@ -306,7 +318,10 @@ Status Kshot::apply_with_retry(
     bool retryable;
     if (res) {
       report.smm_status = *res;
-      retryable = RetryPolicy::retryable(*res);
+      // An envelope we sealed is refused as a bad package when its size
+      // field was flipped after staging: a transport fault like a MAC
+      // failure, so restage rather than give up.
+      retryable = RetryPolicy::retryable(*res) || staged_size_flipped();
     } else {
       transport_err = res.status();
       retryable = RetryPolicy::retryable(transport_err.code());
@@ -321,6 +336,40 @@ Status Kshot::apply_with_retry(
   }
   report.success = false;
   return Status::ok();
+}
+
+Status Kshot::apply_and_notify(
+    const std::function<Result<SmmStatus>()>& attempt_once,
+    PatchReport& report, const std::function<bool()>& applied_probe) {
+  auto& m = kernel_.machine();
+  Mailbox mbox(m.mem(), kernel_.layout().mem_rw_base(),
+               machine::AccessMode::normal());
+  for (u32 round = 1;; ++round) {
+    if (Status st = apply_with_retry(attempt_once, report, applied_probe);
+        !st.is_ok()) {
+      notify_phase(PatchPhase::kFailed);
+      return st;
+    }
+    auto hb = mbox.read_heartbeat();
+    notify_phase(report.success ? PatchPhase::kApplied : PatchPhase::kFailed);
+    // Code observing the outcome runs before we return, and an SMI it
+    // raises executes whatever command word sits in the mailbox — flipped
+    // to kRollback, it silently undoes the patch we are about to report.
+    // Any SMI here moves the heartbeat; only then ask SMM what is applied.
+    if (!report.success || !hb) return Status::ok();
+    auto hb_after = mbox.read_heartbeat();
+    if (hb_after && *hb_after == *hb) return Status::ok();
+    if (applied_probe()) return Status::ok();
+    helper_detections_.add(
+        DetectionClass::kMailboxFlip, SmmStatus::kOk,
+        handler_ ? handler_->session_epoch() : 0,
+        "applied set rolled back by an unsolicited SMI; applying again");
+    metrics().counter("kshot.command_flips").inc();
+    if (round == retry_.max_attempts) {
+      report.success = false;
+      return Status::ok();
+    }
+  }
 }
 
 Result<PatchReport> Kshot::live_patch(const std::string& patch_id) {
@@ -420,6 +469,7 @@ Result<PatchReport> Kshot::live_patch(const std::string& patch_id,
                                         machine::AccessMode::normal()));
     KSHOT_RETURN_IF_ERROR(mbox.write_enclave_pub(enclave_pub));
     KSHOT_RETURN_IF_ERROR(mbox.write_staged_size(package.size()));
+    staged_size_ = package.size();
     report.sgx.passing_us += us_since(t1);
     emit_span("stage", stage_c0, us_since(t1),
               {{"bytes", std::to_string(package.size())}});
@@ -429,12 +479,8 @@ Result<PatchReport> Kshot::live_patch(const std::string& patch_id,
     return trigger_and_status(SmmCommand::kApplyPatch);
   };
   auto applied_probe = [&] { return ids_applied({patch_id}); };
-  if (Status st = apply_with_retry(attempt_once, report, applied_probe);
-      !st.is_ok()) {
-    notify_phase(PatchPhase::kFailed);
-    return st;
-  }
-  notify_phase(report.success ? PatchPhase::kApplied : PatchPhase::kFailed);
+  KSHOT_RETURN_IF_ERROR(
+      apply_and_notify(attempt_once, report, applied_probe));
 
   const SmmPatchTimings& t = handler_->last_timings();
   const auto& cost = m.cost_model();
@@ -549,6 +595,7 @@ Result<PatchReport> Kshot::live_patch_batch(
                                         machine::AccessMode::normal()));
     KSHOT_RETURN_IF_ERROR(mbox.write_enclave_pub(enclave_pub));
     KSHOT_RETURN_IF_ERROR(mbox.write_staged_size(package.size()));
+    staged_size_ = package.size();
     report.sgx.passing_us += us_since(t1);
     emit_span("stage", stage_c0, us_since(t1),
               {{"bytes", std::to_string(package.size())},
@@ -558,12 +605,8 @@ Result<PatchReport> Kshot::live_patch_batch(
     return trigger_and_status(SmmCommand::kApplyBatch);
   };
   auto applied_probe = [&] { return ids_applied(patch_ids); };
-  if (Status st = apply_with_retry(attempt_once, report, applied_probe);
-      !st.is_ok()) {
-    notify_phase(PatchPhase::kFailed);
-    return st;
-  }
-  notify_phase(report.success ? PatchPhase::kApplied : PatchPhase::kFailed);
+  KSHOT_RETURN_IF_ERROR(
+      apply_and_notify(attempt_once, report, applied_probe));
 
   const SmmPatchTimings& t = handler_->last_timings();
   const auto& cost = m.cost_model();
@@ -659,6 +702,7 @@ Result<PatchReport> Kshot::live_patch_chunked(const std::string& patch_id,
       KSHOT_RETURN_IF_ERROR(m.mem().write(lay.mem_w_base(), blob,
                                           machine::AccessMode::normal()));
       KSHOT_RETURN_IF_ERROR(mbox.write_staged_size(blob.size()));
+      staged_size_ = blob.size();
       report.sgx.passing_us += us_since(t1);
 
       bool last = i + 1 == chunks;
@@ -671,12 +715,8 @@ Result<PatchReport> Kshot::live_patch_chunked(const std::string& patch_id,
     return Status{Errc::kInternal, "package sealed to zero chunks"};
   };
   auto applied_probe = [&] { return ids_applied({patch_id}); };
-  if (Status st = apply_with_retry(attempt_once, report, applied_probe);
-      !st.is_ok()) {
-    notify_phase(PatchPhase::kFailed);
-    return st;
-  }
-  notify_phase(report.success ? PatchPhase::kApplied : PatchPhase::kFailed);
+  KSHOT_RETURN_IF_ERROR(
+      apply_and_notify(attempt_once, report, applied_probe));
 
   const SmmPatchTimings& t = handler_->last_timings();
   const auto& cost = m.cost_model();

@@ -295,17 +295,29 @@ class Kshot {
   /// failure); an error Status only for unrecoverable transport failures.
   /// A transport-level failure (no SmmStatus came back) is ambiguous — the
   /// SMI may have run and applied before the channel broke, and blindly
-  /// re-applying would collide with the already-installed windows. When
-  /// `applied_probe` is set it is consulted (via kQueryApplied) before any
-  /// retry; a positive probe resolves the attempt as success.
+  /// re-applying would collide with the already-installed windows. So is
+  /// kNoSession, which means another SMI consumed this attempt's session.
+  /// When `applied_probe` is set it is consulted (via kQueryApplied) before
+  /// any retry; a positive probe resolves the attempt as success.
   Status apply_with_retry(
       const std::function<Result<SmmStatus>()>& attempt_once,
       PatchReport& report,
       const std::function<bool()>& applied_probe = nullptr);
+  /// True when the mailbox's staged-size field no longer holds what the
+  /// helper last staged.
+  bool staged_size_flipped();
+  /// apply_with_retry plus the outcome notification (kApplied/kFailed).
+  /// If an SMI ran while the outcome was being observed and the applied
+  /// set is gone, records a kMailboxFlip detection and applies again, up
+  /// to the retry policy's attempt count.
+  Status apply_and_notify(
+      const std::function<Result<SmmStatus>()>& attempt_once,
+      PatchReport& report, const std::function<bool()>& applied_probe);
 
   /// True when every id in `ids` shows up in the handler's applied set
-  /// (one kQueryApplied SMI). Only consulted on ambiguous apply attempts —
-  /// a clean success or a definite SmmStatus failure never probes.
+  /// (one kQueryApplied SMI). Only consulted on ambiguous apply attempts
+  /// (transport failure, kNoSession) or when an unexpected SMI ran during
+  /// the outcome notification — a clean run never probes.
   bool ids_applied(const std::vector<std::string>& ids);
 
   void notify_phase(PatchPhase p) {
@@ -346,6 +358,7 @@ class Kshot {
   DetectionReport helper_detections_;
   u64 cmd_seq_ = 0;           // helper-side SMI command sequence
   u64 staging_attempts_ = 0;  // helper-side: sealed packages we tried to pass
+  u64 staged_size_ = 0;       // size the helper last wrote to kStagedSize
 };
 
 }  // namespace kshot::core

@@ -15,12 +15,14 @@
 // legacy_double_fetch self-test seam re-opens the pre-hardening double
 // fetch, and the harness must catch that class with a shrunk repro.
 #include <algorithm>
+#include <optional>
 #include <sstream>
 
 #include "attacks/async_adversary.hpp"
 #include "common/hex.hpp"
 #include "cve/suite.hpp"
 #include "fuzz/fuzz.hpp"
+#include "machine/phys_mem.hpp"
 #include "testbed/testbed.hpp"
 
 namespace kshot::fuzz {
@@ -60,23 +62,16 @@ class AttackerSurface final : public Surface {
   /// stacks, modules, mem_X). The EPC legitimately diverges across retry
   /// counts (enclave re-preprocessing), SMRAM across SMI counts, and the
   /// mailbox page + mem_W are attacker scratch by design.
-  Bytes snap(testbed::Testbed& t) const {
+  static std::optional<machine::MemDifference> compare(
+      const machine::PhysMem& expected, testbed::Testbed& t) {
     const auto& lay = t.layout();
-    const u8* p = t.machine().mem().raw(0, lay.epc_base);
-    return Bytes(p, p + lay.epc_base);
-  }
-
-  bool excluded(const kernel::MemoryLayout& lay, size_t i) const {
-    if (i >= lay.smram_base && i < lay.smram_base + lay.smram_size) {
-      return true;
-    }
-    if (i >= lay.mem_rw_base() && i < lay.mem_rw_base() + lay.mem_rw_size) {
-      return true;
-    }
-    if (i >= lay.mem_w_base() && i < lay.mem_w_base() + lay.mem_w_size) {
-      return true;
-    }
-    return false;
+    const machine::AddrRange excluded[] = {
+        {lay.smram_base, lay.smram_size},
+        {lay.mem_rw_base(), lay.mem_rw_size},
+        {lay.mem_w_base(), lay.mem_w_size},
+    };
+    return machine::first_difference(expected, t.machine().mem(),
+                                     lay.epc_base, excluded);
   }
 
   /// Boots and patches once with no adversary attached; the resulting
@@ -93,7 +88,7 @@ class AttackerSurface final : public Surface {
     if (rep->detections.any()) {
       return Status{Errc::kInternal, "baseline run reported detections"};
     }
-    baseline_final_ = snap(**tb);
+    baseline_final_ = (*tb)->machine().mem().fork();
     baseline_apply_attempts_ = rep->resilience.apply_attempts;
     baseline_ready_ = true;
     return Status::ok();
@@ -101,7 +96,7 @@ class AttackerSurface final : public Surface {
 
   AttackerSurfaceOptions opts_;
   bool baseline_ready_ = false;
-  Bytes baseline_final_;
+  machine::PhysMem baseline_final_{0};
   u32 baseline_apply_attempts_ = 0;
 };
 
@@ -161,7 +156,7 @@ Surface::Verdict AttackerSurface::execute(ByteSpan encoded) {
     t.kshot().handler().enable_legacy_double_fetch_for_selftest();
   }
 
-  Bytes pre = snap(t);
+  machine::PhysMem pre = t.machine().mem().fork();
 
   attacks::AsyncAdversary adv(t.machine(), t.kshot(), t.layout(), *sched);
   adv.attach();
@@ -205,20 +200,12 @@ Surface::Verdict AttackerSurface::execute(ByteSpan encoded) {
   // run must leave memory byte-identical to the no-attack run; a failed run
   // must leave the kernel byte-identical to its pre-patch image AND carry a
   // classified DetectionReport when the adversary actually interposed.
-  const Bytes& expected = success ? baseline_final_ : pre;
-  Bytes cur = snap(t);
-  const auto& lay = t.layout();
-  for (size_t i = 0; i < cur.size(); ++i) {
-    if (excluded(lay, i)) continue;
-    if (cur[i] != expected[i]) {
-      std::ostringstream os;
-      os << "memory differs from the " << (success ? "no-attack" : "pre-patch")
-         << " image at 0x" << std::hex << i << ": expected 0x"
-         << static_cast<int>(expected[i]) << " got 0x"
-         << static_cast<int>(cur[i]);
-      fail("silent-corruption", os.str());
-      break;
-    }
+  if (auto diff = compare(success ? baseline_final_ : pre, t)) {
+    std::ostringstream os;
+    os << "memory differs from the " << (success ? "no-attack" : "pre-patch")
+       << " image at 0x" << std::hex << diff->addr << ": expected 0x"
+       << static_cast<int>(diff->a) << " got 0x" << static_cast<int>(diff->b);
+    fail("silent-corruption", os.str());
   }
   if (!success && !det.any() && adv.actions_fired() > 0) {
     fail("silent-failure",

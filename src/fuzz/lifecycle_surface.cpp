@@ -51,8 +51,8 @@ enum class Op : u8 {
 };
 constexpr size_t kMaxOps = 32;
 
-/// Same compact 2 MB layout as the package surface: cheap full-memory
-/// snapshots keep the final byte-exact oracle affordable per case.
+/// Same compact 2 MB layout as the package surface, fixed because the
+/// checked-in corpus wires address it.
 kernel::MemoryLayout fuzz_layout() {
   kernel::MemoryLayout lay;
   lay.mem_bytes = 0x20'0000;
@@ -74,6 +74,20 @@ kernel::MemoryLayout fuzz_layout() {
   lay.epc_base = 0x1A'0000;
   lay.epc_size = 0x1'0000;
   return lay;
+}
+
+/// Same deterministic non-zero kernel text + data fill as the package rig.
+Status fill_kernel(machine::Machine& m, const kernel::MemoryLayout& lay) {
+  for (auto [base, len] : {std::pair{lay.text_base, lay.text_max},
+                           std::pair{lay.data_base, lay.data_max}}) {
+    Bytes fill(len);
+    for (size_t i = 0; i < len; ++i) {
+      fill[i] = static_cast<u8>((base + i) * 0x9E37u >> 8);
+    }
+    KSHOT_RETURN_IF_ERROR(
+        m.mem().write(base, fill, machine::AccessMode::normal()));
+  }
+  return Status::ok();
 }
 
 /// Fixed, collision-free geometry per family: U/S/D slots never alias each
@@ -417,14 +431,10 @@ Surface::Verdict LifecycleSurface::execute(ByteSpan encoded) {
     fail("rig", "set_smm_handler failed");
     return v;
   }
-  auto fill = [&](PhysAddr base, size_t len) {
-    u8* p = m.mem().raw(base, len);
-    for (size_t i = 0; i < len; ++i) {
-      p[i] = static_cast<u8>((base + i) * 0x9E37u >> 8);
-    }
-  };
-  fill(lay_.text_base, lay_.text_max);
-  fill(lay_.data_base, lay_.data_max);
+  if (!fill_kernel(m, lay_).is_ok()) {
+    fail("rig", "kernel fill failed");
+    return v;
+  }
 
   const auto mode = machine::AccessMode::normal();
   core::Mailbox mbox(m.mem(), lay_.mem_rw_base(), mode);
@@ -432,8 +442,7 @@ Surface::Verdict LifecycleSurface::execute(ByteSpan encoded) {
 
   // Pre-run snapshot: after the final drain, everything outside
   // SMRAM/mailbox/mem_W/mem_X must come back to exactly this.
-  Bytes snapshot(m.mem().raw(0, lay_.mem_bytes),
-                 m.mem().raw(0, lay_.mem_bytes) + lay_.mem_bytes);
+  const machine::PhysMem snapshot = m.mem().fork();
 
   StackModel model;
   bool applied_any = false;
@@ -583,25 +592,17 @@ Surface::Verdict LifecycleSurface::execute(ByteSpan encoded) {
   // mem_W (staged envelopes) and mem_X (abandoned bodies) must be
   // byte-identical to the pre-run snapshot.
   if (!v.failure) {
-    u64 memw_base = lay_.mem_w_base();
-    u64 memx_base = lay_.mem_x_base();
-    const u8* cur = m.mem().raw(0, lay_.mem_bytes);
-    for (size_t i = 0; i < lay_.mem_bytes; ++i) {
-      if (i >= lay_.smram_base && i < lay_.smram_base + lay_.smram_size) {
-        continue;
-      }
-      if (i >= lay_.mem_rw_base() &&
-          i < lay_.mem_rw_base() + lay_.mem_rw_size) {
-        continue;
-      }
-      if (i >= memw_base && i < memw_base + lay_.mem_w_size) continue;
-      if (i >= memx_base && i < memx_base + lay_.mem_x_size) continue;
-      if (cur[i] != snapshot[i]) {
-        std::ostringstream os;
-        os << "memory differs at 0x" << std::hex << i << " after drain";
-        fail("drain-memory", os.str());
-        break;
-      }
+    const machine::AddrRange excluded[] = {
+        {lay_.smram_base, lay_.smram_size},
+        {lay_.mem_rw_base(), lay_.mem_rw_size},
+        {lay_.mem_w_base(), lay_.mem_w_size},
+        {lay_.mem_x_base(), lay_.mem_x_size},
+    };
+    if (auto diff = machine::first_difference(snapshot, m.mem(),
+                                              lay_.mem_bytes, excluded)) {
+      std::ostringstream os;
+      os << "memory differs at 0x" << std::hex << diff->addr << " after drain";
+      fail("drain-memory", os.str());
     }
   }
 

@@ -8,10 +8,10 @@
 // execute() is a pure function of the wire bytes. The oracle re-derives the
 // handler's entire contract independently: an overflow-safe reference
 // validator predicts the exact SMM status, and a byte-exact expected-memory
-// image (pre-SMI snapshot + modeled legitimate writes) is compared against
-// all of physical memory except SMRAM and the mem_RW mailbox page. On a
-// predicted-successful apply the case continues through a rollback SMI and
-// asserts the pre-patch text comes back.
+// image (a fork of the pre-SMI memory + modeled legitimate writes) is
+// compared against all of physical memory except SMRAM and the mem_RW
+// mailbox page. On a predicted-successful apply the case continues through
+// a rollback SMI and asserts the pre-patch text comes back.
 #include <cstring>
 #include <sstream>
 
@@ -40,9 +40,9 @@ using patchtool::VarEdit;
 constexpr u64 kRigSeed = 0x7E57;
 constexpr u64 kAttackerSeed = 0xBAD5EED;
 
-/// A compact 2 MB layout: full-memory snapshots are what make the
-/// byte-exact oracle affordable at thousands of cases (the default 64 MB
-/// layout would memcpy ~100 GB over a 2000-iteration run).
+/// A compact 2 MB layout. Snapshots are copy-on-write forks, so memory size
+/// no longer drives the oracle's cost; the layout stays fixed because the
+/// checked-in corpus wires address it.
 kernel::MemoryLayout fuzz_layout() {
   kernel::MemoryLayout lay;
   lay.mem_bytes = 0x20'0000;
@@ -64,6 +64,21 @@ kernel::MemoryLayout fuzz_layout() {
   lay.epc_base = 0x1A'0000;
   lay.epc_size = 0x1'0000;
   return lay;
+}
+
+/// Deterministic non-zero fill of kernel text + data so captured entry
+/// bytes and var-edit undo values are nontrivial.
+Status fill_kernel(machine::Machine& m, const kernel::MemoryLayout& lay) {
+  for (auto [base, len] : {std::pair{lay.text_base, lay.text_max},
+                           std::pair{lay.data_base, lay.data_max}}) {
+    Bytes fill(len);
+    for (size_t i = 0; i < len; ++i) {
+      fill[i] = static_cast<u8>((base + i) * 0x9E37u >> 8);
+    }
+    KSHOT_RETURN_IF_ERROR(
+        m.mem().write(base, fill, machine::AccessMode::normal()));
+  }
+  return Status::ok();
 }
 
 /// Reimplementation of the handler's trampoline encoding (E9 rel32,
@@ -265,24 +280,31 @@ Prediction predict(const kernel::MemoryLayout& lay, ByteSpan wire,
 /// Applies the modeled legitimate writes of a successful apply to `image`,
 /// in the handler's documented order (var edits, then bodies, then
 /// trampolines), so overlapping writes resolve identically.
-void model_trampolines(const PatchSet& set, Bytes& image) {
+Status model_trampolines(const PatchSet& set, machine::PhysMem& image) {
   for (const auto& p : set.patches) {
     if (p.taddr == 0) continue;
     u64 jmp = p.taddr + p.ftrace_off;
     auto t = model_jmp(jmp, p.paddr + p.ftrace_off);
-    std::memcpy(&image[jmp], t.data(), t.size());
+    KSHOT_RETURN_IF_ERROR(image.write(jmp, t, machine::AccessMode::smm()));
   }
+  return Status::ok();
 }
 
-void model_apply(const PatchSet& set, Bytes& image, bool with_trampolines) {
+Status model_apply(const PatchSet& set, machine::PhysMem& image,
+                   bool with_trampolines) {
+  const auto smm = machine::AccessMode::smm();
   for (const auto& p : set.patches) {
-    for (const auto& v : p.var_edits) store_u64(&image[v.addr], v.value);
+    for (const auto& v : p.var_edits) {
+      KSHOT_RETURN_IF_ERROR(image.write_u64(v.addr, v.value, smm));
+    }
   }
   for (const auto& p : set.patches) {
-    if (!p.code.empty()) std::memcpy(&image[p.paddr], p.code.data(),
-                                     p.code.size());
+    if (!p.code.empty()) {
+      KSHOT_RETURN_IF_ERROR(image.write(p.paddr, p.code, smm));
+    }
   }
-  if (with_trampolines) model_trampolines(set, image);
+  if (with_trampolines) return model_trampolines(set, image);
+  return Status::ok();
 }
 
 class PackageSurface final : public Surface {
@@ -477,16 +499,10 @@ Surface::Verdict PackageSurface::execute(ByteSpan encoded) {
     return v;
   }
 
-  // Deterministic non-zero fill of kernel text + data so captured entry
-  // bytes and var-edit undo values are nontrivial.
-  auto fill = [&](PhysAddr base, size_t len) {
-    u8* p = m.mem().raw(base, len);
-    for (size_t i = 0; i < len; ++i) {
-      p[i] = static_cast<u8>((base + i) * 0x9E37u >> 8);
-    }
-  };
-  fill(lay_.text_base, lay_.text_max);
-  fill(lay_.data_base, lay_.data_max);
+  if (!fill_kernel(m, lay_).is_ok()) {
+    fail("rig", "kernel fill failed");
+    return v;
+  }
 
   // Attacker handshake (the SmmRig protocol from tests/test_security.cpp).
   const auto mode = machine::AccessMode::normal();
@@ -514,8 +530,7 @@ Surface::Verdict PackageSurface::execute(ByteSpan encoded) {
   // Pre-apply snapshot: the byte-identical baseline every rejection path
   // must restore. Taken before the apply SMI; the mailbox page and SMRAM
   // are excluded from comparison (both legitimately change under SMIs).
-  Bytes snapshot(m.mem().raw(0, lay_.mem_bytes),
-                 m.mem().raw(0, lay_.mem_bytes) + lay_.mem_bytes);
+  const machine::PhysMem snapshot = m.mem().fork();
 
   Prediction pred = predict(lay_, encoded, sealed.size());
 
@@ -551,25 +566,22 @@ Surface::Verdict PackageSurface::execute(ByteSpan encoded) {
 
   // Oracle: success-or-byte-identical memory. Expected image = snapshot
   // (+ modeled writes iff the apply was predicted to succeed).
-  auto compare_memory = [&](const Bytes& expected, const char* oracle) {
-    const u8* cur = m.mem().raw(0, lay_.mem_bytes);
-    for (size_t i = 0; i < lay_.mem_bytes; ++i) {
-      if (i >= lay_.smram_base && i < lay_.smram_base + lay_.smram_size) {
-        continue;
-      }
-      if (i >= lay_.mem_rw_base() &&
-          i < lay_.mem_rw_base() + lay_.mem_rw_size) {
-        continue;
-      }
-      if (cur[i] != expected[i]) {
-        std::ostringstream os;
-        os << "memory differs at 0x" << std::hex << i << ": expected 0x"
-           << static_cast<int>(expected[i]) << " got 0x"
-           << static_cast<int>(cur[i]);
-        fail(oracle, os.str());
-        return;
-      }
-    }
+  const machine::AddrRange excluded[] = {
+      {lay_.smram_base, lay_.smram_size},
+      {lay_.mem_rw_base(), lay_.mem_rw_size},
+  };
+  auto compare_memory = [&](const machine::PhysMem& expected,
+                            const char* oracle) {
+    auto diff = machine::first_difference(expected, m.mem(), lay_.mem_bytes,
+                                          excluded);
+    if (!diff) return;
+    std::ostringstream os;
+    os << "memory differs at 0x" << std::hex << diff->addr << ": expected 0x"
+       << static_cast<int>(diff->a) << " got 0x" << static_cast<int>(diff->b);
+    fail(oracle, os.str());
+  };
+  auto model_failed = [&](const Status& st) {
+    fail("rig", "modeled write failed: " + st.to_string());
   };
 
   bool applied = pred.applies && observed == SmmStatus::kOk;
@@ -579,10 +591,11 @@ Surface::Verdict PackageSurface::execute(ByteSpan encoded) {
     // Sets apply in batch order; var edits (data), bodies (mem_X) and
     // trampolines (text) live in disjoint regions, so modeling them
     // category-by-category preserves every cross-set last-writer outcome.
-    Bytes expected = snapshot;
+    machine::PhysMem expected = snapshot.fork();
     if (applied) {
       for (const auto& s : pred.sets) {
-        model_apply(s, expected, /*with_trampolines=*/true);
+        Status st = model_apply(s, expected, /*with_trampolines=*/true);
+        if (!st.is_ok()) model_failed(st);
       }
     }
     compare_memory(expected, applied ? "apply-memory-model"
@@ -621,12 +634,14 @@ Surface::Verdict PackageSurface::execute(ByteSpan encoded) {
       // Popping unit *it restores the entry bytes captured just before that
       // set applied — the earlier sets' trampolines stay live (overlapping
       // jmp windows never get this far: validation rejects them).
-      Bytes expected = snapshot;
+      machine::PhysMem expected = snapshot.fork();
       for (const auto& s : pred.sets) {
-        model_apply(s, expected, /*with_trampolines=*/false);
+        Status st = model_apply(s, expected, /*with_trampolines=*/false);
+        if (!st.is_ok()) model_failed(st);
       }
       for (size_t j = 0; j < *it; ++j) {
-        model_trampolines(pred.sets[j], expected);
+        Status st = model_trampolines(pred.sets[j], expected);
+        if (!st.is_ok()) model_failed(st);
       }
       compare_memory(expected, "rollback-memory");
       if (handler.installed().size() != remaining) {

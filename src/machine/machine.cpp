@@ -1,11 +1,31 @@
 #include "machine/machine.hpp"
 
 #include <cassert>
+#include <cstdio>
+#include <cstdlib>
 
 #include "common/byte_io.hpp"
 #include "common/log.hpp"
 
 namespace kshot::machine {
+
+namespace {
+
+/// Bytes of the SMM save-state area: 16 registers, rip, flags, and one
+/// spare word.
+constexpr size_t kSaveStateBytes = 16 * 8 + 3 * 8;
+
+/// The save-state area lies inside SMRAM, which SMM-mode access always
+/// reaches; failing here means the machine was built with SMRAM outside
+/// its memory.
+void save_state_or_die(const Status& st) {
+  if (st.is_ok()) return;
+  std::fprintf(stderr, "SMM save-state access failed: %s\n",
+               st.to_string().c_str());
+  std::abort();
+}
+
+}  // namespace
 
 Machine::Machine(size_t mem_bytes, PhysAddr smram_base, size_t smram_size,
                  u64 entropy_seed)
@@ -72,19 +92,23 @@ Status Machine::set_smm_handler(std::function<void(Machine&)> handler) {
 
 void Machine::save_state_to_smram() {
   PhysAddr base = mem_.smram_base() + kSaveStateOffset;
-  u8* p = mem_.raw(base, 16 * 8 + 3 * 8);
+  u8 p[kSaveStateBytes] = {};
   for (int i = 0; i < isa::kNumRegs; ++i) store_u64(p + 8 * i, cpu_.regs[i]);
   store_u64(p + 128, cpu_.rip);
   // regs already include the stack pointer (r15).
   store_u64(p + 144, (cpu_.zf ? 1u : 0u) | (cpu_.sf ? 2u : 0u));
+  save_state_or_die(
+      mem_.write(base, ByteSpan(p, sizeof(p)), AccessMode::smm()));
 }
 
 void Machine::restore_state_from_smram() {
   PhysAddr base = mem_.smram_base() + kSaveStateOffset;
-  const u8* p = mem_.raw(base, 16 * 8 + 3 * 8);
+  u8 p[kSaveStateBytes];
+  save_state_or_die(
+      mem_.read(base, MutByteSpan(p, sizeof(p)), AccessMode::smm()));
   for (int i = 0; i < isa::kNumRegs; ++i) cpu_.regs[i] = load_u64(p + 8 * i);
   cpu_.rip = load_u64(p + 128);
-  
+
   u64 flags = load_u64(p + 144);
   cpu_.zf = flags & 1;
   cpu_.sf = flags & 2;

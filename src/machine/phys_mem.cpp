@@ -1,6 +1,7 @@
 #include "machine/phys_mem.hpp"
 
-#include <cassert>
+#include <algorithm>
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 
@@ -8,12 +9,57 @@
 
 namespace kshot::machine {
 
+namespace {
+
+/// Harness misuse that no caller can recover from; kept on in every build.
+[[noreturn]] void die(const char* what) {
+  std::fprintf(stderr, "PhysMem: %s\n", what);
+  std::abort();
+}
+
+constexpr std::array<u8, kPageSize> kZeroPage{};
+
+}  // namespace
+
 PhysMem::PhysMem(size_t size_bytes)
-    : mem_(size_bytes, 0), attrs_((size_bytes + kPageSize - 1) / kPageSize) {}
+    : size_(size_bytes),
+      frames_((size_bytes + kPageSize - 1) / kPageSize),
+      attrs_(frames_.size()) {}
+
+PhysMem PhysMem::fork() const {
+  PhysMem out(0);
+  out.size_ = size_;
+  out.frames_ = frames_;
+  out.attrs_ = attrs_;
+  out.smram_base_ = smram_base_;
+  out.smram_len_ = smram_len_;
+  return out;
+}
+
+u8* PhysMem::writable_page(size_t page) {
+  FrameRef& f = frames_[page];
+  if (f.get() == nullptr) {
+    f = FrameRef(new Frame());
+  } else if (f.shared()) {
+    f = FrameRef(new Frame{f.get()->bytes});
+  }
+  return f.mut()->bytes.data();
+}
+
+void PhysMem::copy_out(PhysAddr addr, MutByteSpan out) const {
+  for_each_page(addr, out.size(), [&](size_t page, size_t off, size_t done,
+                                      size_t n) {
+    if (const u8* src = page_bytes(page)) {
+      std::memcpy(out.data() + done, src + off, n);
+    } else {
+      std::memset(out.data() + done, 0, n);
+    }
+  });
+}
 
 Status PhysMem::check(PhysAddr addr, size_t len, AccessMode mode, bool writing,
                       bool fetching) const {
-  if (addr + len > mem_.size() || addr + len < addr) {
+  if (addr + len > size_ || addr + len < addr) {
     return {Errc::kOutOfRange, "physical address out of range"};
   }
   if (len == 0) return Status::ok();
@@ -73,17 +119,16 @@ Status PhysMem::check(PhysAddr addr, size_t len, AccessMode mode, bool writing,
 
 Status PhysMem::read(PhysAddr addr, MutByteSpan out, AccessMode mode) const {
   KSHOT_RETURN_IF_ERROR(check(addr, out.size(), mode, false, false));
-  // Empty spans may carry a null data(); memcpy's pointer args must be
-  // non-null even for size 0.
-  if (!out.empty()) std::memcpy(out.data(), mem_.data() + addr, out.size());
+  copy_out(addr, out);
   return Status::ok();
 }
 
 Status PhysMem::write(PhysAddr addr, ByteSpan data, AccessMode mode) {
   KSHOT_RETURN_IF_ERROR(check(addr, data.size(), mode, true, false));
-  if (!data.empty()) {
-    std::memcpy(mem_.data() + addr, data.data(), data.size());
-  }
+  for_each_page(addr, data.size(), [&](size_t page, size_t off, size_t done,
+                                       size_t n) {
+    std::memcpy(writable_page(page) + off, data.data() + done, n);
+  });
   return Status::ok();
 }
 
@@ -110,9 +155,11 @@ Result<Bytes> PhysMem::read_bytes(PhysAddr addr, size_t n,
 
 Status PhysMem::fetch(PhysAddr addr, size_t n, MutByteSpan out,
                       AccessMode mode) const {
-  assert(out.size() >= n);
+  if (n > out.size()) {
+    return {Errc::kInvalidArgument, "fetch longer than the output buffer"};
+  }
   KSHOT_RETURN_IF_ERROR(check(addr, n, mode, false, true));
-  std::memcpy(out.data(), mem_.data() + addr, n);
+  copy_out(addr, out.first(n));
   return Status::ok();
 }
 
@@ -126,12 +173,14 @@ void PhysMem::set_attrs(PhysAddr addr, size_t len, PageAttr attr) {
 }
 
 PageAttr PhysMem::attrs_at(PhysAddr addr) const {
-  assert(addr / kPageSize < attrs_.size());
+  if (addr / kPageSize >= attrs_.size()) die("attrs_at past the end");
   return attrs_[addr / kPageSize];
 }
 
 void PhysMem::set_smram(PhysAddr base, size_t len) {
-  assert(base % kPageSize == 0 && len % kPageSize == 0);
+  if (base % kPageSize != 0 || len % kPageSize != 0) {
+    die("set_smram base and length must be page-aligned");
+  }
   smram_base_ = base;
   smram_len_ = len;
 }
@@ -141,14 +190,32 @@ bool PhysMem::in_smram(PhysAddr addr) const {
          addr < smram_base_ + smram_len_;
 }
 
-u8* PhysMem::raw(PhysAddr addr, size_t len) {
-  if (addr + len > mem_.size()) std::abort();
-  return mem_.data() + addr;
-}
-
-const u8* PhysMem::raw(PhysAddr addr, size_t len) const {
-  if (addr + len > mem_.size()) std::abort();
-  return mem_.data() + addr;
+std::optional<MemDifference> first_difference(
+    const PhysMem& a, const PhysMem& b, PhysAddr limit,
+    std::span<const AddrRange> excluded) {
+  if (limit > a.size() || limit > b.size()) {
+    die("first_difference limit past the end of memory");
+  }
+  auto is_excluded = [&](PhysAddr at) {
+    return std::any_of(excluded.begin(), excluded.end(),
+                       [at](const AddrRange& r) { return r.contains(at); });
+  };
+  for (size_t page = 0; page * kPageSize < limit; ++page) {
+    const u8* pa = a.page_bytes(page);
+    const u8* pb = b.page_bytes(page);
+    if (pa == pb) continue;  // one shared frame, or both untouched
+    if (!pa) pa = kZeroPage.data();
+    if (!pb) pb = kZeroPage.data();
+    const PhysAddr base = page * kPageSize;
+    const size_t n = std::min<PhysAddr>(kPageSize, limit - base);
+    if (std::memcmp(pa, pb, n) == 0) continue;
+    for (size_t i = 0; i < n; ++i) {
+      if (pa[i] != pb[i] && !is_excluded(base + i)) {
+        return MemDifference{base + i, pa[i], pb[i]};
+      }
+    }
+  }
+  return std::nullopt;
 }
 
 }  // namespace kshot::machine

@@ -6,8 +6,19 @@
 //   * SMM accesses bypass page attributes and may touch SMRAM, but never EPC
 //     (real SMM cannot read enclave memory either);
 //   * enclave accesses may touch their own EPC pages plus ordinary memory.
+//
+// Storage is one copy-on-write frame per page. A null frame reads as zeros
+// and is allocated on its first write; fork() shares every frame, and a
+// write to a shared frame copies it first, so a frame is never modified
+// while another PhysMem can see it.
 #pragma once
 
+#include <algorithm>
+#include <array>
+#include <atomic>
+#include <optional>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "common/status.hpp"
@@ -36,11 +47,36 @@ struct PageAttr {
   u16 epc_owner = 0;  // nonzero: EPC page owned by that enclave id
 };
 
+/// A half-open physical range [base, base + len).
+struct AddrRange {
+  PhysAddr base = 0;
+  size_t len = 0;
+
+  [[nodiscard]] bool contains(PhysAddr a) const {
+    return a >= base && a - base < len;
+  }
+};
+
+/// The first byte at which two memories differ.
+struct MemDifference {
+  PhysAddr addr = 0;
+  u8 a = 0;  // the byte in the first memory
+  u8 b = 0;  // the byte in the second memory
+};
+
 class PhysMem {
  public:
   explicit PhysMem(size_t size_bytes);
+  PhysMem(const PhysMem&) = delete;
+  PhysMem& operator=(const PhysMem&) = delete;
+  PhysMem(PhysMem&&) noexcept = default;
+  PhysMem& operator=(PhysMem&&) noexcept = default;
 
-  [[nodiscard]] size_t size() const { return mem_.size(); }
+  /// Copy-on-write clone in O(pages): contents, attributes and SMRAM range.
+  /// Later writes to either side are invisible to the other.
+  [[nodiscard]] PhysMem fork() const;
+
+  [[nodiscard]] size_t size() const { return size_; }
 
   // Data access ---------------------------------------------------------
   Status read(PhysAddr addr, MutByteSpan out, AccessMode mode) const;
@@ -64,19 +100,87 @@ class PhysMem {
   [[nodiscard]] PhysAddr smram_base() const { return smram_base_; }
   [[nodiscard]] size_t smram_size() const { return smram_len_; }
 
-  /// Raw pointer for the simulator harness itself (tests, loaders). Not
-  /// reachable from simulated software; bounds-checked.
-  u8* raw(PhysAddr addr, size_t len);
-  const u8* raw(PhysAddr addr, size_t len) const;
-
  private:
+  /// One page of storage with an intrusive atomic reference count. The
+  /// count is read with acquire ordering before an in-place write, so the
+  /// last reader's copy of a formerly shared frame happens-before it.
+  struct alignas(64) Frame {
+    std::array<u8, kPageSize> bytes{};  // first, so copies stay aligned
+    std::atomic<u32> refs{1};
+  };
+
+  /// Owning handle to a Frame; null is the all-zero page.
+  class FrameRef {
+   public:
+    FrameRef() = default;
+    explicit FrameRef(Frame* f) : f_(f) {}
+    FrameRef(const FrameRef& o) : f_(o.f_) {
+      if (f_) f_->refs.fetch_add(1, std::memory_order_relaxed);
+    }
+    FrameRef(FrameRef&& o) noexcept : f_(o.f_) { o.f_ = nullptr; }
+    FrameRef& operator=(FrameRef o) noexcept {
+      std::swap(f_, o.f_);
+      return *this;
+    }
+    ~FrameRef() {
+      if (f_ && f_->refs.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+        delete f_;
+      }
+    }
+    [[nodiscard]] const Frame* get() const { return f_; }
+    [[nodiscard]] bool shared() const {
+      return f_->refs.load(std::memory_order_acquire) > 1;
+    }
+    [[nodiscard]] Frame* mut() { return f_; }
+
+   private:
+    Frame* f_ = nullptr;
+  };
+
+  friend std::optional<MemDifference> first_difference(
+      const PhysMem&, const PhysMem&, PhysAddr, std::span<const AddrRange>);
+
   Status check(PhysAddr addr, size_t len, AccessMode mode, bool writing,
                bool fetching) const;
+  /// Page bytes for reading; null for an untouched (all-zero) page.
+  [[nodiscard]] const u8* page_bytes(size_t page) const {
+    const Frame* f = frames_[page].get();
+    return f ? f->bytes.data() : nullptr;
+  }
+  /// Page bytes for writing: allocates a null frame, copies a shared one.
+  u8* writable_page(size_t page);
+  void copy_out(PhysAddr addr, MutByteSpan out) const;
+  /// Calls fn(page, offset in page, offset in span, length) for each page
+  /// piece of [addr, addr+len). A span inside one page (nearly every
+  /// access) is one call with a runtime length, which reaches libc's
+  /// memcpy; inside a loop over page-bounded pieces the compiler inlines
+  /// the copies as `rep movs`, several times slower at 8–16 bytes.
+  template <typename Fn>
+  static void for_each_page(PhysAddr addr, size_t len, Fn&& fn) {
+    if (len == 0) return;
+    size_t off = addr % kPageSize;
+    if (off + len <= kPageSize) return fn(addr / kPageSize, off, 0, len);
+    for (size_t done = 0; done < len; off = 0) {
+      size_t n = std::min(kPageSize - off, len - done);
+      fn((addr + done) / kPageSize, off, done, n);
+      done += n;
+    }
+  }
 
-  Bytes mem_;
+  size_t size_ = 0;
+  std::vector<FrameRef> frames_;
   std::vector<PageAttr> attrs_;
   PhysAddr smram_base_ = 0;
   size_t smram_len_ = 0;
 };
+
+/// Finds the lowest address below `limit` whose byte differs between `a`
+/// and `b`, ignoring addresses inside any `excluded` range. Pages whose
+/// frames are the same pointer (forked and untouched on both sides) or both
+/// null are skipped unread, so the cost scales with the pages written since
+/// the fork. `limit` must not exceed either size (aborts otherwise).
+[[nodiscard]] std::optional<MemDifference> first_difference(
+    const PhysMem& a, const PhysMem& b, PhysAddr limit,
+    std::span<const AddrRange> excluded);
 
 }  // namespace kshot::machine

@@ -202,6 +202,107 @@ TEST(AdversaryRegression, CommandFlipToValidCommandIsDetected) {
       << rep->detections.to_string();
 }
 
+// An unsolicited SMI raised right after staging, with its command word
+// flipped to kApplyPatch, installs the helper's staged package on its
+// behalf and burns the session. The helper's own apply then reads
+// kNoSession; retrying blindly was rejected for overlapping the windows
+// already live, reporting failure with the patch in kernel text. The
+// helper now asks kQueryApplied first and reports the success it got.
+TEST(AdversaryRegression, DuplicateSmiThatAppliesOurPackageIsConfirmed) {
+  AdversarySchedule sched;
+  sched.actions.push_back(AdversaryAction{AdversaryVariant::kSmiDuplicate,
+                                          AdversaryTrigger::kOnStaged,
+                                          /*param=*/0, /*value=*/0});
+  sched.actions.push_back(AdversaryAction{AdversaryVariant::kMailboxCmdFlip,
+                                          AdversaryTrigger::kPreSmi,
+                                          /*param=*/1u << 8, /*value=*/2});
+  auto t = boot();
+  AsyncAdversary adv(t->machine(), t->kshot(), t->layout(), sched);
+  adv.attach();
+  auto rep = t->kshot().live_patch("CVE-2014-0196");
+  adv.detach();
+  ASSERT_TRUE(rep.is_ok()) << rep.status().to_string();
+  EXPECT_EQ(adv.actions_fired(), 2u);
+  EXPECT_TRUE(rep->success) << core::smm_status_name(rep->smm_status);
+  auto exploit = t->run_exploit();
+  ASSERT_TRUE(exploit.is_ok());
+  EXPECT_FALSE(exploit->oops);
+
+  auto surface = fuzz::make_attacker_schedule_surface();
+  auto v = surface->execute(sched.encode());
+  EXPECT_FALSE(v.failure) << v.failure->first << ": " << v.failure->second;
+}
+
+// An SMI raised while the helper reports its outcome, with its command word
+// flipped to kRollback, used to undo the patch just before live_patch
+// returned success. The helper now notices the heartbeat moved, finds the
+// set gone, records a mailbox flip and applies again.
+TEST(AdversaryRegression, RollbackAtOutcomeIsDetectedAndReapplied) {
+  AdversarySchedule sched;
+  sched.actions.push_back(AdversaryAction{AdversaryVariant::kMailboxCmdFlip,
+                                          AdversaryTrigger::kPreSmi,
+                                          /*param=*/2u << 8, /*value=*/3});
+  sched.actions.push_back(AdversaryAction{AdversaryVariant::kSmiDuplicate,
+                                          AdversaryTrigger::kOnOutcome,
+                                          /*param=*/0, /*value=*/0});
+  auto t = boot();
+  AsyncAdversary adv(t->machine(), t->kshot(), t->layout(), sched);
+  adv.attach();
+  auto rep = t->kshot().live_patch("CVE-2014-0196");
+  adv.detach();
+  ASSERT_TRUE(rep.is_ok()) << rep.status().to_string();
+  EXPECT_EQ(adv.actions_fired(), 2u);
+  EXPECT_TRUE(rep->success);
+  EXPECT_EQ(rep->resilience.apply_attempts, 2u);
+  EXPECT_TRUE(rep->detections.has(DetectionClass::kMailboxFlip))
+      << rep->detections.to_string();
+  auto exploit = t->run_exploit();
+  ASSERT_TRUE(exploit.is_ok());
+  EXPECT_FALSE(exploit->oops);
+
+  auto surface = fuzz::make_attacker_schedule_surface();
+  auto v = surface->execute(sched.encode());
+  EXPECT_FALSE(v.failure) << v.failure->first << ": " << v.failure->second;
+}
+
+// A seq flip hides a landed apply, the probe SMI that would confirm it is
+// flipped to kRollback (leaving the body in mem_X), and the restage's size
+// field is flipped past mem_W. The handler refuses that envelope as a bad
+// package; giving up there left a failed run with memory changed. A
+// size field that no longer holds what the helper staged is a transport
+// fault, so the helper restages and lands the patch.
+TEST(AdversaryRegression, SizeFlipAfterInjectedRollbackIsRestaged) {
+  AdversarySchedule sched;
+  sched.actions.push_back(AdversaryAction{AdversaryVariant::kMailboxCmdFlip,
+                                          AdversaryTrigger::kPreSmi,
+                                          /*param=*/2u << 8, /*value=*/3});
+  sched.actions.push_back(AdversaryAction{AdversaryVariant::kMailboxSeqFlip,
+                                          AdversaryTrigger::kPreSmi,
+                                          /*param=*/1u << 8,
+                                          /*value=*/0x972AA3D5});
+  sched.actions.push_back(AdversaryAction{AdversaryVariant::kStagedSizeFlip,
+                                          AdversaryTrigger::kOnStaged,
+                                          /*param=*/1u << 8,
+                                          /*value=*/0x00FF'FFFF});
+  auto t = boot();
+  AsyncAdversary adv(t->machine(), t->kshot(), t->layout(), sched);
+  adv.attach();
+  auto rep = t->kshot().live_patch("CVE-2014-0196");
+  adv.detach();
+  ASSERT_TRUE(rep.is_ok()) << rep.status().to_string();
+  EXPECT_EQ(adv.actions_fired(), 3u);
+  EXPECT_TRUE(rep->success) << core::smm_status_name(rep->smm_status);
+  EXPECT_TRUE(rep->detections.has(DetectionClass::kStagedSizeFlip))
+      << rep->detections.to_string();
+  auto exploit = t->run_exploit();
+  ASSERT_TRUE(exploit.is_ok());
+  EXPECT_FALSE(exploit->oops);
+
+  auto surface = fuzz::make_attacker_schedule_surface();
+  auto v = surface->execute(sched.encode());
+  EXPECT_FALSE(v.failure) << v.failure->first << ": " << v.failure->second;
+}
+
 // Replaying a captured stale sealed envelope must classify (as kReplay when
 // the ring recognizes the wire, kMemWRewrite when the capture was spoiled)
 // rather than decrypt.

@@ -179,8 +179,7 @@ TEST(BatchSession, MidBatchFailureLeavesMemoryByteIdentical) {
   ASSERT_TRUE(mbox.write_enclave_pub(keys.public_key).is_ok());
   ASSERT_TRUE(mbox.write_staged_size(sealed.size()).is_ok());
 
-  Bytes snapshot(m.mem().raw(0, lay.mem_bytes),
-                 m.mem().raw(0, lay.mem_bytes) + lay.mem_bytes);
+  const machine::PhysMem snapshot = m.mem().fork();
 
   ASSERT_TRUE(mbox.write_command(SmmCommand::kApplyBatch).is_ok());
   m.trigger_smi();
@@ -189,14 +188,13 @@ TEST(BatchSession, MidBatchFailureLeavesMemoryByteIdentical) {
   EXPECT_EQ(*st, SmmStatus::kDigestFailure);
   EXPECT_TRUE(handler.installed().empty());
 
-  const u8* cur = m.mem().raw(0, lay.mem_bytes);
-  for (size_t i = 0; i < lay.mem_bytes; ++i) {
-    if (i >= lay.smram_base && i < lay.smram_base + lay.smram_size) continue;
-    if (i >= lay.mem_rw_base() && i < lay.mem_rw_base() + lay.mem_rw_size) {
-      continue;
-    }
-    ASSERT_EQ(cur[i], snapshot[i]) << "memory differs at 0x" << std::hex << i;
-  }
+  const machine::AddrRange excluded[] = {
+      {lay.smram_base, lay.smram_size},
+      {lay.mem_rw_base(), lay.mem_rw_size},
+  };
+  auto diff = machine::first_difference(snapshot, m.mem(), lay.mem_bytes,
+                                        excluded);
+  EXPECT_FALSE(diff) << "memory differs at 0x" << std::hex << diff->addr;
 }
 
 TEST(BatchSession, RollbackPeelsUnitsInReverseOrder) {

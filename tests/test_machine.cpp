@@ -3,6 +3,12 @@
 // virtual clock.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <optional>
+#include <thread>
+#include <vector>
+
+#include "common/rng.hpp"
 #include "isa/assembler.hpp"
 #include "machine/machine.hpp"
 
@@ -97,6 +103,248 @@ TEST(PhysMem, AttrsSpanPages) {
   EXPECT_FALSE(m.mem().attrs_at(0x6000).write);
   EXPECT_FALSE(m.mem().attrs_at(0x6000 + 2 * kPageSize).write);
   EXPECT_TRUE(m.mem().attrs_at(0x6000 + 3 * kPageSize).write);
+}
+
+TEST(PhysMem, FetchLongerThanBufferIsInvalidArgument) {
+  Machine m = make_machine();
+  u8 buf[4];
+  EXPECT_EQ(m.mem()
+                .fetch(0x1000, 5, MutByteSpan(buf, 4), AccessMode::normal())
+                .code(),
+            Errc::kInvalidArgument);
+  // A page-crossing fetch into a short buffer is refused the same way.
+  EXPECT_EQ(m.mem()
+                .fetch(2 * kPageSize - 2, 8, MutByteSpan(buf, 4),
+                       AccessMode::normal())
+                .code(),
+            Errc::kInvalidArgument);
+}
+
+TEST(PhysMemDeathTest, AttrsAtPastTheEndAborts) {
+  PhysMem mem(4 * kPageSize);
+  EXPECT_DEATH((void)mem.attrs_at(4 * kPageSize), "attrs_at past the end");
+}
+
+TEST(PhysMemDeathTest, MisalignedSmramAborts) {
+  PhysMem mem(64 * kPageSize);
+  EXPECT_DEATH(mem.set_smram(kPageSize + 8, kPageSize), "page-aligned");
+  EXPECT_DEATH(mem.set_smram(kPageSize, kPageSize - 1), "page-aligned");
+}
+
+TEST(PhysMemDeathTest, FirstDifferencePastTheEndAborts) {
+  PhysMem a(4 * kPageSize);
+  PhysMem b(2 * kPageSize);
+  EXPECT_DEATH((void)first_difference(a, b, 3 * kPageSize, {}),
+               "limit past the end");
+}
+
+// ---- PhysMem copy-on-write frames ----------------------------------------
+
+TEST(PhysMem, UntouchedPagesReadAsZero) {
+  PhysMem mem(64 << 20);
+  auto all = mem.read_bytes(0, 3 * kPageSize, AccessMode::smm());
+  ASSERT_TRUE(all.is_ok());
+  EXPECT_EQ(*all, Bytes(3 * kPageSize, 0));
+
+  // A write across a page boundary leaves its neighbours zero, including
+  // inside a span that crosses into them.
+  ASSERT_TRUE(mem.write_u64(kPageSize - 4, ~0ull, AccessMode::smm()).is_ok());
+  auto span = mem.read_bytes(kPageSize - 8, 16, AccessMode::smm());
+  ASSERT_TRUE(span.is_ok());
+  EXPECT_EQ(*span, Bytes({0, 0, 0, 0, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF,
+                          0xFF, 0xFF, 0, 0, 0, 0}));
+  auto far = mem.read_u64((64 << 20) - 8, AccessMode::smm());
+  ASSERT_TRUE(far.is_ok());
+  EXPECT_EQ(*far, 0u);
+}
+
+TEST(PhysMem, ForkIsolatesWritesOnBothSides) {
+  PhysMem a(16 * kPageSize);
+  a.set_smram(8 * kPageSize, 4 * kPageSize);
+  a.set_attrs(0, kPageSize, {true, false, false, 0});
+  ASSERT_TRUE(a.write_u64(0x1000, 0x1111, AccessMode::smm()).is_ok());
+
+  PhysMem b = a.fork();
+  EXPECT_EQ(*b.read_u64(0x1000, AccessMode::smm()), 0x1111u);
+  EXPECT_EQ(b.smram_base(), 8 * kPageSize);
+  EXPECT_FALSE(b.attrs_at(0).write);
+
+  ASSERT_TRUE(a.write_u64(0x1000, 0x2222, AccessMode::smm()).is_ok());
+  ASSERT_TRUE(b.write_u64(0x1008, 0x3333, AccessMode::smm()).is_ok());
+  ASSERT_TRUE(b.write_u64(0x3000, 0x4444, AccessMode::smm()).is_ok());
+  EXPECT_EQ(*a.read_u64(0x1000, AccessMode::smm()), 0x2222u);
+  EXPECT_EQ(*a.read_u64(0x1008, AccessMode::smm()), 0u);
+  EXPECT_EQ(*a.read_u64(0x3000, AccessMode::smm()), 0u);
+  EXPECT_EQ(*b.read_u64(0x1000, AccessMode::smm()), 0x1111u);
+  EXPECT_EQ(*b.read_u64(0x1008, AccessMode::smm()), 0x3333u);
+
+  // A fork of a fork sees its parent's writes up to the fork, none after.
+  PhysMem c = b.fork();
+  ASSERT_TRUE(b.write_u64(0x1000, 0x5555, AccessMode::smm()).is_ok());
+  ASSERT_TRUE(c.write_u64(0x3000, 0x6666, AccessMode::smm()).is_ok());
+  EXPECT_EQ(*c.read_u64(0x1000, AccessMode::smm()), 0x1111u);
+  EXPECT_EQ(*c.read_u64(0x1008, AccessMode::smm()), 0x3333u);
+  EXPECT_EQ(*b.read_u64(0x3000, AccessMode::smm()), 0x4444u);
+  EXPECT_EQ(*a.read_u64(0x1000, AccessMode::smm()), 0x2222u);
+
+  // Attributes are per fork as well.
+  b.set_attrs(0, kPageSize, {true, true, true, 0});
+  EXPECT_FALSE(a.attrs_at(0).write);
+  EXPECT_FALSE(c.attrs_at(0).write);
+}
+
+TEST(PhysMem, ForkedFramesAreNeverWrittenInPlaceAcrossThreads) {
+  // Three memories share every frame. A second thread owns one fork and
+  // writes every page while this thread writes the same pages of the
+  // original: each side must copy before writing, so the untouched third
+  // view keeps the original bytes. Under ThreadSanitizer an in-place
+  // write to a shared frame is also reported as a race.
+  constexpr size_t kPages = 64;
+  auto write_all = [](PhysMem& mem, u8 value) {
+    for (size_t p = 0; p < kPages; ++p) {
+      Bytes b = {value, value};
+      if (!mem.write(p * kPageSize + 16, b, AccessMode::smm()).is_ok()) {
+        return false;
+      }
+    }
+    return true;
+  };
+  for (int round = 0; round < 20; ++round) {
+    PhysMem a(kPages * kPageSize);
+    for (size_t p = 0; p < kPages; ++p) {
+      Bytes page(kPageSize, static_cast<u8>(p));
+      ASSERT_TRUE(a.write(p * kPageSize, page, AccessMode::smm()).is_ok());
+    }
+    const PhysMem original = a.fork();
+    bool b_ok = false;
+    std::thread other([&b_ok, &write_all, mem = a.fork()]() mutable {
+      b_ok = write_all(mem, 0xBB);
+      for (size_t p = 0; p < kPages && b_ok; ++p) {
+        auto got = mem.read_bytes(p * kPageSize + 15, 4, AccessMode::smm());
+        b_ok = got.is_ok() && *got == Bytes({static_cast<u8>(p), 0xBB, 0xBB,
+                                             static_cast<u8>(p)});
+      }
+    });
+    const bool a_ok = write_all(a, 0xAA);
+    other.join();
+    ASSERT_TRUE(a_ok);
+    ASSERT_TRUE(b_ok) << "round " << round;
+
+    for (size_t p = 0; p < kPages; ++p) {
+      auto orig =
+          original.read_bytes(p * kPageSize, kPageSize, AccessMode::smm());
+      ASSERT_TRUE(orig.is_ok());
+      ASSERT_EQ(*orig, Bytes(kPageSize, static_cast<u8>(p)))
+          << "round " << round << " page " << p;
+      auto mine = a.read_bytes(p * kPageSize + 15, 4, AccessMode::smm());
+      ASSERT_TRUE(mine.is_ok());
+      ASSERT_EQ(*mine, Bytes({static_cast<u8>(p), 0xAA, 0xAA,
+                              static_cast<u8>(p)}))
+          << "round " << round << " page " << p;
+    }
+  }
+}
+
+/// Reference for first_difference: the per-byte whole-memory scan every
+/// oracle used before frames were shared, over full copies of both sides.
+std::optional<MemDifference> byte_scan(const PhysMem& a, const PhysMem& b,
+                                       PhysAddr limit,
+                                       const std::vector<AddrRange>& excl) {
+  Bytes ia = *a.read_bytes(0, limit, AccessMode::smm());
+  Bytes ib = *b.read_bytes(0, limit, AccessMode::smm());
+  for (size_t i = 0; i < limit; ++i) {
+    bool skip = false;
+    for (const auto& r : excl) {
+      if (i >= r.base && i < r.base + r.len) skip = true;
+    }
+    if (skip) continue;
+    if (ia[i] != ib[i]) return MemDifference{i, ia[i], ib[i]};
+  }
+  return std::nullopt;
+}
+
+TEST(PhysMem, FirstDifferenceMatchesByteScan) {
+  // Not a whole number of pages, so the tail page is partial.
+  constexpr size_t kSize = 24 * kPageSize + 100;
+  size_t found = 0, equal = 0;
+  for (u64 seed = 1; seed <= 24; ++seed) {
+    Rng rng(seed);
+    std::vector<AddrRange> excl;
+    for (u64 n = rng.next_below(4); n > 0; --n) {
+      // Unaligned bases and lengths, some crossing page boundaries.
+      excl.push_back({rng.next_below(kSize), 1 + rng.next_below(6000)});
+    }
+    // Spans straddling every exclusion edge, plus random spans.
+    auto pick_addr = [&]() -> PhysAddr {
+      if (!excl.empty() && rng.next_below(3) == 0) {
+        const auto& r = excl[rng.next_below(excl.size())];
+        const PhysAddr edges[] = {r.base - 1, r.base, r.base + r.len - 1,
+                                  r.base + r.len};
+        return std::min<PhysAddr>(edges[rng.next_below(4)], kSize - 1);
+      }
+      return rng.next_below(kSize);
+    };
+
+    PhysMem a(kSize);
+    for (int i = 0; i < 6; ++i) {
+      PhysAddr at = pick_addr();
+      Bytes d = rng.next_bytes(1 + rng.next_below(3 * kPageSize));
+      d.resize(std::min<size_t>(d.size(), kSize - at));
+      ASSERT_TRUE(a.write(at, d, AccessMode::smm()).is_ok());
+    }
+    std::vector<PhysMem> mems;
+    mems.push_back(std::move(a));
+    mems.push_back(mems[0].fork());
+
+    for (int step = 0; step < 30; ++step) {
+      if (mems.size() < 4 && rng.next_below(8) == 0) {
+        mems.push_back(mems[rng.next_below(mems.size())].fork());
+      }
+      PhysMem& dst = mems[rng.next_below(mems.size())];
+      PhysAddr at = pick_addr();
+      size_t len = std::min<size_t>(1 + rng.next_below(2 * kPageSize + 16),
+                                    kSize - at);
+      Bytes d;
+      switch (rng.next_below(4)) {
+        case 0:  // random bytes, often one byte
+          d = rng.next_bytes(rng.next_below(2) ? 1 : len);
+          break;
+        case 1:  // same-value rewrite: copies the frame, keeps the bytes
+          d = *dst.read_bytes(at, len, AccessMode::smm());
+          break;
+        default: {  // copy another memory's bytes back: frames differ,
+                    // contents converge
+          const PhysMem& src = mems[rng.next_below(mems.size())];
+          d = *src.read_bytes(at, len, AccessMode::smm());
+          break;
+        }
+      }
+      ASSERT_TRUE(dst.write(at, d, AccessMode::smm()).is_ok());
+
+      for (int check = 0; check < 3; ++check) {
+        size_t i = rng.next_below(mems.size());
+        size_t j = rng.next_below(mems.size());
+        PhysAddr limit =
+            rng.next_below(4) == 0 ? rng.next_below(kSize + 1) : kSize;
+        auto want = byte_scan(mems[i], mems[j], limit, excl);
+        auto got = first_difference(mems[i], mems[j], limit, excl);
+        ASSERT_EQ(got.has_value(), want.has_value())
+            << "seed " << seed << " step " << step << " pair " << i << ","
+            << j << " limit " << limit;
+        if (want) {
+          ++found;
+          EXPECT_EQ(got->addr, want->addr) << "seed " << seed;
+          EXPECT_EQ(got->a, want->a) << "seed " << seed;
+          EXPECT_EQ(got->b, want->b) << "seed " << seed;
+        } else {
+          ++equal;
+        }
+      }
+    }
+  }
+  // Both outcomes must be exercised, or the comparison proves nothing.
+  EXPECT_GT(found, 500u);
+  EXPECT_GT(equal, 500u);
 }
 
 // ---- Interpreter -----------------------------------------------------------
