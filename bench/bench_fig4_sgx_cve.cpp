@@ -40,7 +40,7 @@ int main() {
       prep.push_back(rep->sgx.preprocess_us);
       pass.push_back(rep->sgx.passing_us);
       bytes = rep->stats.code_bytes;
-      t.kshot().rollback();
+      if (!t.kshot().rollback().is_ok()) break;
       t.kshot().enclave().reset_mem_x_cursor();
     }
     if (fetch.empty()) continue;

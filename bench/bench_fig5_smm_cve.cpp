@@ -46,7 +46,7 @@ int main() {
       modeled.push_back(rep->smm.modeled_total_us);
       sw = rep->smm.switch_us;
       bytes = rep->stats.code_bytes;
-      t.kshot().rollback();
+      if (!t.kshot().rollback().is_ok()) break;
       t.kshot().enclave().reset_mem_x_cursor();
     }
     if (kg.empty()) continue;

@@ -49,7 +49,10 @@ int main() {
     ++patches;
     prep_us.push_back(rep->sgx.total_us());
     pause_us.push_back(rep->smm.modeled_total_us);
-    t.kshot().rollback();
+    if (!t.kshot().rollback().is_ok()) {
+      std::printf("rollback %d failed\n", i);
+      return 1;
+    }
     t.kshot().enclave().reset_mem_x_cursor();
   }
   auto prep = bench::stats_of(prep_us);

@@ -72,7 +72,7 @@ int main() {
       pass.push_back(rep->sgx.passing_us);
       actual_bytes = rep->stats.code_bytes;
       // Reset for the next iteration.
-      t.kshot().rollback();
+      if (!t.kshot().rollback().is_ok()) break;
       t.kshot().enclave().reset_mem_x_cursor();
     }
     if (fetch.empty()) continue;

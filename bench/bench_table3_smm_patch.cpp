@@ -67,7 +67,7 @@ int main() {
       tot.push_back(rep->smm.total_us);
       modeled.push_back(rep->smm.modeled_total_us);
       actual = rep->stats.code_bytes;
-      t.kshot().rollback();
+      if (!t.kshot().rollback().is_ok()) break;
       t.kshot().enclave().reset_mem_x_cursor();
     }
     if (dec.empty()) continue;

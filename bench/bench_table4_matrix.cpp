@@ -25,7 +25,7 @@ bool probe_kshot_survives_rootkit() {
   if (!t.kshot().live_patch(c.id).is_ok()) return false;
   t.scheduler().run(5);
   // Periodic introspection is part of the deployment.
-  t.kshot().introspect();
+  if (!t.kshot().introspect().is_ok()) return false;
   auto exploit = t.run_exploit();
   return exploit.is_ok() && !exploit->oops;
 }

@@ -83,7 +83,7 @@ int main() {
     // winning because the detection+repair runs at a privilege the kernel
     // cannot touch.
     t.scheduler().run(3);
-    t.kshot().introspect();
+    if (!t.kshot().introspect().is_ok()) return 1;
     std::printf("  after another attack/introspect round: exploit %s\n\n",
                 exploit_fires(t) ? "fires" : "dead");
 

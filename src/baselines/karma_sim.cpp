@@ -71,7 +71,11 @@ Result<BaselineReport> KarmaSim::apply(const patchtool::PatchSet& set) {
     const kcc::Symbol* sym = kernel_.image().symbol_at(p.taddr);
     if (code.size() < sym->size) {
       Bytes nops(sym->size - code.size(), 0x90);
-      m.mem().write(p.taddr + code.size(), nops, mode);
+      st = m.mem().write(p.taddr + code.size(), nops, mode);
+      if (!st.is_ok()) {
+        rep.detail = "nop padding write failed: " + st.message();
+        return rep;
+      }
     }
     m.charge_cycles(code.size() * 2);
   }

@@ -98,7 +98,11 @@ Result<BaselineReport> KpatchSim::apply(const patchtool::PatchSet& set) {
       a.taddr = pl.p->taddr;
       a.ftrace_off = pl.p->ftrace_off;
       u64 jmp_addr = a.taddr + a.ftrace_off;
-      m.mem().read(jmp_addr, MutByteSpan(a.original.data(), 5), mode);
+      st = m.mem().read(jmp_addr, MutByteSpan(a.original.data(), 5), mode);
+      if (!st.is_ok()) {
+        rep.detail = "entry capture failed: " + st.message();
+        return rep;
+      }
 
       Bytes jmp;
       jmp.push_back(0xE9);

@@ -32,6 +32,13 @@ std::string Status::to_string() const {
   return s;
 }
 
+void check_failed(const char* file, int line, const char* cond,
+                  std::string_view msg) {
+  std::fprintf(stderr, "%s:%d: check failed: %s: %.*s\n", file, line, cond,
+               static_cast<int>(msg.size()), msg.data());
+  std::abort();
+}
+
 void result_value_on_error(const Status& status) {
   std::fprintf(stderr, "Result::value() on error: %s\n",
                status.to_string().c_str());

@@ -1,12 +1,14 @@
 // Lightweight Status / Result<T> error handling, in the style of
 // absl::Status. Used for expected, recoverable failures (bad packages,
-// permission faults, patch rejections); programmer errors use assertions.
+// permission faults, patch rejections); programmer errors use KSHOT_CHECK.
+// Both types are [[nodiscard]]: a dropped failure is a compile error.
 #pragma once
 
-#include <cassert>
 #include <optional>
 #include <string>
 #include <utility>
+
+#include "common/check.hpp"
 
 namespace kshot {
 
@@ -27,7 +29,7 @@ enum class Errc {
 /// Human-readable name of an error code.
 const char* errc_name(Errc c);
 
-class Status {
+class [[nodiscard]] Status {
  public:
   Status() : code_(Errc::kOk) {}
   Status(Errc code, std::string msg) : code_(code), msg_(std::move(msg)) {}
@@ -56,11 +58,11 @@ class Status {
 
 /// A value or a failure Status. Dereferencing a failed Result aborts.
 template <class T>
-class Result {
+class [[nodiscard]] Result {
  public:
   Result(T value) : value_(std::move(value)) {}  // NOLINT: implicit by design
   Result(Status status) : status_(std::move(status)) {  // NOLINT
-    assert(!status_.is_ok() && "Result(Status) requires an error status");
+    KSHOT_CHECK(!status_.is_ok(), "Result(Status) requires an error status");
   }
   Result(Errc code, std::string msg) : status_(code, std::move(msg)) {}
 

@@ -5,6 +5,7 @@
 #include <algorithm>
 
 #include "common/byte_io.hpp"
+#include "common/check.hpp"
 #include "common/log.hpp"
 #include "crypto/simple_hash.hpp"
 #include "crypto/x25519.hpp"
@@ -27,6 +28,12 @@ std::array<u8, 5> make_jmp(u64 jmp_addr, u64 target) {
   i64 rel = static_cast<i64>(target) - static_cast<i64>(jmp_addr + 5);
   store_u32(bytes.data() + 1, static_cast<u32>(static_cast<i32>(rel)));
   return bytes;
+}
+
+/// Checks an SMM-mode mailbox write. mem_RW lies inside memory and is never
+/// an EPC page, and SMM ignores page attributes, so these cannot fail.
+void mailbox_ok(const Status& st) {
+  KSHOT_CHECK(st.is_ok(), "SMM mailbox write failed: " + st.to_string());
 }
 
 }  // namespace
@@ -113,7 +120,7 @@ void SmmPatchHandler::on_smi(machine::Machine& m) {
   const auto smi_t0 = Clock::now();
 
   Mailbox mbox(m.mem(), layout_.mem_rw_base(), machine::AccessMode::smm());
-  mbox.bump_heartbeat();
+  mailbox_ok(mbox.bump_heartbeat());
 
   // Single-fetch snapshot of every mailbox field: all dispatch decisions and
   // every field use below work off this one coherent copy, so a concurrent
@@ -131,7 +138,7 @@ void SmmPatchHandler::on_smi(machine::Machine& m) {
   // command. A rootkit can forge the echo, but forging only ever makes the
   // *untrusted* side believe stale news — the SMM-side counters used by the
   // DoS handshake cannot be forged.
-  if (snap_r) mbox.write_cmd_seq_echo(snap_r->cmd_seq);
+  if (snap_r) mailbox_ok(mbox.write_cmd_seq_echo(snap_r->cmd_seq));
 
   const char* cmd_name = "none";
   if (snap_r) {
@@ -148,9 +155,11 @@ void SmmPatchHandler::on_smi(machine::Machine& m) {
       cmd_name = "bad_command";
       record_detection(m, DetectionClass::kMailboxFlip, SmmStatus::kBadCommand,
                        "command word out of range");
-      mbox.write_status(SmmStatus::kBadCommand);
-      mbox.write_command(SmmCommand::kIdle);
+      mailbox_ok(mbox.write_status(SmmStatus::kBadCommand));
+      mailbox_ok(mbox.write_command(SmmCommand::kIdle));
     } else {
+      // A watchdog SMI answers nothing; every other command gets a status.
+      std::optional<SmmStatus> status = SmmStatus::kOk;
       switch (snap.command) {
         case SmmCommand::kIdle:
           if (fresh_command) {
@@ -159,62 +168,61 @@ void SmmPatchHandler::on_smi(machine::Machine& m) {
                              SmmStatus::kBadCommand,
                              "command sequence advanced with an idle "
                              "command word");
-            mbox.write_status(SmmStatus::kBadCommand);
+            status = SmmStatus::kBadCommand;
             break;
           }
           // Watchdog SMI: nothing requested, so guard the installed patches.
           cmd_name = "idle";
+          status.reset();
           if (introspect_on_idle_) introspect(m);
           break;
         case SmmCommand::kBeginSession:
           cmd_name = "begin_session";
           begin_session(m, mbox);
-          mbox.write_status(SmmStatus::kOk);
           break;
         case SmmCommand::kApplyPatch:
           cmd_name = "apply_patch";
-          mbox.write_status(apply_patch(m, mbox, snap));
+          status = apply_patch(m, mbox, snap);
           break;
         case SmmCommand::kApplyBatch:
           cmd_name = "apply_batch";
-          mbox.write_status(apply_batch(m, mbox, snap));
+          status = apply_batch(m, mbox, snap);
           break;
         case SmmCommand::kStageChunk:
           cmd_name = "stage_chunk";
-          mbox.write_status(stage_chunk(m, mbox, snap));
+          status = stage_chunk(m, mbox, snap);
           break;
         case SmmCommand::kRollback:
           cmd_name = "rollback";
-          mbox.write_status(rollback(m));
+          status = rollback(m);
           break;
         case SmmCommand::kRevertPatch:
           cmd_name = "revert_patch";
-          mbox.write_status(revert_patch(m, snap));
+          status = revert_patch(m, snap);
           break;
         case SmmCommand::kQueryApplied:
           cmd_name = "query_applied";
-          mbox.write_status(query_applied(m, mbox));
+          status = query_applied(m, mbox);
           break;
         case SmmCommand::kIntrospect:
           cmd_name = "introspect";
           introspect(m);
-          mbox.write_status(SmmStatus::kOk);
           break;
         case SmmCommand::kAbortSession:
           cmd_name = "abort_session";
           abort_session(mbox);
-          mbox.write_status(SmmStatus::kOk);
           break;
       }
+      if (status) mailbox_ok(mbox.write_status(*status));
       if (snap.command != SmmCommand::kIdle) {
-        mbox.write_command(SmmCommand::kIdle);
+        mailbox_ok(mbox.write_command(SmmCommand::kIdle));
       }
     }
     // Bind the status word to the command it answers: the helper checks
     // this against the command it issued, so flipping the command word
     // mid-handoff (e.g. to kBeginSession, whose status is also kOk) can no
     // longer make a stale or wrong-command status pass for success.
-    mbox.write_status_cmd(snap.raw_command);
+    mailbox_ok(mbox.write_status_cmd(snap.raw_command));
   }
 
   if (trace_) {
@@ -238,7 +246,7 @@ void SmmPatchHandler::abort_session(Mailbox& mbox) {
   session_keys_.reset();
   reset_stream();
   c_aborts_->inc();
-  mbox.write_session_epoch(++session_epoch_);
+  mailbox_ok(mbox.write_session_epoch(++session_epoch_));
 }
 
 void SmmPatchHandler::begin_session(machine::Machine& m, Mailbox& mbox) {
@@ -254,9 +262,9 @@ void SmmPatchHandler::begin_session(machine::Machine& m, Mailbox& mbox) {
 
   c_sessions_->inc();
   ++session_id_;
-  mbox.write_smm_pub(session_keys_->public_key);
-  mbox.write_session_id(session_id_);
-  mbox.write_session_epoch(++session_epoch_);
+  mailbox_ok(mbox.write_smm_pub(session_keys_->public_key));
+  mailbox_ok(mbox.write_session_id(session_id_));
+  mailbox_ok(mbox.write_session_epoch(++session_epoch_));
 }
 
 bool SmmPatchHandler::bounds_ok(const patchtool::FunctionPatchView& p) const {
@@ -490,24 +498,27 @@ SmmStatus SmmPatchHandler::apply_batch(machine::Machine& m, Mailbox& mbox,
     for (const auto& p : set.patches) collect_windows(p, prior_windows);
   }
 
-  // ---- Application: one rollback unit per package; a mid-batch write
-  //      failure unwinds the units already applied, in reverse. Each
-  //      committed package releases an even share of the rendezvoused APs:
-  //      CPUs whose code later packages do not touch resume before the full
-  //      batch completes (fine-grained commit). -----------
+  // ---- Application: one rollback unit per package, all under one txn. A
+  //      mid-batch write failure replays every member's writes (var edits,
+  //      bodies and text) and drops the records the earlier members pushed:
+  //      lifecycle packages are refused in a batch, so members only append.
+  //      Each applied package releases an even share of the rendezvoused
+  //      APs: CPUs whose code later packages do not touch resume before the
+  //      full batch completes (fine-grained commit). -----------
   t0 = Clock::now();
   c0 = m.cycles();
+  SmmTxn txn(m.mem());
+  const size_t installed_before = installed_.size();
+  const size_t units_before = applied_units_.size();
   size_t applied_units = 0;
   size_t total_code = 0;
   u32 total_functions = 0;
   const u32 aps = m.cpus() > 1 ? m.cpus() - 1 : 0;
   for (const auto& set : sets) {
-    SmmStatus s = apply_parsed(m, set, retain);
+    SmmStatus s = apply_parsed(m, set, retain, txn);
     if (s != SmmStatus::kOk) {
-      while (applied_units > 0) {
-        restore_top_unit(m);
-        --applied_units;
-      }
+      installed_.resize(installed_before);
+      applied_units_.resize(units_before);
       emit_instant(m, "batch_unwound");
       phase_span(m, "apply", c0, t0);
       return s;
@@ -521,6 +532,7 @@ SmmStatus SmmPatchHandler::apply_batch(machine::Machine& m, Mailbox& mbox,
     total_code += set.total_code_bytes();
     total_functions += static_cast<u32>(set.patches.size());
   }
+  txn.commit();
   m.charge_cycles(cost.bytes_cost(cost.apply_cycles_per_byte, total_code));
   timings_.apply_ns = phase_span(m, "apply", c0, t0);
 
@@ -595,13 +607,18 @@ SmmStatus SmmPatchHandler::verify_and_apply(
   c0 = m.cycles();
   SmmStatus st;
   if (any_rollback) {
-    st = rollback_parsed(m, set);
+    // A rollback package authorizes the operation; the state is local.
+    st = rollback(m);
   } else {
-    st = apply_parsed(m, set, retain);
-    // Fine-grained commit: once the text writes land, the rendezvoused APs
-    // have nothing left to wait for — they resume while the BSP finishes
-    // the bookkeeping tail.
-    if (st == SmmStatus::kOk) m.release_aps(m.cpus());
+    SmmTxn txn(m.mem());
+    st = apply_parsed(m, set, retain, txn);
+    if (st == SmmStatus::kOk) {
+      txn.commit();
+      // Fine-grained commit: once the text writes land, the rendezvoused
+      // APs have nothing left to wait for — they resume while the BSP
+      // finishes the bookkeeping tail.
+      m.release_aps(m.cpus());
+    }
   }
   u64 apply_cycles =
       cost.bytes_cost(cost.apply_cycles_per_byte, tramp_code) +
@@ -836,8 +853,7 @@ SmmStatus SmmPatchHandler::validate_set(
 
 SmmStatus SmmPatchHandler::apply_parsed(
     machine::Machine& m, const patchtool::PatchSetView& set,
-    const std::shared_ptr<const Bytes>& retain) {
-  const auto mode = machine::AccessMode::smm();
+    const std::shared_ptr<const Bytes>& retain, SmmTxn& txn) {
   auto sv_bytes = [](std::string_view s) {
     return ByteSpan(reinterpret_cast<const u8*>(s.data()), s.size());
   };
@@ -887,65 +903,30 @@ SmmStatus SmmPatchHandler::apply_parsed(
 
   // Retire the superseded units' kernel-text effects up front (reverse apply
   // order), so the cumulative set may legally re-patch the same entry
-  // points. Their installed_ records stay until commit: a failed apply
-  // re-installs them and the kernel ends byte-identical to its pre-SMI
-  // state.
+  // points. Their installed_ records stay until commit; every write from
+  // here on is journaled in `txn`, so a failed apply replays them all and
+  // the kernel ends byte-identical to its pre-SMI state.
   for (auto it = superseded.rbegin(); it != superseded.rend(); ++it) {
     const AppliedUnit& u = applied_units_[*it];
     for (auto mi = u.members.rbegin(); mi != u.members.rend(); ++mi) {
-      restore_installed(m, installed_[*mi]);
+      txn.restore(installed_[*mi].revert);
     }
   }
-  auto reinstall_superseded = [&]() {
-    for (size_t u : superseded) {
-      for (size_t idx : applied_units_[u].members) {
-        const InstalledPatch& p = installed_[idx];
-        if (p.spliced) {
-          m.mem().write(p.taddr, p.code(), mode);
-        } else if (p.taddr != 0) {
-          write_trampoline(m, p);
-        }
-      }
-    }
-  };
 
-  // 1. Global/shared variable edits (paper: before redirection), remembering
-  //    the overwritten values so a late failure can unwind them.
-  std::vector<std::pair<u64, u64>> var_undo;
-  auto unwind_vars = [&]() {
-    for (auto it = var_undo.rbegin(); it != var_undo.rend(); ++it) {
-      m.mem().write_u64(it->first, it->second, mode);
-    }
-  };
+  // 1. Global/shared variable edits (paper: before redirection).
   for (const auto& p : set.patches) {
     for (const auto& v : p.var_edits) {
-      auto old = m.mem().read_u64(v.addr, mode);
-      Status st = old ? m.mem().write_u64(v.addr, v.value, mode)
-                      : old.status();
-      if (!st.is_ok()) {
-        unwind_vars();
-        reinstall_superseded();
+      if (!txn.write_u64(v.addr, v.value).is_ok()) {
         return SmmStatus::kBadPackage;
       }
-      var_undo.emplace_back(v.addr, *old);
     }
   }
 
   // 2. Place the patched bodies in mem_X (splice entries have no mem_X
-  //    footprint; their body lands in step 3). mem_X is KShot-owned, but the
-  //    unwind still restores the overwritten bytes: a failed apply must
-  //    leave mem_X byte-identical too, or every aborted transaction leaks
-  //    its partial bodies into slots the allocator believes are free.
-  struct BodyUndo {
-    u64 addr;
-    Bytes prev;
-  };
-  std::vector<BodyUndo> body_undo;
-  auto unwind_bodies = [&]() {
-    for (auto it = body_undo.rbegin(); it != body_undo.rend(); ++it) {
-      m.mem().write(it->addr, it->prev, mode);
-    }
-  };
+  //    footprint; their body lands in step 3). mem_X is KShot-owned, but a
+  //    failed apply must leave it byte-identical too, or every aborted
+  //    transaction leaks its partial bodies into slots the allocator
+  //    believes are free.
   std::vector<InstalledPatch> batch;
   for (const auto& p : set.patches) {
     InstalledPatch inst;
@@ -960,15 +941,8 @@ SmmStatus SmmPatchHandler::apply_parsed(
     inst.retain = retain;
     inst.code_ref = p.code;
     inst.spliced = p.splice;
-    if (!p.splice) {
-      auto prev = m.mem().read_bytes(p.paddr, p.code.size(), mode);
-      if (!prev || !m.mem().write(p.paddr, p.code, mode).is_ok()) {
-        unwind_bodies();
-        unwind_vars();
-        reinstall_superseded();
-        return SmmStatus::kBadPackage;
-      }
-      body_undo.push_back({p.paddr, std::move(*prev)});
+    if (!p.splice && !txn.write(p.paddr, p.code).is_ok()) {
+      return SmmStatus::kBadPackage;
     }
     batch.push_back(std::move(inst));
   }
@@ -976,59 +950,20 @@ SmmStatus SmmPatchHandler::apply_parsed(
   // 3. Rewrite kernel text: 5-byte jmp trampolines (preserving the kernel-
   //    tracing pad — the jmp lands *after* it and targets the patched body
   //    past its own pad), or the spliced body written straight over the old
-  //    function. On any failure, restore the text already rewritten, the
-  //    mem_X bodies, and the variable edits — the machine ends
-  //    byte-identical to its pre-SMI state.
-  auto unwind_text = [&](size_t upto) {
-    for (size_t j = upto; j-- > 0;) {
-      const auto& done = batch[j];
-      if (done.spliced) {
-        m.mem().write(done.taddr, done.original_body, mode);
-      } else if (done.taddr != 0) {
-        m.mem().write(done.taddr + done.ftrace_off,
-                      ByteSpan(done.original_entry.data(), 5), mode);
-      }
+  //    function. The bytes each write replaced become the record's revert
+  //    record. A write whose capture read fails records nothing: committing
+  //    it would make rollback write zeros over live instructions.
+  for (auto& inst : batch) {
+    if (!inst.spliced && inst.taddr == 0) continue;  // mem_X-only helper
+    u64 at = inst.taddr;
+    ByteSpan text = inst.code();
+    if (!inst.spliced) {
+      at += inst.ftrace_off;
+      inst.trampoline = make_jmp(at, inst.paddr + inst.ftrace_off);
+      text = inst.trampoline;
     }
-  };
-  for (size_t i = 0; i < batch.size(); ++i) {
-    auto& inst = batch[i];
-    if (inst.spliced) {
-      // Capture the replaced text first: it is what revert writes back.
-      auto prev = m.mem().read_bytes(inst.taddr, inst.code_size, mode);
-      if (!prev || !m.mem().write(inst.taddr, inst.code(), mode).is_ok()) {
-        unwind_text(i);
-        unwind_bodies();
-        unwind_vars();
-        reinstall_superseded();
-        return SmmStatus::kBadPackage;
-      }
-      inst.original_body = std::move(*prev);
-      continue;
-    }
-    if (inst.taddr == 0) continue;  // new mem_X-only helper: no trampoline
-    u64 jmp_addr = inst.taddr + inst.ftrace_off;
-    u64 target = inst.paddr + inst.ftrace_off;
-    // The captured entry bytes are what rollback and introspection later
-    // write back into kernel text; committing a patch whose capture failed
-    // would make rollback write five zero bytes over live instructions.
-    Status rd = m.mem().read(jmp_addr,
-                             MutByteSpan(inst.original_entry.data(), 5), mode);
-    if (!rd.is_ok()) {
-      unwind_text(i);
-      unwind_bodies();
-      unwind_vars();
-      reinstall_superseded();
-      return SmmStatus::kBadPackage;
-    }
-    inst.trampoline = make_jmp(jmp_addr, target);
-    Status st = write_trampoline(m, inst);
-    if (!st.is_ok()) {
-      unwind_text(i);
-      unwind_bodies();
-      unwind_vars();
-      reinstall_superseded();
-      return SmmStatus::kBadPackage;
-    }
+    if (!txn.write(at, text).is_ok()) return SmmStatus::kBadPackage;
+    inst.revert = txn.last();
   }
 
   // Commit. First erase the superseded units for real — records and units,
@@ -1038,20 +973,9 @@ SmmStatus SmmPatchHandler::apply_parsed(
   // a phantom unit for a later kRollback to pop.
   std::vector<u64> inherited;
   for (auto it = superseded.rbegin(); it != superseded.rend(); ++it) {
-    AppliedUnit gone = std::move(applied_units_[*it]);
-    applied_units_.erase(applied_units_.begin() +
-                         static_cast<std::ptrdiff_t>(*it));
+    AppliedUnit gone = erase_unit(*it);
     inherited.insert(inherited.end(), gone.provides.begin(),
                      gone.provides.end());
-    std::sort(gone.members.begin(), gone.members.end());
-    for (auto mi = gone.members.rbegin(); mi != gone.members.rend(); ++mi) {
-      installed_.erase(installed_.begin() + static_cast<std::ptrdiff_t>(*mi));
-      for (auto& u : applied_units_) {
-        for (auto& idx : u.members) {
-          if (idx > *mi) --idx;
-        }
-      }
-    }
   }
   AppliedUnit unit;
   unit.id = std::string(set.id);
@@ -1093,42 +1017,15 @@ SmmStatus SmmPatchHandler::apply_parsed(
   return SmmStatus::kOk;
 }
 
-Status SmmPatchHandler::write_trampoline(machine::Machine& m,
-                                         const InstalledPatch& p) {
-  return m.mem().write(p.taddr + p.ftrace_off,
-                       ByteSpan(p.trampoline.data(), p.trampoline.size()),
-                       machine::AccessMode::smm());
-}
-
-SmmStatus SmmPatchHandler::rollback_parsed(machine::Machine& m,
-                                           const patchtool::PatchSetView& set) {
-  (void)set;  // a rollback package authorizes the operation; state is local
-  return rollback(m);
-}
-
-void SmmPatchHandler::restore_installed(machine::Machine& m,
-                                        const InstalledPatch& p) {
-  const auto mode = machine::AccessMode::smm();
-  if (p.spliced) {
-    m.mem().write(p.taddr, p.original_body, mode);
-  } else if (p.taddr != 0) {
-    m.mem().write(p.taddr + p.ftrace_off,
-                  ByteSpan(p.original_entry.data(), 5), mode);
-  }
-}
-
-void SmmPatchHandler::remove_unit(machine::Machine& m, size_t unit_idx) {
+AppliedUnit SmmPatchHandler::erase_unit(size_t unit_idx) {
   AppliedUnit unit = std::move(applied_units_[unit_idx]);
   applied_units_.erase(applied_units_.begin() +
                        static_cast<std::ptrdiff_t>(unit_idx));
+  // Drop the records highest index first, re-basing the surviving units'
+  // member indices — this is what frees the unit's mem_X slots for the
+  // enclave's allocator to reclaim (the bytes themselves are left behind;
+  // nothing points at them).
   std::sort(unit.members.begin(), unit.members.end());
-  // Restore kernel text in reverse apply order, then drop the records
-  // (highest indices first), re-basing the surviving units' member indices —
-  // this is what frees the unit's mem_X slots for the enclave's allocator to
-  // reclaim (the bytes themselves are left behind; nothing points at them).
-  for (auto it = unit.members.rbegin(); it != unit.members.rend(); ++it) {
-    restore_installed(m, installed_[*it]);
-  }
   for (auto it = unit.members.rbegin(); it != unit.members.rend(); ++it) {
     installed_.erase(installed_.begin() + static_cast<std::ptrdiff_t>(*it));
     for (auto& u : applied_units_) {
@@ -1137,18 +1034,26 @@ void SmmPatchHandler::remove_unit(machine::Machine& m, size_t unit_idx) {
       }
     }
   }
+  return unit;
 }
 
-void SmmPatchHandler::restore_top_unit(machine::Machine& m) {
-  if (applied_units_.empty()) return;
-  remove_unit(m, applied_units_.size() - 1);
+void SmmPatchHandler::remove_unit(machine::Machine& m, size_t unit_idx) {
+  // Restore kernel text in reverse apply order. A failed restore aborts, so
+  // the txn only ever commits.
+  const auto& members = applied_units_[unit_idx].members;
+  SmmTxn txn(m.mem());
+  for (auto it = members.rbegin(); it != members.rend(); ++it) {
+    txn.restore(installed_[*it].revert);
+  }
+  txn.commit();
+  erase_unit(unit_idx);
 }
 
 SmmStatus SmmPatchHandler::rollback(machine::Machine& m) {
   auto t0 = Clock::now();
   u64 c0 = m.cycles();
   if (applied_units_.empty()) return SmmStatus::kNothingToRollback;
-  restore_top_unit(m);
+  remove_unit(m, applied_units_.size() - 1);
   c_rollbacks_->inc();
   phase_span(m, "rollback", c0, t0);
   KSHOT_LOG(kInfo, "smm") << "rolled back last patch unit";
@@ -1242,7 +1147,7 @@ SmmStatus SmmPatchHandler::query_applied(machine::Machine& m, Mailbox& mbox) {
            .is_ok()) {
     return SmmStatus::kBadPackage;
   }
-  mbox.write_query_size(blob.size());
+  mailbox_ok(mbox.write_query_size(blob.size()));
   return SmmStatus::kOk;
 }
 
@@ -1263,6 +1168,12 @@ void SmmPatchHandler::introspect(machine::Machine& m) {
   u64 c0 = m.cycles();
   IntrospectionReport rep;
   rep.patches_checked = static_cast<u32>(installed_.size());
+  // Every repair rewrites a range this sweep has just read in SMM mode, and
+  // SMM reads and writes pass the same checks, so the write cannot fail.
+  auto repair = [&](u64 addr, ByteSpan bytes) {
+    Status st = m.mem().write(addr, bytes, mode);
+    KSHOT_CHECK(st.is_ok(), "introspection repair failed: " + st.to_string());
+  };
 
   for (const auto& p : installed_) {
     if (p.spliced) {
@@ -1273,7 +1184,7 @@ void SmmPatchHandler::introspect(machine::Machine& m) {
         ++rep.unreadable;
       } else if (!crypto::digest_equal(crypto::sha256(*cur), p.memx_hash)) {
         ++rep.trampolines_reverted;
-        m.mem().write(p.taddr, p.code(), mode);
+        repair(p.taddr, p.code());
       }
       continue;
     }
@@ -1290,7 +1201,7 @@ void SmmPatchHandler::introspect(machine::Machine& m) {
         ++rep.unreadable;
       } else if (cur != p.trampoline) {
         ++rep.trampolines_reverted;
-        write_trampoline(m, p);
+        repair(p.taddr + p.ftrace_off, p.trampoline);
       }
     }
     // mem_X body intact?
@@ -1303,7 +1214,7 @@ void SmmPatchHandler::introspect(machine::Machine& m) {
         ++rep.memx_tampered;
         // Repair from the authoritative copy kept in SMRAM, so the patched
         // version persists (§V-D "Malicious Patch Reversion").
-        m.mem().write(p.paddr, p.code(), mode);
+        repair(p.paddr, p.code());
       }
     }
   }
@@ -1354,7 +1265,7 @@ void SmmPatchHandler::introspect(machine::Machine& m) {
         if ((*current)[i] == pristine_text_[i]) continue;
         u64 addr = layout_.text_base + i;
         if (in_window(addr)) continue;
-        m.mem().write(addr, ByteSpan(&pristine_text_[i], 1), mode);
+        repair(addr, ByteSpan(&pristine_text_[i], 1));
         ++rep.text_bytes_restored;
       }
     }

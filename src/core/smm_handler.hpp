@@ -13,7 +13,7 @@
 //                  of N packages; verify all, validate all, then apply all
 //                  under this one SMI (all-or-nothing, one rollback unit
 //                  per package)
-//   kRollback      restore the newest rollback unit's original entry bytes
+//   kRollback      write back the newest rollback unit's revert records
 //   kIntrospect    re-check trampolines, mem_X hash and reserved-region page
 //                  attributes; repair anything a rootkit reverted
 #pragma once
@@ -26,6 +26,7 @@
 #include "common/arena.hpp"
 #include "core/detection.hpp"
 #include "core/mailbox.hpp"
+#include "core/smm_txn.hpp"
 #include "crypto/aead.hpp"
 #include "kernel/layout.hpp"
 #include "machine/machine.hpp"
@@ -58,7 +59,6 @@ struct InstalledPatch {
   u64 paddr = 0;
   u16 ftrace_off = 0;
   u32 code_size = 0;
-  std::array<u8, 5> original_entry{};  // bytes replaced by the jmp
   std::array<u8, 5> trampoline{};      // the jmp we wrote
   crypto::Digest256 memx_hash{};       // hash of the body (mem_X, or the
                                        // spliced-in text for splice entries)
@@ -70,10 +70,12 @@ struct InstalledPatch {
   ByteSpan code_ref;
   [[nodiscard]] ByteSpan code() const { return code_ref; }
   /// In-place splice: the body was written directly over the old function at
-  /// taddr; paddr is 0, there is no trampoline, and `original_body` holds
-  /// the code_size bytes of kernel text the splice replaced.
+  /// taddr; paddr is 0 and there is no trampoline.
   bool spliced = false;
-  Bytes original_body;
+  /// The kernel text the trampoline or splice write replaced, as that
+  /// write's journal recorded it; rollback, revert and supersede write it
+  /// back. Empty for a mem_X-only helper, which changed no text.
+  SavedBytes revert;
 };
 
 /// One applied patch set: the unit of supersede/revert bookkeeping. Every
@@ -289,13 +291,13 @@ class SmmPatchHandler {
                              const std::shared_ptr<const Bytes>& retain,
                              ByteSpan package, size_t staged_bytes);
 
-  /// Applies one parsed set. `retain` is the buffer the set's code spans
+  /// Applies one parsed set, journaling every memory write into `txn` for
+  /// the caller to commit. `retain` is the buffer the set's code spans
   /// borrow from; every installed record keeps it alive.
   SmmStatus apply_parsed(machine::Machine& m,
                          const patchtool::PatchSetView& set,
-                         const std::shared_ptr<const Bytes>& retain);
-  SmmStatus rollback_parsed(machine::Machine& m,
-                            const patchtool::PatchSetView& set);
+                         const std::shared_ptr<const Bytes>& retain,
+                         SmmTxn& txn);
 
   /// Per-byte work the rendezvoused CPUs share during the SMI window
   /// (package verify hashing, staged-bytes pinning): the byte cost divides
@@ -329,15 +331,12 @@ class SmmPatchHandler {
       const std::vector<bool>* retired_installed = nullptr,
       const std::vector<ByteWindow>* extra_windows = nullptr) const;
 
-  /// Restores one installed record's kernel-text effect (trampoline's
-  /// original entry, or the pre-splice body).
-  void restore_installed(machine::Machine& m, const InstalledPatch& p);
-  /// Removes applied_units_[unit_idx]: restores members in reverse, erases
-  /// their installed_ records, and re-bases every other unit's member
-  /// indices. No counters/spans — callers account for themselves.
+  /// Erases applied_units_[unit_idx] and its installed_ records (memory
+  /// untouched), re-basing the other units' member indices.
+  AppliedUnit erase_unit(size_t unit_idx);
+  /// Writes back the unit's revert records in reverse, then erases it. No
+  /// counters/spans — callers account for themselves.
   void remove_unit(machine::Machine& m, size_t unit_idx);
-  /// Pops the newest unit (mid-batch unwind, kRollback).
-  void restore_top_unit(machine::Machine& m);
 
   /// Emits one "smm" span [c0, m.cycles()] named `name` and returns its
   /// wall-clock duration in ns — the value the SmmPatchTimings fields are
@@ -347,7 +346,6 @@ class SmmPatchHandler {
   void emit_instant(machine::Machine& m, const char* name,
                     std::vector<obs::TraceArg> args = {});
 
-  Status write_trampoline(machine::Machine& m, const InstalledPatch& p);
   [[nodiscard]] bool bounds_ok(const patchtool::FunctionPatchView& p) const;
 
   kernel::MemoryLayout layout_;
@@ -412,11 +410,9 @@ class SmmPatchHandler {
   obs::Counter* c_batch_applies_ = nullptr;
   obs::Counter* c_detections_ = nullptr;
   obs::Counter* c_introspect_repairs_ = nullptr;
-  /// Buffer copies of staged package payload per pipeline run. Zero-copy
-  /// mode: exactly one per applied package (the SMM write into machine
-  /// memory). Legacy mode additionally counts the envelope deserialize, the
-  /// AEAD open, the parser's code copy-out, and the installed-record
-  /// retention — the copies the span pipeline eliminated.
+  /// Buffer copies of staged package payload: exactly one per applied
+  /// package (the SMM write into machine memory). Every earlier step works
+  /// on spans borrowed from the SMRAM copy of the envelope.
   obs::Counter* c_staged_copies_ = nullptr;
   obs::TraceRecorder* trace_ = nullptr;
   u32 trace_target_ = 0;

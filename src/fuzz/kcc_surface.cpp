@@ -288,8 +288,13 @@ Surface::Verdict KccSurface::execute(ByteSpan encoded) {
       cpu = machine::CpuState{};
       for (size_t i = 0; i < args.size(); ++i) cpu.regs[1 + i] = args[i];
       cpu.sp() = (12 << 20) - 8;
-      m.mem().write_u64(cpu.sp(), machine::kReturnSentinel,
-                        machine::AccessMode::normal());
+      if (!m.mem()
+               .write_u64(cpu.sp(), machine::kReturnSentinel,
+                          machine::AccessMode::normal())
+               .is_ok()) {
+        v.kind = Verdict::Kind::kSkipped;
+        return v;
+      }
       cpu.rip = sym->addr;
       auto res = m.run(20'000'000);
       bool oops = res.kind == machine::StepKind::kOops;

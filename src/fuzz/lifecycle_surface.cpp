@@ -448,7 +448,7 @@ Surface::Verdict LifecycleSurface::execute(ByteSpan encoded) {
   bool applied_any = false;
 
   auto smi_status = [&](SmmCommand cmd) -> Result<SmmStatus> {
-    mbox.write_command(cmd);
+    KSHOT_RETURN_IF_ERROR(mbox.write_command(cmd));
     m.trigger_smi();
     auto st = mbox.read_status();
     auto back = mbox.read_command();
@@ -479,9 +479,9 @@ Surface::Verdict LifecycleSurface::execute(ByteSpan encoded) {
     arng.fill(MutByteSpan(nonce.data(), nonce.size()));
     Bytes wire = patchtool::serialize_patchset_raw(set);
     Bytes sealed = crypto::seal(key, nonce, wire).serialize();
-    m.mem().write(lay_.mem_w_base(), sealed, mode);
-    mbox.write_enclave_pub(keys.public_key);
-    mbox.write_staged_size(sealed.size());
+    KSHOT_RETURN_IF_ERROR(m.mem().write(lay_.mem_w_base(), sealed, mode));
+    KSHOT_RETURN_IF_ERROR(mbox.write_enclave_pub(keys.public_key));
+    KSHOT_RETURN_IF_ERROR(mbox.write_staged_size(sealed.size()));
     return smi_status(SmmCommand::kApplyPatch);
   };
 
@@ -537,8 +537,9 @@ Surface::Verdict LifecycleSurface::execute(ByteSpan encoded) {
       case Op::kRevert: {
         u64 h = crypto::sdbm(to_bytes(revert_target_id(arg)));
         predicted = model.revert(h);
-        mbox.write_revert_target(h);
-        observed = smi_status(SmmCommand::kRevertPatch);
+        Status target = mbox.write_revert_target(h);
+        observed = target.is_ok() ? smi_status(SmmCommand::kRevertPatch)
+                                  : Result<SmmStatus>(target);
         break;
       }
       case Op::kRollback:

@@ -504,10 +504,16 @@ Surface::Verdict PackageSurface::execute(ByteSpan encoded) {
     return v;
   }
 
-  // Attacker handshake (the SmmRig protocol from tests/test_security.cpp).
+  // Attacker handshake (the SmmRig protocol from tests/smm_rig.hpp).
   const auto mode = machine::AccessMode::normal();
   core::Mailbox mbox(m.mem(), lay_.mem_rw_base(), mode);
-  mbox.write_command(SmmCommand::kBeginSession);
+  // The rig's own writes go to normal-mode-writable mailbox and mem_W
+  // pages; a failed one is a broken rig, reported as such.
+  auto rig_ok = [&](const Status& st) {
+    if (!st.is_ok()) fail("rig", "rig write failed: " + st.to_string());
+    return st.is_ok();
+  };
+  if (!rig_ok(mbox.write_command(SmmCommand::kBeginSession))) return v;
   m.trigger_smi();
   auto smm_pub = mbox.read_smm_pub();
   if (!smm_pub) {
@@ -523,9 +529,11 @@ Surface::Verdict PackageSurface::execute(ByteSpan encoded) {
   arng.fill(MutByteSpan(nonce.data(), nonce.size()));
   Bytes sealed = crypto::seal(key, nonce, encoded).serialize();
 
-  m.mem().write(lay_.mem_w_base(), sealed, mode);
-  mbox.write_enclave_pub(keys.public_key);
-  mbox.write_staged_size(sealed.size());
+  if (!rig_ok(m.mem().write(lay_.mem_w_base(), sealed, mode)) ||
+      !rig_ok(mbox.write_enclave_pub(keys.public_key)) ||
+      !rig_ok(mbox.write_staged_size(sealed.size()))) {
+    return v;
+  }
 
   // Pre-apply snapshot: the byte-identical baseline every rejection path
   // must restore. Taken before the apply SMI; the mailbox page and SMRAM
@@ -534,8 +542,10 @@ Surface::Verdict PackageSurface::execute(ByteSpan encoded) {
 
   Prediction pred = predict(lay_, encoded, sealed.size());
 
-  mbox.write_command(pred.is_batch ? SmmCommand::kApplyBatch
-                                   : SmmCommand::kApplyPatch);
+  if (!rig_ok(mbox.write_command(pred.is_batch ? SmmCommand::kApplyBatch
+                                                : SmmCommand::kApplyPatch))) {
+    return v;
+  }
   m.trigger_smi();
 
   // Oracle: no Status swallowed — the status word must be readable and a
@@ -620,7 +630,7 @@ Surface::Verdict PackageSurface::execute(ByteSpan encoded) {
     }
     size_t remaining = total_entries;
     for (auto it = units.rbegin(); it != units.rend(); ++it) {
-      mbox.write_command(SmmCommand::kRollback);
+      if (!rig_ok(mbox.write_command(SmmCommand::kRollback))) break;
       m.trigger_smi();
       auto rb = mbox.read_status();
       if (!rb || *rb != SmmStatus::kOk) {
@@ -650,13 +660,14 @@ Surface::Verdict PackageSurface::execute(ByteSpan encoded) {
                  " != remaining entries " + std::to_string(remaining));
       }
     }
-    mbox.write_command(SmmCommand::kRollback);
-    m.trigger_smi();
-    auto rb = mbox.read_status();
-    if (!rb || *rb != SmmStatus::kNothingToRollback) {
-      fail("rollback-exhausted",
-           std::string("expected nothing-to-rollback got ") +
-               (rb ? core::smm_status_name(*rb) : "<unreadable>"));
+    if (rig_ok(mbox.write_command(SmmCommand::kRollback))) {
+      m.trigger_smi();
+      auto rb = mbox.read_status();
+      if (!rb || *rb != SmmStatus::kNothingToRollback) {
+        fail("rollback-exhausted",
+             std::string("expected nothing-to-rollback got ") +
+                 (rb ? core::smm_status_name(*rb) : "<unreadable>"));
+      }
     }
   }
 

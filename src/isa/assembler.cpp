@@ -1,19 +1,18 @@
 #include "isa/assembler.hpp"
 
-#include <cassert>
-
 #include "common/byte_io.hpp"
+#include "common/check.hpp"
 
 namespace kshot::isa {
 
 void Assembler::bind(Label l) {
-  assert(l.id >= 0 && "label must come from new_label()");
-  assert(!bound_.count(l.id) && "label bound twice");
+  KSHOT_CHECK(l.id >= 0, "label must come from new_label()");
+  KSHOT_CHECK(!bound_.count(l.id), "label bound twice");
   bound_[l.id] = code_.size();
 }
 
 void Assembler::branch(Op op, Label target) {
-  assert(is_rel32_branch(op));
+  KSHOT_CHECK(is_rel32_branch(op), "branch() needs a rel32 branch opcode");
   size_t rel_off = code_.size() + 1;
   emit({op, 0, 0, 0});
   fixups_.push_back({rel_off, target.id});

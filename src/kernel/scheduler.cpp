@@ -33,19 +33,24 @@ void Scheduler::begin_syscall(Thread& t) {
     return;
   }
 
-  machine::CpuState ctx{};
-  for (size_t i = 0; i < req.args.size(); ++i) ctx.regs[1 + i] = req.args[i];
   u64 stack_top =
       lay.stacks_base + (static_cast<u64>(t.id_) + 1) * lay.stack_size - 64;
-  ctx.sp() = stack_top;
+  // Push the return sentinel the runtime uses to detect completion.
+  if (!machine_.mem()
+           .write_u64(stack_top - 8, machine::kReturnSentinel,
+                      machine::AccessMode::normal())
+           .is_ok()) {
+    t.state_ = ThreadState::kOops;
+    kernel_.record_oops({t.id_, 0, 0, "stack sentinel write failed"});
+    return;
+  }
+
+  machine::CpuState ctx{};
+  for (size_t i = 0; i < req.args.size(); ++i) ctx.regs[1 + i] = req.args[i];
+  ctx.sp() = stack_top - 8;
   ctx.rip = *entry;
   t.ctx_ = ctx;
   t.in_call_ = true;
-
-  // Push the return sentinel the runtime uses to detect completion.
-  machine_.mem().write_u64(stack_top - 8, machine::kReturnSentinel,
-                           machine::AccessMode::normal());
-  t.ctx_.sp() = stack_top - 8;
 }
 
 void Scheduler::run_thread_quantum(Thread& t, u64 quantum_instrs) {

@@ -1,10 +1,7 @@
 #include "machine/machine.hpp"
 
-#include <cassert>
-#include <cstdio>
-#include <cstdlib>
-
 #include "common/byte_io.hpp"
+#include "common/check.hpp"
 #include "common/log.hpp"
 
 namespace kshot::machine {
@@ -19,10 +16,7 @@ constexpr size_t kSaveStateBytes = 16 * 8 + 3 * 8;
 /// reaches; failing here means the machine was built with SMRAM outside
 /// its memory.
 void save_state_or_die(const Status& st) {
-  if (st.is_ok()) return;
-  std::fprintf(stderr, "SMM save-state access failed: %s\n",
-               st.to_string().c_str());
-  std::abort();
+  KSHOT_CHECK(st.is_ok(), "SMM save-state access failed: " + st.to_string());
 }
 
 }  // namespace
@@ -129,7 +123,7 @@ void Machine::trigger_smi() {
     ++suppressed_smis_;
     return;
   }
-  assert(!in_smi_ && "nested SMI not modeled");
+  KSHOT_CHECK(!in_smi_, "nested SMI not modeled");
   in_smi_ = true;
   ++smi_count_;
   released_aps_ = 0;

@@ -1,21 +1,14 @@
 #include "machine/phys_mem.hpp"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstdlib>
 #include <cstring>
 
 #include "common/byte_io.hpp"
+#include "common/check.hpp"
 
 namespace kshot::machine {
 
 namespace {
-
-/// Harness misuse that no caller can recover from; kept on in every build.
-[[noreturn]] void die(const char* what) {
-  std::fprintf(stderr, "PhysMem: %s\n", what);
-  std::abort();
-}
 
 constexpr std::array<u8, kPageSize> kZeroPage{};
 
@@ -173,14 +166,14 @@ void PhysMem::set_attrs(PhysAddr addr, size_t len, PageAttr attr) {
 }
 
 PageAttr PhysMem::attrs_at(PhysAddr addr) const {
-  if (addr / kPageSize >= attrs_.size()) die("attrs_at past the end");
+  KSHOT_CHECK(addr / kPageSize < attrs_.size(),
+              "PhysMem: attrs_at past the end");
   return attrs_[addr / kPageSize];
 }
 
 void PhysMem::set_smram(PhysAddr base, size_t len) {
-  if (base % kPageSize != 0 || len % kPageSize != 0) {
-    die("set_smram base and length must be page-aligned");
-  }
+  KSHOT_CHECK(base % kPageSize == 0 && len % kPageSize == 0,
+              "PhysMem: set_smram base and length must be page-aligned");
   smram_base_ = base;
   smram_len_ = len;
 }
@@ -193,9 +186,8 @@ bool PhysMem::in_smram(PhysAddr addr) const {
 std::optional<MemDifference> first_difference(
     const PhysMem& a, const PhysMem& b, PhysAddr limit,
     std::span<const AddrRange> excluded) {
-  if (limit > a.size() || limit > b.size()) {
-    die("first_difference limit past the end of memory");
-  }
+  KSHOT_CHECK(limit <= a.size() && limit <= b.size(),
+              "PhysMem: first_difference limit past the end of memory");
   auto is_excluded = [&](PhysAddr at) {
     return std::any_of(excluded.begin(), excluded.end(),
                        [at](const AddrRange& r) { return r.contains(at); });

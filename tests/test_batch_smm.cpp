@@ -18,6 +18,7 @@
 #include "kcc/compiler.hpp"
 #include "patchtool/package.hpp"
 #include "patchtool/prep_cache.hpp"
+#include "smm_rig.hpp"
 #include "testbed/testbed.hpp"
 
 namespace kshot {
@@ -194,6 +195,91 @@ TEST(BatchSession, MidBatchFailureLeavesMemoryByteIdentical) {
   };
   auto diff = machine::first_difference(snapshot, m.mem(), lay.mem_bytes,
                                         excluded);
+  EXPECT_FALSE(diff) << "memory differs at 0x" << std::hex << diff->addr;
+}
+
+/// One inner package of a handler-level batch.
+Bytes batch_member(const char* id,
+                   std::vector<patchtool::FunctionPatch> patches) {
+  patchtool::PatchSet s;
+  s.id = id;
+  s.kernel_version = "sim-4.4";
+  s.patches = std::move(patches);
+  return patchtool::serialize_patchset_raw(s);
+}
+
+/// Every byte outside SMRAM, the mailbox and the staged envelope.
+std::optional<machine::MemDifference> outside_reserved_diff(
+    const test::SmmRig& rig, const machine::PhysMem& before) {
+  const machine::AddrRange excluded[] = {
+      {rig.lay.smram_base, rig.lay.smram_size},
+      {rig.lay.mem_rw_base(), rig.lay.mem_rw_size},
+      {rig.lay.mem_w_base(), rig.lay.mem_w_size},
+  };
+  return machine::first_difference(before, rig.m.mem(), rig.lay.mem_bytes,
+                                   excluded);
+}
+
+TEST(BatchSession, MemberWriteFailureUnwindsEarlierMembers) {
+  // Member A applies in full (var edit, mem_X body, trampoline); member B
+  // passes validation but its entry lies past physical memory, so its text
+  // write fails. The batch must then undo A's writes too — all of them, not
+  // only its trampoline.
+  kernel::MemoryLayout lay;
+  lay.text_max = lay.mem_bytes;  // text window reaches past the RAM
+  test::SmmRig rig(lay);
+  const auto mode = machine::AccessMode::normal();
+  const u64 var = lay.data_base + 0x20;
+  ASSERT_TRUE(rig.m.mem().write_u64(var, 0x11, mode).is_ok());
+
+  auto a = test::make_entry("a", lay.text_base + 0x40, lay.mem_x_base());
+  a.var_edits.push_back({var, 0xAA, patchtool::VarEdit::Kind::kSet});
+  auto b = test::make_entry("b", lay.mem_bytes, lay.mem_x_base() + 0x1000);
+  Bytes wire = patchtool::serialize_batch(
+      {batch_member("A", {std::move(a)}), batch_member("B", {std::move(b)})});
+
+  // deliver() stages the envelope and fires the apply SMI in one call, so
+  // the baseline is taken just before it; mem_W (the staged envelope) is
+  // excluded along with SMRAM and the mailbox.
+  const machine::PhysMem snapshot = rig.m.mem().fork();
+  EXPECT_EQ(rig.deliver(wire, SmmCommand::kApplyBatch),
+            SmmStatus::kBadPackage);
+  EXPECT_TRUE(rig.handler.installed().empty());
+  EXPECT_TRUE(rig.handler.applied_units().empty());
+  auto diff = outside_reserved_diff(rig, snapshot);
+  EXPECT_FALSE(diff) << "memory differs at 0x" << std::hex << diff->addr
+                     << " expected 0x" << +diff->a << " got 0x" << +diff->b;
+}
+
+TEST(BatchSession, UnwindKeepsUnitsAppliedBeforeTheBatch) {
+  // An empty member installs nothing and pushes no unit. An unwind that
+  // pops one unit per member applied so far would, after an empty member,
+  // pop a unit committed before the batch and revert its trampoline.
+  kernel::MemoryLayout lay;
+  lay.text_max = lay.mem_bytes;  // text window reaches past the RAM
+  test::SmmRig rig(lay);
+  const u64 entry = lay.text_base + 0x40;
+  ASSERT_EQ(rig.deliver(batch_member(
+                "GOOD", {test::make_entry("fn", entry, lay.mem_x_base())})),
+            SmmStatus::kOk);
+  ASSERT_EQ(rig.handler.installed().size(), 1u);
+  const std::array<u8, 5> jmp = rig.handler.installed()[0].trampoline;
+
+  Bytes wire = patchtool::serialize_batch(
+      {batch_member("EMPTY", {}),
+       batch_member("B", {test::make_entry("b", lay.mem_bytes,
+                                           lay.mem_x_base() + 0x1000)})});
+  const machine::PhysMem snapshot = rig.m.mem().fork();
+  EXPECT_EQ(rig.deliver(wire, SmmCommand::kApplyBatch),
+            SmmStatus::kBadPackage);
+
+  ASSERT_EQ(rig.handler.applied_units().size(), 1u);
+  EXPECT_EQ(rig.handler.applied_units()[0].id, "GOOD");
+  EXPECT_EQ(rig.handler.installed().size(), 1u);
+  auto live = rig.m.mem().read_bytes(entry, 5, machine::AccessMode::smm());
+  ASSERT_TRUE(live.is_ok());
+  EXPECT_EQ(*live, Bytes(jmp.begin(), jmp.end()));
+  auto diff = outside_reserved_diff(rig, snapshot);
   EXPECT_FALSE(diff) << "memory differs at 0x" << std::hex << diff->addr;
 }
 

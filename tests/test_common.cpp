@@ -60,6 +60,13 @@ TEST(ResultDeathTest, ValueOnErrorAbortsWithStatus) {
   EXPECT_DEATH((void)c->size(), "INTERNAL: boom");
 }
 
+TEST(ResultDeathTest, OkStatusIsNotAnError) {
+  // Always on: a Result built from an OK status would hold no value and no
+  // error.
+  EXPECT_DEATH({ [[maybe_unused]] Result<int> r(Status::ok()); },
+               "Result\\(Status\\) requires an error status");
+}
+
 TEST(Result, MoveOnlyTypes) {
   Result<std::unique_ptr<int>> r(std::make_unique<int>(7));
   ASSERT_TRUE(r.is_ok());

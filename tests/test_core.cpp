@@ -3,6 +3,7 @@
 // orchestrator's error paths.
 #include <gtest/gtest.h>
 
+#include "core/smm_txn.hpp"
 #include "testbed/testbed.hpp"
 
 namespace kshot::core {
@@ -197,6 +198,67 @@ TEST(SmmHandler, TimingsPopulatedAfterApply) {
   EXPECT_GT(tm.modeled_cycles, 0u);
 }
 
+// ---- SMM undo journal ------------------------------------------------------------
+
+Bytes read_smm(const machine::PhysMem& mem, u64 addr, size_t n) {
+  auto r = mem.read_bytes(addr, n, machine::AccessMode::smm());
+  EXPECT_TRUE(r.is_ok()) << r.status().to_string();
+  return r.is_ok() ? *r : Bytes{};
+}
+
+TEST(SmmTxn, OverlappingWritesReplayInReverseToTheOldestValue) {
+  machine::PhysMem mem(4 * machine::kPageSize);
+  const Bytes pre = {1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12};
+  ASSERT_TRUE(mem.write(0x1000, pre, machine::AccessMode::smm()).is_ok());
+  {
+    SmmTxn txn(mem);
+    ASSERT_TRUE(txn.write(0x1000, Bytes(8, 0xAA)).is_ok());
+    ASSERT_TRUE(txn.write_u64(0x1004, 0xBBBBBBBBBBBBBBBBull).is_ok());
+    EXPECT_EQ(txn.last().addr, 0x1004u);
+    EXPECT_EQ(txn.last().bytes, (Bytes{0xAA, 0xAA, 0xAA, 0xAA, 9, 10, 11, 12}));
+    ASSERT_TRUE(txn.write(0x1002, Bytes(4, 0xCC)).is_ok());
+    EXPECT_NE(read_smm(mem, 0x1000, pre.size()), pre);
+  }
+  // Forward replay would end on the intermediate 0xAA/0xBB bytes; reverse
+  // replay ends on the bytes the txn first replaced.
+  EXPECT_EQ(read_smm(mem, 0x1000, pre.size()), pre);
+}
+
+TEST(SmmTxn, CommittedWritesSurviveScopeExit) {
+  machine::PhysMem mem(4 * machine::kPageSize);
+  {
+    SmmTxn txn(mem);
+    ASSERT_TRUE(txn.write(0x2000, Bytes(4, 0x5A)).is_ok());
+    txn.commit();
+  }
+  EXPECT_EQ(read_smm(mem, 0x2000, 4), Bytes(4, 0x5A));
+}
+
+TEST(SmmTxn, FailedWriteRecordsNothing) {
+  machine::PhysMem mem(4 * machine::kPageSize);
+  SmmTxn txn(mem);
+  ASSERT_TRUE(txn.write(0x1000, Bytes(4, 0x11)).is_ok());
+  // Straddles the end of memory: refused as a whole, nothing written.
+  EXPECT_EQ(txn.write(4 * machine::kPageSize - 2, Bytes(4, 0x22)).code(),
+            Errc::kOutOfRange);
+  EXPECT_EQ(txn.last().addr, 0x1000u);
+  EXPECT_EQ(read_smm(mem, 4 * machine::kPageSize - 2, 2), Bytes(2, 0));
+}
+
+TEST(SmmTxnDeathTest, FailedReplayWriteAborts) {
+  // A replay write can only fail if a page this txn wrote became an EPC
+  // page meanwhile; nothing in the simulator does that, so it is a broken
+  // invariant and must stop the run rather than leave memory half-unwound.
+  machine::PhysMem mem(4 * machine::kPageSize);
+  auto abort_over_epc = [&mem] {
+    SmmTxn txn(mem);
+    if (!txn.write(0x1000, Bytes(4, 0x11)).is_ok()) return;
+    mem.set_attrs(0x1000, machine::kPageSize, {true, true, true, 7});
+  };
+  EXPECT_DEATH(abort_over_epc(),
+               "SMM undo journal replay failed: PERMISSION_DENIED");
+}
+
 // ---- Introspection ---------------------------------------------------------------
 
 TEST(Introspection, CleanAfterPatch) {
@@ -216,10 +278,9 @@ TEST(Introspection, DetectsAndRepairsTrampolineReversion) {
   const InstalledPatch& p = t->kshot().handler().installed()[0];
 
   // Kernel-privileged revert of the trampoline.
-  Bytes original(p.original_entry.begin(), p.original_entry.end());
   ASSERT_TRUE(t->machine()
                   .mem()
-                  .write(p.taddr + p.ftrace_off, original,
+                  .write(p.revert.addr, p.revert.bytes,
                          machine::AccessMode::normal())
                   .is_ok());
   // The exploit works again...

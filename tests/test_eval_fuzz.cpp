@@ -232,8 +232,10 @@ struct MachineWorld {
     cpu = machine::CpuState{};
     for (size_t i = 0; i < args.size(); ++i) cpu.regs[1 + i] = args[i];
     cpu.sp() = (12 << 20) - 8;
-    m.mem().write_u64(cpu.sp(), machine::kReturnSentinel,
-                      machine::AccessMode::normal());
+    EXPECT_TRUE(m.mem()
+                    .write_u64(cpu.sp(), machine::kReturnSentinel,
+                               machine::AccessMode::normal())
+                    .is_ok());
     cpu.rip = sym->addr;
     auto res = m.run(20'000'000);
     switch (res.kind) {

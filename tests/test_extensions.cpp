@@ -93,8 +93,10 @@ TEST(ConstFold, WideImmediatesSurvive) {
                   .write(img->text_base, img->text, machine::AccessMode::smm())
                   .is_ok());
   m.cpu().sp() = 0x400000 - 8;
-  m.mem().write_u64(m.cpu().sp(), machine::kReturnSentinel,
-                    machine::AccessMode::normal());
+  ASSERT_TRUE(m.mem()
+                  .write_u64(m.cpu().sp(), machine::kReturnSentinel,
+                             machine::AccessMode::normal())
+                  .is_ok());
   m.cpu().rip = img->find_symbol("f")->addr;
   auto res = m.run(1000);
   EXPECT_EQ(res.kind, machine::StepKind::kRetTop);
@@ -296,7 +298,7 @@ TEST(Watchdog, AutonomouslyRepairsReversion) {
 
   // The watchdog must have the last word: one more sweep interval without
   // scheduler ticks (the rootkit only acts on ticks), then check.
-  t.kshot().introspect();
+  ASSERT_TRUE(t.kshot().introspect().is_ok());
   auto exploit = t.run_exploit();
   ASSERT_TRUE(exploit.is_ok());
   EXPECT_FALSE(exploit->oops);

@@ -53,8 +53,10 @@ ExecResult compile_and_run(const std::string& src, const std::string& fn,
   auto& cpu = m.cpu();
   for (size_t i = 0; i < args.size(); ++i) cpu.regs[1 + i] = args[i];
   cpu.sp() = 0x200000 - 8;
-  m.mem().write_u64(cpu.sp(), machine::kReturnSentinel,
-                    machine::AccessMode::normal());
+  EXPECT_TRUE(m.mem()
+                  .write_u64(cpu.sp(), machine::kReturnSentinel,
+                             machine::AccessMode::normal())
+                  .is_ok());
   cpu.rip = sym->addr;
   auto res = m.run(1'000'000);
   return {res.kind, m.cpu().regs[0], res.info};

@@ -106,7 +106,8 @@ TEST(KernelGuard, GuardPlusWatchdogAutonomouslyHeals) {
     std::string name() const override { return "backdoor"; }
     void on_tick(machine::Machine& m, kernel::Kernel&) override {
       Bytes payload = {0x72, 0x66};
-      m.mem().write(addr_, payload, machine::AccessMode::normal());
+      ASSERT_TRUE(
+          m.mem().write(addr_, payload, machine::AccessMode::normal()).is_ok());
       ++attempts;
     }
     u64 addr_;

@@ -7,6 +7,7 @@
 
 #include "cve/suite.hpp"
 #include "fleet/fleet.hpp"
+#include "smm_rig.hpp"
 #include "testbed/testbed.hpp"
 
 namespace kshot {
@@ -190,6 +191,61 @@ TEST(Lifecycle, MissingDependencyRefusedAndUnwound) {
   expect_status(r.kshot().live_patch(kB), core::SmmStatus::kOk);
   dep.depends = {kB};
   expect_status(r.kshot().live_patch(kA, dep), core::SmmStatus::kOk);
+}
+
+TEST(Lifecycle, FailedSupersedeReinstallsBaseUnit) {
+  // The supersede retires the base unit's trampoline, installs the new
+  // set's re-patch of the same entry, and then fails on a second entry
+  // whose text lies past physical memory. The abort must put the base
+  // trampoline back: the base unit stays installed and live, and memory
+  // ends byte-identical to its pre-SMI state.
+  kernel::MemoryLayout lay;
+  lay.text_max = lay.mem_bytes;  // text window reaches past the RAM
+  test::SmmRig rig(lay);
+  const auto mode = machine::AccessMode::normal();
+  const u64 entry = lay.text_base + 0x40;
+  ASSERT_TRUE(
+      rig.m.mem().write(entry, Bytes{0xAA, 0xBB, 0xCC, 0xDD, 0xEE}, mode)
+          .is_ok());
+
+  patchtool::PatchSet base;
+  base.id = "BASE";
+  base.kernel_version = "sim-4.4";
+  base.patches.push_back(test::make_entry("fn", entry, lay.mem_x_base()));
+  ASSERT_EQ(rig.deliver(patchtool::serialize_patchset(
+                base, patchtool::PatchOp::kPatch)),
+            core::SmmStatus::kOk);
+  ASSERT_EQ(rig.handler.installed().size(), 1u);
+  const std::array<u8, 5> base_jmp = rig.handler.installed()[0].trampoline;
+
+  patchtool::PatchSet next;
+  next.id = "NEXT";
+  next.kernel_version = "sim-4.4";
+  next.supersedes = {"BASE"};
+  next.patches.push_back(
+      test::make_entry("fn", entry, lay.mem_x_base() + 0x1000));
+  next.patches.push_back(
+      test::make_entry("trap", lay.mem_bytes, lay.mem_x_base() + 0x2000));
+  const machine::PhysMem snapshot = rig.m.mem().fork();
+  EXPECT_EQ(rig.deliver(patchtool::serialize_patchset(
+                next, patchtool::PatchOp::kPatch)),
+            core::SmmStatus::kBadPackage);
+
+  ASSERT_EQ(rig.handler.applied_units().size(), 1u);
+  EXPECT_EQ(rig.handler.applied_units()[0].id, "BASE");
+  ASSERT_EQ(rig.handler.installed().size(), 1u);
+  auto live = rig.m.mem().read_bytes(entry, 5, machine::AccessMode::smm());
+  ASSERT_TRUE(live.is_ok());
+  EXPECT_EQ(*live, Bytes(base_jmp.begin(), base_jmp.end()));
+
+  const machine::AddrRange excluded[] = {
+      {lay.smram_base, lay.smram_size},
+      {lay.mem_rw_base(), lay.mem_rw_size},
+      {lay.mem_w_base(), lay.mem_w_size},
+  };
+  auto diff =
+      machine::first_difference(snapshot, rig.m.mem(), lay.mem_bytes, excluded);
+  EXPECT_FALSE(diff) << "memory differs at 0x" << std::hex << diff->addr;
 }
 
 TEST(Lifecycle, BlockedRevertLeavesStateUntouched) {

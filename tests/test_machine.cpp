@@ -589,6 +589,13 @@ TEST(SmmRendezvous, HotplugInsideSmiRejected) {
   EXPECT_EQ(m.cpus(), 1u);
 }
 
+TEST(SmmDeathTest, NestedSmiAborts) {
+  Machine m = make_machine();
+  ASSERT_TRUE(
+      m.set_smm_handler([](Machine& mm) { mm.trigger_smi(); }).is_ok());
+  EXPECT_DEATH(m.trigger_smi(), "nested SMI not modeled");
+}
+
 TEST(SmmRendezvous, SingleCpuByteCompatibleWithLegacyModel) {
   // set_cpus(1) must be indistinguishable from never calling it: same SMI
   // charges, same clock, no jitter RNG draws.

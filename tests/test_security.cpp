@@ -12,6 +12,7 @@
 #include "crypto/aead.hpp"
 #include "crypto/x25519.hpp"
 #include "patchtool/package.hpp"
+#include "smm_rig.hpp"
 #include "testbed/testbed.hpp"
 
 namespace kshot::attacks {
@@ -121,8 +122,10 @@ TEST(Hijack, KshotRejectsTamperedStaging) {
     std::string name() const override { return "memw_stomper"; }
     void on_tick(machine::Machine& m, kernel::Kernel&) override {
       Bytes junk(64, 0xFF);
-      m.mem().write(lay_.mem_w_base() + 16, junk,
-                    machine::AccessMode::normal());
+      ASSERT_TRUE(m.mem()
+                      .write(lay_.mem_w_base() + 16, junk,
+                             machine::AccessMode::normal())
+                      .is_ok());
     }
     kernel::MemoryLayout lay_;
   };
@@ -346,63 +349,8 @@ TEST(Dos, HealthySystemNotFlagged) {
 
 // ---- Malicious package injection (SMM apply-path hardening) ------------------
 
-// A bare machine + SMM handler with an attacker in place of the enclave: the
-// attacker knows the handshake, so it can seal arbitrary packages under a
-// valid session key. Everything past the MAC must hold up on content checks
-// alone.
-struct SmmRig {
-  explicit SmmRig(kernel::MemoryLayout layout)
-      : lay(layout),
-        m(lay.mem_bytes, lay.smram_base, lay.smram_size, 0x7E57),
-        handler(lay, 0x7E57) {
-    EXPECT_TRUE(m.set_smm_handler([this](machine::Machine& mm) {
-                   handler.on_smi(mm);
-                 }).is_ok());
-  }
-
-  /// Runs the full staging handshake for `package_wire` and returns the SMM
-  /// status word after the apply SMI.
-  core::SmmStatus deliver(const Bytes& package_wire) {
-    const auto mode = machine::AccessMode::normal();
-    core::Mailbox mbox(m.mem(), lay.mem_rw_base(), mode);
-    EXPECT_TRUE(mbox.write_command(core::SmmCommand::kBeginSession).is_ok());
-    m.trigger_smi();
-    auto smm_pub = mbox.read_smm_pub();
-    EXPECT_TRUE(smm_pub.is_ok());
-
-    Rng rng(0xBAD5EED);
-    auto keys = crypto::dh_generate(rng);
-    auto shared = crypto::dh_shared(keys.private_key, *smm_pub);
-    auto key =
-        crypto::derive_key(ByteSpan(shared.data(), shared.size()), "sgx-smm");
-    crypto::Nonce96 nonce{};
-    rng.fill(MutByteSpan(nonce.data(), nonce.size()));
-    Bytes sealed = crypto::seal(key, nonce, package_wire).serialize();
-
-    EXPECT_TRUE(m.mem().write(lay.mem_w_base(), sealed, mode).is_ok());
-    EXPECT_TRUE(mbox.write_enclave_pub(keys.public_key).is_ok());
-    EXPECT_TRUE(mbox.write_staged_size(sealed.size()).is_ok());
-    EXPECT_TRUE(mbox.write_command(core::SmmCommand::kApplyPatch).is_ok());
-    m.trigger_smi();
-    auto st = mbox.read_status();
-    EXPECT_TRUE(st.is_ok());
-    return st.is_ok() ? *st : core::SmmStatus::kOk;
-  }
-
-  kernel::MemoryLayout lay;
-  machine::Machine m;
-  core::SmmPatchHandler handler;
-};
-
-patchtool::FunctionPatch make_entry(const char* name, u64 taddr, u64 paddr,
-                                    size_t code_bytes = 32) {
-  patchtool::FunctionPatch p;
-  p.name = name;
-  p.taddr = taddr;
-  p.paddr = paddr;
-  p.code = Bytes(code_bytes, 0x90);
-  return p;
-}
+using test::make_entry;
+using test::SmmRig;
 
 TEST(MaliciousPackage, WrappingTaddrRejected) {
   // taddr near UINT64_MAX: the pre-fix bounds check computed

@@ -215,7 +215,14 @@ int cmd_patch(const std::string& id, const CommonFlags& common, bool rootkit,
   t.scheduler().run(1000, 64);  // let attackers/watchdog act
   // Operator verification sweep (the remote server's final check): without
   // it, checking at an arbitrary instant races the rootkit's last tick.
-  if (!use_kpatch) t.kshot().introspect();
+  if (!use_kpatch) {
+    auto sweep = t.kshot().introspect();
+    if (!sweep.is_ok()) {
+      std::fprintf(stderr, "introspection failed: %s\n",
+                   sweep.status().to_string().c_str());
+      return 1;
+    }
+  }
 
   auto post = t.run_exploit();
   std::printf("exploit after (post attack window): %s\n",
