@@ -170,6 +170,19 @@ Status KshotEnclave::set_mem_x_map(const std::vector<FreeExtent>& free_extents) 
   return r.is_ok() ? Status::ok() : r.status();
 }
 
+u64 KshotEnclave::mem_x_cursor() const {
+  u64 free = 0;
+  for (const auto& e : memx_free_) free += e.len;
+  return geom_.mem_x_size - free;
+}
+
+void KshotEnclave::reset_mem_x_cursor() {
+  memx_free_.clear();
+  if (geom_.mem_x_size != 0) {
+    memx_free_.push_back({geom_.mem_x_base, geom_.mem_x_size});
+  }
+}
+
 void KshotEnclave::set_metrics(obs::MetricsRegistry* metrics) {
   if (metrics == nullptr) {
     c_prep_hits_ = nullptr;
@@ -218,6 +231,7 @@ Result<Bytes> KshotEnclave::dispatch_ecall(int fn, ByteSpan input) {
       if (!g) return g.status();
       geom_ = *g;
       initialized_ = true;
+      reset_mem_x_cursor();
       return Bytes{};
     }
     case kEcallBeginFetch:
@@ -354,42 +368,32 @@ Result<Bytes> KshotEnclave::do_preprocess() {
   }
 
   // 1. Lay the patched functions out in mem_X (paper §V-C: p1 at the base,
-  //    p_i at p_{i-1}.paddr + p_{i-1}.size), 16-byte aligned. With a
-  //    free-extent map installed (set_mem_x_map) the layout first-fits into
-  //    the reclaimed gaps instead of advancing the monotonic cursor.
-  //    Spliced functions take no slot: their body lands over the old
-  //    function in kernel text.
+  //    p_i at p_{i-1}.paddr + p_{i-1}.size), 16-byte aligned, first-fit
+  //    into the free-extent map, so reclaimed gaps (set_mem_x_map) are
+  //    reused. Spliced functions take no slot: their body lands over the
+  //    old function in kernel text.
   for (auto& p : set.patches) {
     if (p.splice) {
       p.paddr = 0;
       continue;
     }
-    if (memx_map_set_) {
-      bool placed = false;
-      for (auto& e : memx_free_) {
-        u64 aligned = (e.base + 15) & ~u64{15};
-        u64 pad = aligned - e.base;
-        if (pad <= e.len && p.code.size() <= e.len - pad) {
-          p.paddr = aligned;
-          u64 consumed = pad + p.code.size();
-          e.base += consumed;
-          e.len -= consumed;
-          placed = true;
-          break;
-        }
+    bool placed = false;
+    for (auto& e : memx_free_) {
+      u64 aligned = (e.base + 15) & ~u64{15};
+      u64 pad = aligned - e.base;
+      if (pad <= e.len && p.code.size() <= e.len - pad) {
+        p.paddr = aligned;
+        u64 consumed = pad + p.code.size();
+        e.base += consumed;
+        e.len -= consumed;
+        placed = true;
+        break;
       }
-      if (!placed) {
-        return Status{Errc::kResourceExhausted,
-                      "mem_X exhausted (no free extent fits)"};
-      }
-      continue;
     }
-    u64 aligned = (mem_x_cursor_ + 15) & ~u64{15};
-    if (aligned + p.code.size() > geom_.mem_x_size) {
-      return Status{Errc::kResourceExhausted, "mem_X exhausted"};
+    if (!placed) {
+      return Status{Errc::kResourceExhausted,
+                    "mem_X exhausted (no free extent fits)"};
     }
-    p.paddr = geom_.mem_x_base + aligned;
-    mem_x_cursor_ = aligned + p.code.size();
   }
 
   // 2. Branch replacement: rewrite every external rel32 for the new home.
@@ -599,7 +603,6 @@ Result<Bytes> KshotEnclave::do_set_mem_x_map(ByteSpan input) {
     if (*len != 0) extents.push_back({*base, *len});
   }
   memx_free_ = std::move(extents);
-  memx_map_set_ = true;
   return Bytes{};
 }
 

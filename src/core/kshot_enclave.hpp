@@ -44,10 +44,10 @@ enum EnclaveCall : int {
   kEcallSetLifecycle = 11,     // single-shot lifecycle directives (depends/
                                // supersedes lists, splice eligibility) the
                                // next preprocess stamps into the package
-  kEcallSetMemXMap = 12,       // replace the mem_X layout cursor with a
-                               // free-extent map (slot reclamation): the
-                               // allocator first-fits into the gaps revert
-                               // and supersede left behind
+  kEcallSetMemXMap = 12,       // replace the mem_X free-extent map (slot
+                               // reclamation): the allocator first-fits
+                               // into the gaps revert and supersede left
+                               // behind
 };
 
 /// Geometry of the reserved region, passed to the enclave at initialization.
@@ -105,10 +105,11 @@ class KshotEnclave final : public sgx::Enclave {
     return static_cast<u32>(batch_pkgs_.size());
   }
 
-  /// mem_X bytes consumed so far by preprocessing layout.
-  [[nodiscard]] u64 mem_x_cursor() const { return mem_x_cursor_; }
-  /// Resets the mem_X layout cursor (fresh reserved region).
-  void reset_mem_x_cursor() { mem_x_cursor_ = 0; }
+  /// mem_X bytes not on the free-extent map: what preprocessing layout
+  /// has consumed, alignment padding included.
+  [[nodiscard]] u64 mem_x_cursor() const;
+  /// Reinstalls the whole mem_X as one free extent (fresh reserved region).
+  void reset_mem_x_cursor();
 
   /// One function's linked size, keyed by SDBM name hash — the splice
   /// eligibility input (a splice body must fit the old footprint).
@@ -130,10 +131,11 @@ class KshotEnclave final : public sgx::Enclave {
     u64 base = 0;
     u64 len = 0;
   };
-  /// Replaces the monotonic layout cursor with a free-extent map: subsequent
-  /// preprocesses first-fit (16-byte aligned) into the extents, so slots
-  /// freed by revert/supersede are reclaimed instead of leaking forever.
-  /// Without a map the legacy cursor keeps every historical layout stable.
+  /// Replaces the free-extent map that preprocessing first-fits (16-byte
+  /// aligned) into, so slots freed by revert/supersede are reclaimed
+  /// instead of leaking forever. Initialization installs the whole mem_X
+  /// as one extent; mem_x_base is 16-aligned, so until a reclaim every
+  /// package lands right after the previous one.
   Status set_mem_x_map(const std::vector<FreeExtent>& free_extents);
 
   /// Mirrors the preprocessing-cache counters into `metrics` as
@@ -183,7 +185,6 @@ class KshotEnclave final : public sgx::Enclave {
   crypto::DhKeyPair server_session_{};
   bool fetch_in_flight_ = false;
 
-  u64 mem_x_cursor_ = 0;
   u64 raw_size_ = 0;
   u64 processed_size_ = 0;
 
@@ -198,9 +199,7 @@ class KshotEnclave final : public sgx::Enclave {
   bool pending_allow_splice_ = false;
   std::map<u64, u32> pending_old_sizes_;  // name hash -> linked size
 
-  // mem_X free-extent map; empty + !memx_map_set_ means the legacy
-  // monotonic cursor is in charge.
-  bool memx_map_set_ = false;
+  // mem_X free-extent map the layout first-fits into.
   std::vector<FreeExtent> memx_free_;
 
   // Batch accumulator (conceptually EPC-resident, like server_session_).

@@ -533,6 +533,9 @@ SmmStatus SmmPatchHandler::apply_batch(machine::Machine& m, Mailbox& mbox,
     total_functions += static_cast<u32>(set.patches.size());
   }
   txn.commit();
+  // Counted only once the txn commits: an unwound batch applied nothing.
+  c_staged_copies_->inc(sets.size());
+  c_applied_->inc(sets.size());
   m.charge_cycles(cost.bytes_cost(cost.apply_cycles_per_byte, total_code));
   timings_.apply_ns = phase_span(m, "apply", c0, t0);
 
@@ -614,6 +617,11 @@ SmmStatus SmmPatchHandler::verify_and_apply(
     st = apply_parsed(m, set, retain, txn);
     if (st == SmmStatus::kOk) {
       txn.commit();
+      // The one copy the zero-copy pipeline cannot eliminate: the bodies
+      // were written into machine memory (the SMM write). Everything before
+      // it was a borrowed span.
+      c_staged_copies_->inc();
+      c_applied_->inc();
       // Fine-grained commit: once the text writes land, the rendezvoused
       // APs have nothing left to wait for — they resume while the BSP
       // finishes the bookkeeping tail.
@@ -1000,11 +1008,6 @@ SmmStatus SmmPatchHandler::apply_parsed(
     unit.seq = ++unit_seq_;
     applied_units_.push_back(std::move(unit));
   }
-  // The one copy the zero-copy pipeline cannot eliminate: this package's
-  // bodies were written into machine memory by the steps above (the SMM
-  // write). Everything before it was a borrowed span.
-  c_staged_copies_->inc();
-  c_applied_->inc();
   metrics_->histogram("smm.code_bytes").observe(
       static_cast<double>(set.total_code_bytes()));
   KSHOT_LOG(kInfo, "smm") << "applied " << set.id << ": "

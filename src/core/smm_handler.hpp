@@ -292,8 +292,10 @@ class SmmPatchHandler {
                              ByteSpan package, size_t staged_bytes);
 
   /// Applies one parsed set, journaling every memory write into `txn` for
-  /// the caller to commit. `retain` is the buffer the set's code spans
-  /// borrow from; every installed record keeps it alive.
+  /// the caller to commit; the caller counts the apply ("smm.applied",
+  /// "smm.staged_copies") only after that commit. `retain` is the buffer
+  /// the set's code spans borrow from; every installed record keeps it
+  /// alive.
   SmmStatus apply_parsed(machine::Machine& m,
                          const patchtool::PatchSetView& set,
                          const std::shared_ptr<const Bytes>& retain,

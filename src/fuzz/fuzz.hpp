@@ -151,9 +151,12 @@ struct SynthSurfaceOptions {
 /// differential, and structural diff confinement. Corpus dir: "synth".
 std::unique_ptr<Surface> make_cve_synth_surface(SynthSurfaceOptions o = {});
 
-/// Factory by surface name ("package", "netsim", "kcc",
-/// "attacker_schedule", "lifecycle", "cve_synth" — alias "synth", which is
-/// also its corpus dir); null for unknown.
+/// Every registered surface name, in `--surface all` order: "package",
+/// "netsim", "kcc", "attacker_schedule", "lifecycle", "cve_synth".
+std::vector<std::string> surface_names();
+
+/// Factory by registered surface name (or "synth", the alias of
+/// "cve_synth" that is also its corpus dir); null for unknown.
 std::unique_ptr<Surface> make_surface(const std::string& name);
 
 /// Runs `opts.iters` generated cases, shrinking any failure.

@@ -194,14 +194,37 @@ std::vector<FuzzReport> replay_corpus(const std::vector<CorpusEntry>& entries,
   return reports;
 }
 
+namespace {
+
+struct RegisteredSurface {
+  const char* name;
+  std::unique_ptr<Surface> (*make)();
+};
+
+// The surface registry, in `--surface all` order.
+const RegisteredSurface kSurfaces[] = {
+    {"package", [] { return make_package_surface(); }},
+    {"netsim", [] { return make_netsim_surface(); }},
+    {"kcc", [] { return make_kcc_surface(); }},
+    {"attacker_schedule", [] { return make_attacker_schedule_surface(); }},
+    {"lifecycle", [] { return make_lifecycle_surface(); }},
+    {"cve_synth", [] { return make_cve_synth_surface(); }},
+};
+
+}  // namespace
+
+std::vector<std::string> surface_names() {
+  std::vector<std::string> names;
+  for (const auto& s : kSurfaces) names.emplace_back(s.name);
+  return names;
+}
+
 std::unique_ptr<Surface> make_surface(const std::string& name) {
-  if (name == "package") return make_package_surface();
-  if (name == "netsim") return make_netsim_surface();
-  if (name == "kcc") return make_kcc_surface();
-  if (name == "attacker_schedule") return make_attacker_schedule_surface();
-  if (name == "lifecycle") return make_lifecycle_surface();
   // "synth" is both the CLI alias and the corpus directory name.
-  if (name == "cve_synth" || name == "synth") return make_cve_synth_surface();
+  const std::string key = name == "synth" ? "cve_synth" : name;
+  for (const auto& s : kSurfaces) {
+    if (key == s.name) return s.make();
+  }
   return nullptr;
 }
 

@@ -10,6 +10,7 @@
 #include "core/smm_handler.hpp"
 #include "crypto/aead.hpp"
 #include "crypto/x25519.hpp"
+#include "obs/metrics.hpp"
 #include "patchtool/package.hpp"
 
 namespace kshot::test {
@@ -18,7 +19,7 @@ struct SmmRig {
   explicit SmmRig(kernel::MemoryLayout layout)
       : lay(layout),
         m(lay.mem_bytes, lay.smram_base, lay.smram_size, 0x7E57),
-        handler(lay, 0x7E57) {
+        handler(lay, 0x7E57, &metrics) {
     EXPECT_TRUE(m.set_smm_handler([this](machine::Machine& mm) {
                    handler.on_smi(mm);
                  }).is_ok());
@@ -58,6 +59,7 @@ struct SmmRig {
 
   kernel::MemoryLayout lay;
   machine::Machine m;
+  obs::MetricsRegistry metrics;
   core::SmmPatchHandler handler;
 };
 

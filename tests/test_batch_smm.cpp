@@ -246,6 +246,9 @@ TEST(BatchSession, MemberWriteFailureUnwindsEarlierMembers) {
             SmmStatus::kBadPackage);
   EXPECT_TRUE(rig.handler.installed().empty());
   EXPECT_TRUE(rig.handler.applied_units().empty());
+  // An unwound batch applied nothing, so it counts nothing either.
+  EXPECT_EQ(rig.handler.patches_applied(), 0u);
+  EXPECT_EQ(rig.metrics.counter("smm.staged_copies").value(), 0u);
   auto diff = outside_reserved_diff(rig, snapshot);
   EXPECT_FALSE(diff) << "memory differs at 0x" << std::hex << diff->addr
                      << " expected 0x" << +diff->a << " got 0x" << +diff->b;

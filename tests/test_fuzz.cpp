@@ -250,6 +250,16 @@ TEST(FuzzSurfaces, FactoryResolvesNames) {
   EXPECT_NE(make_surface("attacker_schedule"), nullptr);
   EXPECT_NE(make_surface("lifecycle"), nullptr);
   EXPECT_EQ(make_surface("bogus"), nullptr);
+  // The registry behind `--surface all` names every surface once, and
+  // "synth" stays an alias of its corpus directory.
+  const std::vector<std::string> names = surface_names();
+  EXPECT_EQ(names.size(), 6u);
+  for (const auto& name : names) {
+    auto s = make_surface(name);
+    ASSERT_NE(s, nullptr) << name;
+    EXPECT_EQ(s->name(), name);
+  }
+  EXPECT_EQ(make_surface("synth")->name(), std::string("cve_synth"));
 }
 
 TEST(FuzzSurfaces, TimeBudgetStopsEarly) {

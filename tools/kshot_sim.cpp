@@ -1,66 +1,14 @@
 // kshot-sim — command-line driver for the KShot simulation.
 //
-//   kshot-sim list                         table of all CVE benchmark cases
-//   kshot-sim patch <CVE-ID> [flags]       run the live-patch scenario
-//       --rootkit      load the reversion rootkit first
-//       --watchdog     arm the periodic-SMI introspection watchdog
-//       --guard        arm the kernel-text guard
-//       --kpatch       use the kpatch baseline instead of KShot
-//   kshot-sim fleet <CVE-ID> [flags]       staged rollout across N targets
-//       --targets N    fleet size (default 8)
-//       --canary K     canary wave size (default 1)
-//       --wave W       size of later waves (default 4)
-//       --abort-rate R abort threshold on a wave's failure fraction
-//       --drop R / --corrupt R   channel fault rates on every target
-//   kshot-sim lifecycle                    scripted patch-stack smoke
-//       apply -> depend -> supersede -> query -> out-of-order revert ->
-//       in-place splice; output is canonical (byte-identical across
-//       --jobs), so CI can cmp two runs
-//   kshot-sim disasm <CVE-ID> <function>   disassemble a kernel function
-//   kshot-sim package <CVE-ID>             show the built patch set / wire
-//
-//   kshot-sim single [CVE-ID]              `patch` with a default case
-//
-//   kshot-sim synth [flags]                auto-CVE campaign (DESIGN.md §14)
-//       --cases N      synthesized cases (default 200), classes cycled
-//       --classes CSV  bug classes to cycle (OOB, CHK, DSP)
-//       --live K       also live-patch the first K cases end to end
-//       every case must pass the probe contract, the evaluator-vs-machine
-//       differential (two optimizer configs), and diff confinement; the
-//       report is byte-identical across --jobs
-//
-//   kshot-sim fuzz [flags]                 invariant-oracle fuzzing (DESIGN.md §9)
-//       --surface S    package | netsim | kcc | attacker_schedule | synth
-//                      | all (default package)
-//       --iters N      generated cases per surface (default 200)
-//       --time-budget T  wall-clock cap in seconds (0 = off; breaks
-//                      run-to-run case-count determinism)
-//       --corpus DIR   replay a regression corpus instead of generating
-//       --write-corpus DIR   write the canonical seed corpus and exit
-//       --replay FILE  re-execute one corpus file (needs --surface)
-//       --selftest     re-open the fixed seams (wrapping bounds, TOCTOU
-//                      double fetch, mis-planted synth guard) and prove
-//                      the oracles catch all three
-//
-//   kshot-sim attack [flags]               seeded async-adversary campaign
-//       --schedule-seed S  base seed for the schedule generator
-//       --variants N       schedule variants to run (default 200)
-//       every variant must be prevented (memory byte-identical to the
-//       no-attack run) or detected (classified DetectionReport); any
-//       silent corruption / silent failure exits nonzero
-//
-// Shared flags (all modes):
-//   --seed S         deterministic seed (testbed RNG / fleet base seed)
-//   --jobs J         parallelism: fleet worker pool; workload threads for
-//                    `patch`
-//   --cpus N         simulated CPUs per target (default 1; >1 engages the
-//                    multi-CPU SMI rendezvous model; 0 exits 2)
-//   --trace-out F    write a Chrome-trace JSON (chrome://tracing, Perfetto)
-//                    of the run's pipeline spans to F
-//   --metrics        dump the pipeline metrics snapshot to stdout
+// Every command, its positional arguments and each flag it reads are
+// declared once, in the command table (commands() at the bottom of this
+// file); usage, parsing and validation all come from that table. Run
+// `kshot-sim` with no arguments for the generated usage text.
+#include <cctype>
+#include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <map>
@@ -88,16 +36,74 @@ using namespace kshot;
 
 namespace {
 
-/// Flags shared by every mode; value flags are consumed as `--name value`.
-struct CommonFlags {
-  u64 seed = 0x5EED;
-  u32 jobs = 1;
-  u32 cpus = 1;  // --cpus N: simulated CPUs per target (>= 1, strict)
-  std::string trace_out;  // --trace-out FILE: Chrome-trace JSON destination
-  bool metrics = false;   // --metrics: dump the metrics snapshot on exit
+// ---- The command-line model -------------------------------------------------
+//
+// The one rule: a command lists exactly the flags it reads. Reading a flag
+// the row does not declare is a check failure, and passing one exits 2.
+
+enum class Kind { kBool, kU32, kU64, kDouble, kString };
+
+/// One flag a command reads, given as `--name` (kBool) or `--name value`.
+struct Flag {
+  const char* name;  // without the leading "--"
+  std::string help;
+  Kind kind = Kind::kBool;
+  const char* metavar = nullptr;  // value placeholder in the usage text
+  const char* def = nullptr;      // default, in the form typed; null = none
+  u64 min = 0;                    // smallest accepted integer value
+};
+
+struct Value {
+  const Flag* flag = nullptr;
+  bool given = false;
+  u64 u = 0;
+  double d = 0;
+  std::string s;
+};
+
+/// A command line parsed against one table row.
+struct Args {
+  std::vector<std::string> pos;
+  std::map<std::string, Value> values;
+
+  const Value& at(const char* name) const {
+    auto it = values.find(name);
+    KSHOT_CHECK(it != values.end(), "flag read but not declared");
+    return it->second;
+  }
+  const Value& at(const char* name, Kind kind) const {
+    const Value& v = at(name);
+    KSHOT_CHECK(v.flag->kind == kind, "flag read as the wrong kind");
+    return v;
+  }
+  bool given(const char* name) const { return at(name).given; }
+  bool on(const char* name) const { return at(name, Kind::kBool).given; }
+  u32 count(const char* name) const {
+    return static_cast<u32>(at(name, Kind::kU32).u);
+  }
+  u64 num(const char* name) const { return at(name, Kind::kU64).u; }
+  double real(const char* name) const { return at(name, Kind::kDouble).d; }
+  const std::string& str(const char* name) const {
+    return at(name, Kind::kString).s;
+  }
+};
+
+struct Command {
+  const char* name;
+  std::vector<const char*> positionals;  // "<required>" or "[optional]"
+  const char* summary;
+  std::vector<Flag> flags;
+  int (*run)(const Args&);
 };
 
 void usage();
+
+/// Prints "<cmd>: <why>" and the usage; returns exit code 2.
+int usage_error(const char* cmd, const std::string& why) {
+  std::fprintf(stderr, "%s: %s\n", cmd, why.c_str());
+  usage();
+  return 2;
+}
 
 int write_file(const std::string& path, const std::string& body) {
   std::FILE* f = std::fopen(path.c_str(), "wb");
@@ -110,7 +116,7 @@ int write_file(const std::string& path, const std::string& body) {
   return 0;
 }
 
-int cmd_list() {
+int cmd_list(const Args&) {
   std::printf("%-16s %-9s %4s %-5s %s\n", "CVE", "kernel", "LoC", "types",
               "affected functions");
   for (const auto& c : cve::all_cases()) {
@@ -135,11 +141,11 @@ Result<cve::CveCase> resolve_or_report(const std::string& id) {
   return resolved;
 }
 
-int cmd_exploit(const std::string& id, const CommonFlags& common) {
-  auto rc = resolve_or_report(id);
+int cmd_exploit(const Args& a) {
+  auto rc = resolve_or_report(a.pos[0]);
   if (!rc.is_ok()) return 1;
   const cve::CveCase& c = *rc;
-  auto tb = testbed::Testbed::boot(c, {.seed = common.seed});
+  auto tb = testbed::Testbed::boot(c, {.seed = a.num("seed")});
   if (!tb.is_ok()) {
     std::fprintf(stderr, "boot failed: %s\n", tb.status().to_string().c_str());
     return 1;
@@ -155,19 +161,22 @@ int cmd_exploit(const std::string& id, const CommonFlags& common) {
   return 0;
 }
 
-int cmd_patch(const std::string& id, const CommonFlags& common, bool rootkit,
-              bool watchdog, bool guard, bool use_kpatch) {
-  auto rc = resolve_or_report(id);
+/// `patch`, and `single` without --batch: `single` is `patch` with a
+/// default case, one target end to end.
+int cmd_patch(const Args& a) {
+  auto rc = resolve_or_report(a.pos.empty() ? "CVE-2014-0196" : a.pos[0]);
   if (!rc.is_ok()) return 1;
   const cve::CveCase& c = *rc;
+  const std::string& trace_out = a.str("trace-out");
+  const bool use_kpatch = a.on("kpatch");
   obs::TraceRecorder trace;
   obs::MetricsRegistry metrics;
   testbed::TestbedOptions opts;
-  opts.seed = common.seed;
-  opts.cpus = common.cpus;
-  opts.workload_threads = static_cast<int>(std::max<u32>(2, common.jobs));
-  if (watchdog) opts.watchdog_interval_cycles = 50'000;
-  if (!common.trace_out.empty()) opts.trace = &trace;
+  opts.seed = a.num("seed");
+  opts.cpus = a.count("cpus");
+  opts.workload_threads = static_cast<int>(std::max<u32>(2, a.count("jobs")));
+  if (a.on("watchdog")) opts.watchdog_interval_cycles = 50'000;
+  if (!trace_out.empty()) opts.trace = &trace;
   opts.metrics = &metrics;
   auto tb = testbed::Testbed::boot(c, opts);
   if (!tb.is_ok()) {
@@ -175,11 +184,11 @@ int cmd_patch(const std::string& id, const CommonFlags& common, bool rootkit,
     return 1;
   }
   testbed::Testbed& t = **tb;
-  if (guard && !t.kshot().arm_kernel_guard().is_ok()) {
+  if (a.on("guard") && !t.kshot().arm_kernel_guard().is_ok()) {
     std::fprintf(stderr, "guard arming failed\n");
     return 1;
   }
-  if (rootkit) {
+  if (a.on("rootkit")) {
     t.kernel().insmod(
         std::make_shared<attacks::ReversionRootkit>(t.pre_image()));
     std::printf("[attack] reversion rootkit resident\n");
@@ -228,22 +237,21 @@ int cmd_patch(const std::string& id, const CommonFlags& common, bool rootkit,
   std::printf("exploit after (post attack window): %s\n",
               post.is_ok() && post->oops ? "STILL FIRES" : "dead");
 
-  if (!common.trace_out.empty()) {
-    if (write_file(common.trace_out,
-                   obs::to_chrome_trace(trace.snapshot())) != 0) {
+  if (!trace_out.empty()) {
+    if (write_file(trace_out, obs::to_chrome_trace(trace.snapshot())) != 0) {
       return 1;
     }
-    std::printf("trace: %zu events -> %s\n", trace.size(),
-                common.trace_out.c_str());
+    std::printf("trace: %zu events -> %s\n", trace.size(), trace_out.c_str());
   }
-  if (common.metrics) {
+  if (a.on("metrics")) {
     std::fputs(metrics.snapshot().to_string().c_str(), stdout);
   }
   return post.is_ok() && !post->oops ? 0 : 1;
 }
 
-int cmd_disasm(const std::string& id, const std::string& fn) {
-  auto rc = resolve_or_report(id);
+int cmd_disasm(const Args& a) {
+  const std::string& fn = a.pos[1];
+  auto rc = resolve_or_report(a.pos[0]);
   if (!rc.is_ok()) return 1;
   const cve::CveCase& c = *rc;
   auto tb = testbed::Testbed::boot(c, {.install_kshot = false});
@@ -265,7 +273,8 @@ int cmd_disasm(const std::string& id, const std::string& fn) {
   return 0;
 }
 
-int cmd_package(const std::string& id) {
+int cmd_package(const Args& a) {
+  const std::string& id = a.pos[0];
   auto rc = resolve_or_report(id);
   if (!rc.is_ok()) return 1;
   const cve::CveCase& c = *rc;
@@ -298,23 +307,18 @@ int cmd_package(const std::string& id) {
 
 std::vector<std::string> split_ids(const std::string& csv) {
   std::vector<std::string> ids;
-  std::string cur;
-  for (char ch : csv) {
-    if (ch == ',') {
-      if (!cur.empty()) ids.push_back(cur);
-      cur.clear();
-    } else {
-      cur.push_back(ch);
-    }
+  std::istringstream in(csv);
+  for (std::string id; std::getline(in, id, ',');) {
+    if (!id.empty()) ids.push_back(id);
   }
-  if (!cur.empty()) ids.push_back(cur);
   return ids;
 }
 
 /// `single --batch A,B,C`: one merged deployment, one batched SMM session
 /// installing every package, then a per-CVE exploit sweep.
-int cmd_single_batch(const std::string& csv, const CommonFlags& common) {
-  std::vector<std::string> ids = split_ids(csv);
+int cmd_single(const Args& a) {
+  if (a.str("batch").empty()) return cmd_patch(a);
+  std::vector<std::string> ids = split_ids(a.str("batch"));
   auto batch = cve::combine_cases(ids);
   if (!batch.is_ok()) {
     std::fprintf(stderr, "%s\n", batch.status().to_string().c_str());
@@ -326,7 +330,8 @@ int cmd_single_batch(const std::string& csv, const CommonFlags& common) {
     return 1;
   }
   auto tb = testbed::Testbed::boot(batch->merged,
-                                   {.seed = common.seed, .cpus = common.cpus});
+                                   {.seed = a.num("seed"),
+                                    .cpus = a.count("cpus")});
   if (!tb.is_ok()) {
     std::fprintf(stderr, "boot failed: %s\n", tb.status().to_string().c_str());
     return 1;
@@ -370,7 +375,7 @@ int cmd_single_batch(const std::string& csv, const CommonFlags& common) {
 /// then unblocked), and finish with an in-place splice leg. Every printed
 /// line is canonical: byte-identical across --jobs and repeated runs, so CI
 /// can cmp two invocations.
-int cmd_lifecycle(const CommonFlags& common) {
+int cmd_lifecycle(const Args& a) {
   const std::string id_a = "CVE-2016-2543";   // base set
   const std::string id_b = "CVE-2016-4578";   // depends on A
   const std::string id_c = "CVE-2016-4580";   // supersedes A
@@ -382,9 +387,9 @@ int cmd_lifecycle(const CommonFlags& common) {
     return 1;
   }
   testbed::TestbedOptions topts;
-  topts.seed = common.seed;
-  topts.cpus = common.cpus;
-  topts.workload_threads = static_cast<int>(common.jobs) - 1;
+  topts.seed = a.num("seed");
+  topts.cpus = a.count("cpus");
+  topts.workload_threads = static_cast<int>(a.count("jobs")) - 1;
   auto tb = testbed::Testbed::boot(batch->merged, topts);
   if (!tb.is_ok()) {
     std::fprintf(stderr, "boot failed: %s\n", tb.status().to_string().c_str());
@@ -469,7 +474,7 @@ int cmd_lifecycle(const CommonFlags& common) {
   // trampoline — then reverted, leaving occupancy at zero.
   auto sc = testbed::make_splice_sweep_case(256);
   testbed::TestbedOptions sopts;
-  sopts.seed = common.seed;
+  sopts.seed = a.num("seed");
   auto stb = testbed::Testbed::boot(sc, sopts);
   if (!stb.is_ok()) {
     std::fprintf(stderr, "splice leg boot failed\n");
@@ -496,14 +501,14 @@ int cmd_lifecycle(const CommonFlags& common) {
 }
 
 /// `bench`: deterministic modeled-cost harness + optional regression gate.
-int cmd_bench(const CommonFlags& common, bool quick,
-              const std::string& out_dir, const std::string& gate_dir,
-              double gate_tol, double cost_scale) {
+int cmd_bench(const Args& a) {
+  const std::string& gate_dir = a.str("gate");
+  const double gate_tol = a.real("gate-tol");
   benchkit::BenchOptions bo;
-  bo.seed = common.seed;
-  bo.jobs = common.jobs;
-  bo.quick = quick;
-  bo.cost_scale = cost_scale;
+  bo.seed = a.num("seed");
+  bo.jobs = a.count("jobs");
+  bo.quick = a.on("quick");
+  bo.cost_scale = a.real("cost-scale");
   auto res = benchkit::run_bench(bo);
   if (!res.is_ok()) {
     std::fprintf(stderr, "bench failed: %s\n",
@@ -511,7 +516,7 @@ int cmd_bench(const CommonFlags& common, bool quick,
     return 1;
   }
 
-  std::string dir = out_dir.empty() ? "." : out_dir;
+  std::string dir = a.str("out-dir").empty() ? "." : a.str("out-dir");
   std::error_code ec;
   std::filesystem::create_directories(dir, ec);
   struct Doc {
@@ -584,14 +589,14 @@ int cmd_bench(const CommonFlags& common, bool quick,
   return 0;
 }
 
-struct FuzzCliOptions {
-  std::string surface = "package";
-  fuzz::FuzzOptions fuzz;
-  std::string corpus_dir;
-  std::string write_corpus_dir;
-  std::string replay_file;
-  bool selftest = false;
-};
+/// The registered fuzz surfaces joined by '|', for usage and errors.
+std::string surface_choices() {
+  std::string out;
+  for (const auto& name : fuzz::surface_names()) {
+    out += (out.empty() ? "" : "|") + name;
+  }
+  return out;
+}
 
 int print_reports(const std::vector<fuzz::FuzzReport>& reports) {
   bool failed = false;
@@ -602,27 +607,34 @@ int print_reports(const std::vector<fuzz::FuzzReport>& reports) {
   return failed ? 1 : 0;
 }
 
-int cmd_fuzz(const FuzzCliOptions& o) {
-  if (!o.write_corpus_dir.empty()) {
-    auto st = fuzz::write_seed_corpus(o.write_corpus_dir);
+int cmd_fuzz(const Args& a) {
+  const std::string& surface_name = a.str("surface");
+  const std::string& write_dir = a.str("write-corpus");
+  const std::string& replay_file = a.str("replay");
+  fuzz::FuzzOptions opts;
+  opts.seed = a.num("seed");
+  opts.iters = a.count("iters");
+  opts.time_budget_s = a.real("time-budget");
+  if (!write_dir.empty()) {
+    auto st = fuzz::write_seed_corpus(write_dir);
     if (!st.is_ok()) {
       std::fprintf(stderr, "%s\n", st.to_string().c_str());
       return 1;
     }
-    std::printf("seed corpus written to %s\n", o.write_corpus_dir.c_str());
+    std::printf("seed corpus written to %s\n", write_dir.c_str());
     return 0;
   }
-  if (!o.replay_file.empty()) {
-    std::ifstream in(o.replay_file, std::ios::binary);
+  if (!replay_file.empty()) {
+    std::ifstream in(replay_file, std::ios::binary);
     if (!in) {
-      std::fprintf(stderr, "cannot read %s\n", o.replay_file.c_str());
+      std::fprintf(stderr, "cannot read %s\n", replay_file.c_str());
       return 1;
     }
     std::ostringstream buf;
     buf << in.rdbuf();
     Bytes input;
-    if (o.surface == "kcc" &&
-        o.replay_file.find(".hex") == std::string::npos) {
+    if (surface_name == "kcc" &&
+        replay_file.find(".hex") == std::string::npos) {
       input = to_bytes(buf.str());
     } else {
       auto decoded = fuzz::decode_hex_file(buf.str());
@@ -632,11 +644,10 @@ int cmd_fuzz(const FuzzCliOptions& o) {
       }
       input = std::move(*decoded);
     }
-    auto surface = fuzz::make_surface(o.surface);
+    auto surface = fuzz::make_surface(surface_name);
     if (!surface) {
-      std::fprintf(stderr,
-                   "--replay needs --surface "
-                   "package|netsim|kcc|attacker_schedule|synth\n");
+      std::fprintf(stderr, "--replay needs --surface %s\n",
+                   surface_choices().c_str());
       return 2;
     }
     std::printf("%s\n", surface->describe(input).c_str());
@@ -653,15 +664,15 @@ int cmd_fuzz(const FuzzCliOptions& o) {
                     : "skipped");
     return 0;
   }
-  if (!o.corpus_dir.empty()) {
-    auto entries = fuzz::load_corpus(o.corpus_dir);
+  if (!a.str("corpus").empty()) {
+    auto entries = fuzz::load_corpus(a.str("corpus"));
     if (!entries.is_ok()) {
       std::fprintf(stderr, "%s\n", entries.status().to_string().c_str());
       return 1;
     }
-    return print_reports(fuzz::replay_corpus(*entries, o.fuzz));
+    return print_reports(fuzz::replay_corpus(*entries, opts));
   }
-  if (o.selftest) {
+  if (a.on("selftest")) {
     // Re-introduce each fixed bug class in the target and prove the oracles
     // catch it with a small shrunk repro: the pre-fix wrapping bounds check
     // (package surface), the pre-hardening TOCTOU double fetch
@@ -682,7 +693,7 @@ int cmd_fuzz(const FuzzCliOptions& o) {
                      fuzz::make_cve_synth_surface(
                          {.misplant_off_by_one = true})});
     for (auto& s : seams) {
-      auto rep = fuzz::run_fuzz(*s.surface, o.fuzz);
+      auto rep = fuzz::run_fuzz(*s.surface, opts);
       std::fputs(rep.to_string().c_str(), stdout);
       if (rep.failures.empty()) {
         std::fprintf(stderr,
@@ -695,12 +706,8 @@ int cmd_fuzz(const FuzzCliOptions& o) {
     }
     return 0;
   }
-  std::vector<std::string> surfaces;
-  if (o.surface == "all") {
-    surfaces = {"package", "netsim", "kcc", "attacker_schedule", "cve_synth"};
-  } else {
-    surfaces = {o.surface};
-  }
+  std::vector<std::string> surfaces = {surface_name};
+  if (surface_name == "all") surfaces = fuzz::surface_names();
   std::vector<fuzz::FuzzReport> reports;
   for (const auto& name : surfaces) {
     auto surface = fuzz::make_surface(name);
@@ -708,7 +715,7 @@ int cmd_fuzz(const FuzzCliOptions& o) {
       std::fprintf(stderr, "unknown surface: %s\n", name.c_str());
       return 2;
     }
-    reports.push_back(fuzz::run_fuzz(*surface, o.fuzz));
+    reports.push_back(fuzz::run_fuzz(*surface, opts));
   }
   return print_reports(reports);
 }
@@ -718,7 +725,12 @@ int cmd_fuzz(const FuzzCliOptions& o) {
 /// Workers partition variants statically (worker w takes indices w, w+jobs,
 /// ...), results land in index-i slots, and the summary is aggregated in
 /// index order — so the output is byte-identical at any --jobs level.
-int cmd_attack(u64 schedule_seed, u32 variants, u32 jobs, u32 cpus) {
+int cmd_attack(const Args& a) {
+  const u64 schedule_seed =
+      a.given("schedule-seed") ? a.num("schedule-seed") : a.num("seed");
+  const u32 variants = a.count("variants");
+  const u32 jobs = std::min(a.count("jobs"), variants);
+  const u32 cpus = a.count("cpus");
   std::vector<Bytes> wires(variants);
   std::map<std::string, u32> by_variant;  // sorted -> deterministic print
   for (u32 i = 0; i < variants; ++i) {
@@ -731,7 +743,6 @@ int cmd_attack(u64 schedule_seed, u32 variants, u32 jobs, u32 cpus) {
   }
 
   std::vector<fuzz::Surface::Verdict> verdicts(variants);
-  jobs = std::max<u32>(1, std::min(jobs, variants));
   auto worker = [&](u32 w) {
     // One surface (with its own cached no-attack baseline) per worker;
     // every execute() boots a fresh deployment, so cases are independent.
@@ -801,29 +812,23 @@ int cmd_attack(u64 schedule_seed, u32 variants, u32 jobs, u32 cpus) {
 /// pushes the first N cases through a full boot -> seal -> stage -> apply
 /// deployment and re-probes the exploit. stdout carries ONLY the campaign
 /// report, byte-identical across --jobs, so CI can cmp two runs.
-int cmd_synth(const CommonFlags& common, u32 cases,
-              const std::string& classes_csv, u32 live) {
+int cmd_synth(const Args& a) {
   cve::CampaignOptions o;
-  o.seed = common.seed;
-  o.cases = cases;
-  o.jobs = common.jobs;
-  if (!classes_csv.empty()) {
+  o.seed = a.num("seed");
+  o.cases = a.count("cases");
+  o.jobs = a.count("jobs");
+  if (!a.str("classes").empty()) {
     o.classes.clear();
-    for (const auto& tag : split_ids(classes_csv)) {
+    for (const auto& tag : split_ids(a.str("classes"))) {
       auto cls = cve::bug_class_from_tag(tag);
-      if (!cls.is_ok()) {
-        std::fprintf(stderr, "synth: %s\n",
-                     cls.status().to_string().c_str());
-        usage();
-        return 2;
-      }
+      if (!cls.is_ok()) return usage_error("synth", cls.status().to_string());
       o.classes.push_back(*cls);
     }
   }
-  if (live > 0) {
-    o.live_cases = live;
-    o.live_probe = [&common](const cve::SynthCase& sc) -> Status {
-      auto tb = testbed::Testbed::boot(sc.cve, {.seed = common.seed});
+  if (a.count("live") > 0) {
+    o.live_cases = a.count("live");
+    o.live_probe = [seed = o.seed](const cve::SynthCase& sc) -> Status {
+      auto tb = testbed::Testbed::boot(sc.cve, {.seed = seed});
       if (!tb.is_ok()) return tb.status();
       testbed::Testbed& t = **tb;
       auto probe = testbed::prober(t);
@@ -852,61 +857,301 @@ int cmd_synth(const CommonFlags& common, u32 cases,
   return rep->ok() ? 0 : 1;
 }
 
+/// `fleet`: a staged rollout over real testbeds, or, at planet scale, the
+/// modeled fleetscale coordinator.
+int cmd_fleet(const Args& a) {
+  const std::string& trace_out = a.str("trace-out");
+  // --synth-seed S targets a synthesized CVE instead of a table one: the
+  // bug class cycles with the seed (S mod 3) and the id round-trips
+  // through cve::resolve_case on every consumer down the line.
+  std::string synth_cve_id;
+  if (a.given("synth-seed")) {
+    u64 s = a.num("synth-seed");
+    synth_cve_id = cve::synth_id(static_cast<cve::BugClass>(s % 3), s);
+    std::fprintf(stderr, "fleet: synthesized target %s\n",
+                 synth_cve_id.c_str());
+  }
+  const std::string& batch_csv = a.str("batch");
+  // Planet-scale path: any sharding/relay/sampling flag — or a population
+  // too large to boot one real testbed per target — routes to the modeled
+  // fleetscale coordinator (real testbeds are still sampled per wave).
+  bool scale = a.given("shards") || a.given("sample") || a.given("relays") ||
+               a.given("relay-fanout") || a.given("fail-permille") ||
+               a.num("targets") > 10'000;
+  if (scale) {
+    if (!batch_csv.empty()) {
+      return usage_error("fleet", "--batch is not supported at planet scale");
+    }
+    fleetscale::FleetScaleOptions so;
+    if (!a.pos.empty()) so.cve_id = a.pos[0];
+    if (!synth_cve_id.empty()) so.cve_id = synth_cve_id;
+    so.targets = a.num("targets");
+    so.shards = a.count("shards");
+    so.sample = a.count("sample");
+    so.relays = a.count("relays");
+    so.relay_fanout = a.count("relay-fanout");
+    so.fail_permille = a.count("fail-permille");
+    so.jobs = a.count("jobs");
+    so.base_seed = a.num("seed");
+    so.cpus = a.count("cpus");
+    so.capture_trace = !trace_out.empty();
+    Status valid = fleetscale::FleetCoordinator::validate(so);
+    if (!valid.is_ok()) return usage_error("fleet", valid.to_string());
+    fleetscale::FleetCoordinator fc(std::move(so));
+    auto rep = fc.run();
+    if (!rep.is_ok()) {
+      std::fprintf(stderr, "fleetscale campaign failed: %s\n",
+                   rep.status().to_string().c_str());
+      return 1;
+    }
+    // stdout carries ONLY the report: CI cmp's it byte-for-byte across
+    // --jobs and --shards, so execution topology goes to stderr.
+    std::fputs(rep->to_string().c_str(), stdout);
+    std::fprintf(stderr,
+                 "fleetscale: ran with shards=%u jobs=%u (execution "
+                 "detail, never part of the report)\n",
+                 a.count("shards"), a.count("jobs"));
+    if (!trace_out.empty()) {
+      if (write_file(trace_out, rep->trace_json) != 0) return 1;
+      std::fprintf(stderr, "trace -> %s\n", trace_out.c_str());
+    }
+    if (a.on("metrics")) {
+      std::fputs(rep->metrics.to_string().c_str(), stdout);
+    }
+    return rep->aborted || rep->applied != rep->targets ? 1 : 0;
+  }
+  fleet::FleetOptions o;
+  if (!batch_csv.empty()) {
+    o.batch_cve_ids = split_ids(batch_csv);
+  } else if (!synth_cve_id.empty()) {
+    o.cve_id = synth_cve_id;
+  } else if (!a.pos.empty()) {
+    o.cve_id = a.pos[0];
+  } else {
+    return usage_error("fleet", "needs a CVE-ID, --batch or --synth-seed");
+  }
+  o.prep_jobs = a.count("prep-jobs");
+  o.base_seed = a.num("seed");
+  o.jobs = a.count("jobs");
+  o.cpus = a.count("cpus");
+  o.targets = static_cast<u32>(a.num("targets"));  // <= 10'000 here
+  o.rollout.canary = a.count("canary");
+  o.rollout.wave = a.count("wave");
+  o.rollout.abort_failure_rate = a.real("abort-rate");
+  if (a.real("drop") > 0 || a.real("corrupt") > 0) {
+    netsim::FaultPlan fp;
+    fp.rates.drop = a.real("drop");
+    fp.rates.corrupt = a.real("corrupt");
+    o.fault_plan = fp;
+  }
+  o.capture_trace = !trace_out.empty();
+  fleet::FleetController fc(o);
+  auto rep = fc.run_campaign();
+  if (!rep.is_ok()) {
+    std::fprintf(stderr, "fleet campaign failed: %s\n",
+                 rep.status().to_string().c_str());
+    return 1;
+  }
+  std::fputs(rep->to_string().c_str(), stdout);
+  std::printf("modeled makespan at --jobs %u: %.1f us (serial %.1f us)\n",
+              o.jobs, fleet::modeled_makespan_us(*rep, o.jobs),
+              fleet::modeled_makespan_us(*rep, 1));
+  if (!trace_out.empty()) {
+    if (write_file(trace_out, rep->trace_json) != 0) return 1;
+    std::printf("trace -> %s\n", trace_out.c_str());
+  }
+  if (a.on("metrics")) {
+    std::fputs(rep->metrics.to_string().c_str(), stdout);
+  }
+  return rep->aborted || rep->applied != rep->targets ? 1 : 0;
+}
+
+// ---- Parsing, usage and the command table ----------------------------------
+
+/// Integers parse exactly (strtoull base 0: decimal, 0x hex, 0 octal) and
+/// doubles must be finite; either way the whole text must be consumed.
+bool parse_value(const Flag& f, const std::string& text, Value& v) {
+  const char* s = text.c_str();
+  char* end = nullptr;
+  errno = 0;
+  switch (f.kind) {
+    case Kind::kBool:
+    case Kind::kString:
+      v.s = text;
+      return true;
+    case Kind::kDouble:
+      v.d = std::strtod(s, &end);
+      return end != s && *end == '\0' && errno == 0 && std::isfinite(v.d);
+    case Kind::kU32:
+    case Kind::kU64:
+      if (!std::isdigit(static_cast<unsigned char>(s[0]))) return false;
+      v.u = std::strtoull(s, &end, 0);
+      return *end == '\0' && errno == 0 &&
+             (f.kind == Kind::kU64 || v.u <= 0xFFFFFFFFull);
+  }
+  return false;
+}
+
+const std::vector<Command>& commands();
+
 void usage() {
-  std::fprintf(
-      stderr,
-      "usage: kshot-sim list\n"
-      "       kshot-sim exploit <CVE-ID>\n"
-      "       kshot-sim patch <CVE-ID> [--rootkit] [--watchdog] [--guard]\n"
-      "                 [--kpatch]\n"
-      "       kshot-sim single [CVE-ID]       patch one target (defaults to\n"
-      "                 CVE-2014-0196); same flags as patch\n"
-      "       kshot-sim single --batch A,B,C  apply several CVEs' packages\n"
-      "                 in ONE batched SMM session on a merged kernel\n"
-      "       kshot-sim fleet <CVE-ID> [--targets N] [--canary K] [--wave W]\n"
-      "                 [--abort-rate R] [--drop R] [--corrupt R]\n"
-      "                 [--batch A,B,C] (batched sessions per target)\n"
-      "                 [--prep-jobs N] (server-side parallel patch prep)\n"
-      "                 [--synth-seed S] (roll out a synthesized CVE;\n"
-      "                 class cycles with S, id = SYNTH-<TAG>-<S>)\n"
-      "       kshot-sim fleet [CVE-ID] --targets 1000000 [--shards R]\n"
-      "                 [--sample K] [--relays M] [--relay-fanout F]\n"
-      "                 [--fail-permille P]   planet-scale modeled rollout:\n"
-      "                 sharded controllers + content-addressed patch relays,\n"
-      "                 K real sampled testbeds per wave as ground truth;\n"
-      "                 report is byte-identical across --jobs and --shards\n"
-      "                 (any scale flag, or --targets > 10000, selects it)\n"
-      "       kshot-sim bench [--quick] [--out-dir DIR] [--gate BASELINE_DIR]\n"
-      "                 [--gate-tol F] [--cost-scale X]   deterministic\n"
-      "                 modeled-cost bench; writes BENCH_table3/4.json (+\n"
-      "                 *_wall.json sidecars); --gate fails on regressions\n"
-      "       kshot-sim lifecycle             scripted patch-stack smoke:\n"
-      "                 apply, depend, supersede, query, out-of-order revert,\n"
-      "                 in-place splice; canonical output (byte-identical\n"
-      "                 across --jobs) for CI cmp\n"
-      "       kshot-sim disasm <CVE-ID> <function>\n"
-      "       kshot-sim package <CVE-ID>\n"
-      "       kshot-sim synth [--cases N] [--classes OOB,CHK,DSP] [--live K]\n"
-      "                 seeded auto-CVE campaign (DESIGN.md §14): every case\n"
-      "                 passes probe-contract + evaluator-vs-machine\n"
-      "                 differential + diff-confinement oracles; --live K\n"
-      "                 also live-patches the first K cases end to end;\n"
-      "                 report is byte-identical across --jobs for CI cmp\n"
-      "       kshot-sim fuzz [--surface package|netsim|kcc|attacker_schedule"
-      "|synth|all]\n"
-      "                 [--iters N] [--time-budget T] [--corpus DIR]\n"
-      "                 [--write-corpus DIR] [--replay FILE] [--selftest]\n"
-      "       kshot-sim attack [--schedule-seed S] [--variants N]\n"
-      "                 seeded async-adversary campaign; nonzero exit on any\n"
-      "                 silent corruption (deterministic across --jobs)\n"
-      "shared flags: --seed S (deterministic seed, default 0x5EED)\n"
-      "              --jobs J (fleet worker pool; workload threads for "
-      "patch)\n"
-      "              --cpus N (simulated CPUs per target, default 1; >1\n"
-      "                 engages the multi-CPU SMI rendezvous cost model;\n"
-      "                 0 is rejected)\n"
-      "              --trace-out FILE (write a Chrome-trace JSON of the run)\n"
-      "              --metrics (dump the metrics snapshot to stdout)\n");
+  std::fprintf(stderr,
+               "usage: kshot-sim <command> [arguments] [--flag [value]]...\n");
+  for (const Command& c : commands()) {
+    std::string head = c.name;
+    for (const char* p : c.positionals) head += std::string(" ") + p;
+    std::fprintf(stderr, "  %-26s %s\n", head.c_str(), c.summary);
+    for (const Flag& f : c.flags) {
+      std::string lhs = std::string("--") + f.name;
+      if (f.metavar) lhs += std::string(" ") + f.metavar;
+      std::string def = f.def ? std::string(" (default ") + f.def + ")" : "";
+      std::fprintf(stderr, "    %-19s %s%s\n", lhs.c_str(), f.help.c_str(),
+                   def.c_str());
+    }
+  }
+}
+
+/// Parses `argv` (everything after the command name) against `c`:
+/// positionals may sit anywhere, value flags take the next argument.
+/// Returns 0, or exit code 2 after printing the reason and the usage for an
+/// undeclared flag, a missing, malformed or too-small value, or a wrong
+/// positional count.
+int parse_args(const Command& c, const std::vector<std::string>& argv,
+               Args& out) {
+  auto fail = [&](const std::string& why) { return usage_error(c.name, why); };
+  for (const Flag& f : c.flags) {
+    Value& v = out.values[f.name];
+    v.flag = &f;
+    KSHOT_CHECK(!f.def || parse_value(f, f.def, v), "malformed flag default");
+  }
+  for (size_t i = 0; i < argv.size(); ++i) {
+    const std::string& arg = argv[i];
+    if (arg.rfind("--", 0) != 0) {
+      out.pos.push_back(arg);
+      continue;
+    }
+    auto it = out.values.find(arg.substr(2));
+    if (it == out.values.end()) return fail("unknown flag " + arg);
+    Value& v = it->second;
+    v.given = true;
+    if (v.flag->kind == Kind::kBool) continue;
+    if (++i == argv.size()) return fail("flag " + arg + " needs a value");
+    if (!parse_value(*v.flag, argv[i], v)) {
+      return fail("invalid " + arg + " value '" + argv[i] + "'");
+    }
+    if (v.u < v.flag->min) {
+      return fail(arg + " must be >= " + std::to_string(v.flag->min));
+    }
+  }
+  size_t required = 0;
+  for (const char* p : c.positionals) required += p[0] == '<';
+  if (out.pos.size() < required) {
+    return fail(std::string("missing ") + c.positionals[out.pos.size()]);
+  }
+  if (out.pos.size() > c.positionals.size()) {
+    return fail("unexpected argument " + out.pos[c.positionals.size()]);
+  }
+  return 0;
+}
+
+const Flag kSeed{"seed", "deterministic seed", Kind::kU64, "S", "0x5EED"};
+const Flag kJobs{"jobs", "parallelism (same output at any level)", Kind::kU32,
+                 "J", "1", 1};
+const Flag kCpus{"cpus", "simulated CPUs per target", Kind::kU32, "N", "1", 1};
+const Flag kTraceOut{"trace-out", "write a Chrome-trace JSON of the spans",
+                     Kind::kString, "FILE"};
+const Flag kMetrics{"metrics", "dump the metrics snapshot to stdout"};
+
+const std::vector<Command>& commands() {
+  static const std::vector<Command> table = [] {
+    const std::vector<Flag> patch = {
+        kSeed, kJobs, kCpus, kTraceOut, kMetrics,
+        {"rootkit", "load the reversion rootkit first"},
+        {"watchdog", "arm the periodic-SMI introspection watchdog"},
+        {"guard", "arm the kernel-text guard"},
+        {"kpatch", "use the kpatch baseline instead of KShot"}};
+    std::vector<Flag> single = patch;
+    single.push_back({"batch", "apply several CVEs in ONE SMM session",
+                      Kind::kString, "A,B,C"});
+    return std::vector<Command>{
+        {"list", {}, "table of all CVE benchmark cases", {}, cmd_list},
+        {"exploit", {"<CVE-ID>"}, "fire the exploit on the unpatched kernel",
+         {kSeed}, cmd_exploit},
+        {"patch", {"<CVE-ID>"}, "live-patch one target, re-run the exploit",
+         patch, cmd_patch},
+        {"single", {"[CVE-ID]"}, "`patch` defaulting to CVE-2014-0196",
+         single, cmd_single},
+        {"fleet", {"[CVE-ID]"}, "staged rollout across N targets",
+         {kSeed, kJobs, kCpus, kTraceOut, kMetrics,
+          {"targets", "fleet size; > 10000 is modeled, like scale:",
+           Kind::kU64, "N", "8", 1},
+          {"canary", "canary wave size", Kind::kU32, "K", "1", 1},
+          {"wave", "size of later waves", Kind::kU32, "W", "4", 1},
+          {"abort-rate", "wave failure fraction that aborts", Kind::kDouble,
+           "R", "0.5"},
+          {"drop", "channel drop rate", Kind::kDouble, "R", "0"},
+          {"corrupt", "channel corruption rate", Kind::kDouble, "R", "0"},
+          {"batch", "batched sessions per target", Kind::kString, "A,B,C"},
+          {"prep-jobs", "server-side parallel patch prep", Kind::kU32, "N",
+           "1", 1},
+          {"synth-seed", "roll out the synthesized CVE SYNTH-<TAG>-<S>",
+           Kind::kU64, "S"},
+          {"shards", "scale: sharded controllers", Kind::kU32, "R", "4"},
+          {"sample", "scale: real testbeds sampled per wave", Kind::kU32,
+           "K", "2"},
+          {"relays", "scale: patch relays", Kind::kU32, "M", "8"},
+          {"relay-fanout", "scale: relay fanout", Kind::kU32, "F", "4"},
+          {"fail-permille", "scale: injected failures per mille",
+           Kind::kU32, "P", "0"}},
+         cmd_fleet},
+        {"bench", {}, "modeled-cost bench; writes BENCH_*.json",
+         {kSeed, kJobs, {"quick", "reduced sweep"},
+          {"out-dir", "output directory", Kind::kString, "DIR", "."},
+          {"gate", "fail on regressions against DIR's goldens", Kind::kString,
+           "DIR"},
+          {"gate-tol", "gate tolerance", Kind::kDouble, "F", "0.02"},
+          {"cost-scale", "scale every modeled cost", Kind::kDouble, "X",
+           "1.0"}},
+         cmd_bench},
+        {"lifecycle", {}, "scripted patch-stack smoke (canonical output)",
+         {kSeed, kJobs, kCpus}, cmd_lifecycle},
+        {"disasm", {"<CVE-ID>", "<function>"}, "disassemble a kernel function",
+         {}, cmd_disasm},
+        {"package", {"<CVE-ID>"}, "show the built patch set and wire package",
+         {}, cmd_package},
+        {"synth", {}, "oracle-checked auto-CVE campaign (DESIGN.md §14)",
+         {kSeed, kJobs,
+          {"cases", "synthesized cases, classes cycled", Kind::kU32, "N",
+           "200", 1},
+          {"classes", "bug classes to cycle (OOB,CHK,DSP; default all)",
+           Kind::kString, "CSV"},
+          {"live", "also live-patch the first K cases", Kind::kU32, "K",
+           "0"}},
+         cmd_synth},
+        {"fuzz", {}, "invariant-oracle fuzzing (DESIGN.md §9)",
+         {kSeed,
+          {"surface", surface_choices() + "|all", Kind::kString, "S",
+           "package"},
+          {"iters", "generated cases per surface", Kind::kU32, "N", "200", 1},
+          {"time-budget", "wall-clock cap in s; 0 = off", Kind::kDouble, "T",
+           "0"},
+          {"corpus", "replay a regression corpus instead of generating",
+           Kind::kString, "DIR"},
+          {"write-corpus", "write the canonical seed corpus and exit",
+           Kind::kString, "DIR"},
+          {"replay", "re-execute one corpus file of --surface",
+           Kind::kString, "FILE"},
+          {"selftest", "prove the oracles catch the three seams"}},
+         cmd_fuzz},
+        {"attack", {}, "seeded async-adversary campaign (DESIGN.md §11)",
+         {kSeed, kJobs, kCpus,
+          {"schedule-seed", "schedule generator seed (default: --seed)",
+           Kind::kU64, "S"},
+          {"variants", "schedule variants", Kind::kU32, "N", "200", 1}},
+         cmd_attack},
+    };
+  }();
+  return table;
 }
 
 }  // namespace
@@ -917,292 +1162,13 @@ int main(int argc, char** argv) {
     usage();
     return 2;
   }
-  const std::string& cmd = args[0];
-
-  // Strict flag validation: every command declares its boolean and
-  // value-taking flags; anything else that starts with "--" is an error
-  // (exit 2), not silently ignored. Value flags consume the next argument.
-  static const std::vector<std::string> kCommonBool = {"--metrics"};
-  static const std::vector<std::string> kCommonValue = {"--seed", "--jobs",
-                                                        "--cpus",
-                                                        "--trace-out"};
-  auto allowed_bool = kCommonBool;
-  auto allowed_value = kCommonValue;
-  if (cmd == "patch" || cmd == "single") {
-    for (const char* f : {"--rootkit", "--watchdog", "--guard", "--kpatch"}) {
-      allowed_bool.push_back(f);
+  for (const Command& c : commands()) {
+    if (args[0] != c.name) continue;
+    Args parsed;
+    if (int rc = parse_args(c, {args.begin() + 1, args.end()}, parsed)) {
+      return rc;
     }
-    if (cmd == "single") allowed_value.push_back("--batch");
-  } else if (cmd == "fleet") {
-    for (const char* f : {"--targets", "--canary", "--wave", "--abort-rate",
-                          "--drop", "--corrupt", "--batch", "--prep-jobs",
-                          "--shards", "--sample", "--relays", "--relay-fanout",
-                          "--fail-permille", "--synth-seed"}) {
-      allowed_value.push_back(f);
-    }
-  } else if (cmd == "synth") {
-    for (const char* f : {"--cases", "--classes", "--live"}) {
-      allowed_value.push_back(f);
-    }
-  } else if (cmd == "bench") {
-    allowed_bool.push_back("--quick");
-    for (const char* f : {"--out-dir", "--gate", "--gate-tol",
-                          "--cost-scale"}) {
-      allowed_value.push_back(f);
-    }
-  } else if (cmd == "fuzz") {
-    allowed_bool.push_back("--selftest");
-    for (const char* f : {"--surface", "--iters", "--time-budget", "--corpus",
-                          "--write-corpus", "--replay"}) {
-      allowed_value.push_back(f);
-    }
-  } else if (cmd == "attack") {
-    for (const char* f : {"--schedule-seed", "--variants"}) {
-      allowed_value.push_back(f);
-    }
+    return c.run(parsed);
   }
-  auto contains = [](const std::vector<std::string>& v, const std::string& s) {
-    for (const auto& e : v) {
-      if (e == s) return true;
-    }
-    return false;
-  };
-  for (size_t i = 1; i < args.size(); ++i) {
-    if (args[i].rfind("--", 0) != 0) continue;  // positional
-    if (contains(allowed_bool, args[i])) continue;
-    if (contains(allowed_value, args[i])) {
-      if (i + 1 >= args.size()) {
-        std::fprintf(stderr, "%s: flag %s needs a value\n", cmd.c_str(),
-                     args[i].c_str());
-        usage();
-        return 2;
-      }
-      ++i;  // skip the consumed value
-      continue;
-    }
-    std::fprintf(stderr, "%s: unknown flag %s\n", cmd.c_str(),
-                 args[i].c_str());
-    usage();
-    return 2;
-  }
-
-  auto has_flag = [&](const char* f) {
-    for (const auto& a : args) {
-      if (a == f) return true;
-    }
-    return false;
-  };
-  // `--name value` flags; returns fallback when absent or malformed.
-  auto value_flag = [&](const char* f, double fallback) {
-    for (size_t i = 1; i + 1 < args.size(); ++i) {
-      if (args[i] == f) return std::strtod(args[i + 1].c_str(), nullptr);
-    }
-    return fallback;
-  };
-  auto string_flag = [&](const char* f, std::string fallback) {
-    for (size_t i = 1; i + 1 < args.size(); ++i) {
-      if (args[i] == f) return args[i + 1];
-    }
-    return fallback;
-  };
-
-  CommonFlags common;
-  common.seed = static_cast<u64>(
-      value_flag("--seed", static_cast<double>(common.seed)));
-  common.jobs = static_cast<u32>(
-      std::max(1.0, value_flag("--jobs", common.jobs)));
-  common.trace_out = string_flag("--trace-out", "");
-  common.metrics = has_flag("--metrics");
-  // --cpus is strict: 0 (or an unparsable value) is a topology that cannot
-  // exist, so it exits 2 like an unknown flag rather than being clamped.
-  double cpus_v = value_flag("--cpus", 1);
-  if (cpus_v < 1) {
-    std::fprintf(stderr, "%s: --cpus must be >= 1\n", cmd.c_str());
-    usage();
-    return 2;
-  }
-  common.cpus = static_cast<u32>(cpus_v);
-
-  if (cmd == "list") return cmd_list();
-  if (cmd == "exploit" && args.size() >= 2) {
-    return cmd_exploit(args[1], common);
-  }
-  if (cmd == "patch" && args.size() >= 2) {
-    return cmd_patch(args[1], common, has_flag("--rootkit"),
-                     has_flag("--watchdog"), has_flag("--guard"),
-                     has_flag("--kpatch"));
-  }
-  if (cmd == "single") {
-    std::string batch_csv = string_flag("--batch", "");
-    if (!batch_csv.empty()) return cmd_single_batch(batch_csv, common);
-    // `single` is `patch` with a default case: one target, end to end.
-    std::string id = args.size() >= 2 && args[1].rfind("--", 0) != 0
-                         ? args[1]
-                         : "CVE-2014-0196";
-    return cmd_patch(id, common, has_flag("--rootkit"), has_flag("--watchdog"),
-                     has_flag("--guard"), has_flag("--kpatch"));
-  }
-  if (cmd == "bench") {
-    return cmd_bench(common, has_flag("--quick"), string_flag("--out-dir", ""),
-                     string_flag("--gate", ""), value_flag("--gate-tol", 0.02),
-                     value_flag("--cost-scale", 1.0));
-  }
-  if (cmd == "fleet" &&
-      (args.size() >= 2 || !string_flag("--batch", "").empty())) {
-    auto flag_present = [&](const char* f) {
-      for (size_t i = 1; i < args.size(); ++i) {
-        if (args[i] == f) return true;
-      }
-      return false;
-    };
-    // --synth-seed S targets a synthesized CVE instead of a table one: the
-    // bug class cycles with the seed (S mod 3) and the id round-trips
-    // through cve::resolve_case on every consumer down the line.
-    std::string synth_cve_id;
-    if (flag_present("--synth-seed")) {
-      u64 s = static_cast<u64>(value_flag("--synth-seed", 0));
-      synth_cve_id = cve::synth_id(static_cast<cve::BugClass>(s % 3), s);
-      std::fprintf(stderr, "fleet: synthesized target %s\n",
-                   synth_cve_id.c_str());
-    }
-    double targets_v = value_flag("--targets", 8);
-    // Planet-scale path: any sharding/relay/sampling flag — or a population
-    // too large to boot one real testbed per target — routes to the modeled
-    // fleetscale coordinator (real testbeds are still sampled per wave).
-    bool scale = flag_present("--shards") || flag_present("--sample") ||
-                 flag_present("--relays") || flag_present("--relay-fanout") ||
-                 flag_present("--fail-permille") || targets_v > 10'000;
-    if (scale) {
-      if (!string_flag("--batch", "").empty()) {
-        std::fprintf(stderr,
-                     "fleet: --batch is not supported at planet scale\n");
-        usage();
-        return 2;
-      }
-      fleetscale::FleetScaleOptions so;
-      if (args.size() >= 2 && args[1].rfind("--", 0) != 0) so.cve_id = args[1];
-      if (!synth_cve_id.empty()) so.cve_id = synth_cve_id;
-      so.targets = static_cast<u64>(std::max(0.0, targets_v));
-      so.shards = static_cast<u32>(std::max(0.0, value_flag("--shards", 4)));
-      so.sample = static_cast<u32>(std::max(0.0, value_flag("--sample", 2)));
-      so.relays = static_cast<u32>(std::max(0.0, value_flag("--relays", 8)));
-      so.relay_fanout =
-          static_cast<u32>(std::max(0.0, value_flag("--relay-fanout", 4)));
-      so.fail_permille =
-          static_cast<u32>(std::max(0.0, value_flag("--fail-permille", 0)));
-      so.jobs = common.jobs;
-      so.base_seed = common.seed;
-      so.cpus = common.cpus;
-      so.capture_trace = !common.trace_out.empty();
-      Status valid = fleetscale::FleetCoordinator::validate(so);
-      if (!valid.is_ok()) {
-        std::fprintf(stderr, "fleet: %s\n", valid.to_string().c_str());
-        usage();
-        return 2;
-      }
-      fleetscale::FleetCoordinator fc(std::move(so));
-      auto rep = fc.run();
-      if (!rep.is_ok()) {
-        std::fprintf(stderr, "fleetscale campaign failed: %s\n",
-                     rep.status().to_string().c_str());
-        return 1;
-      }
-      // stdout carries ONLY the report: CI cmp's it byte-for-byte across
-      // --jobs and --shards, so execution topology goes to stderr.
-      std::fputs(rep->to_string().c_str(), stdout);
-      std::fprintf(stderr,
-                   "fleetscale: ran with shards=%u jobs=%u (execution "
-                   "detail, never part of the report)\n",
-                   static_cast<u32>(std::max(0.0, value_flag("--shards", 4))),
-                   common.jobs);
-      if (!common.trace_out.empty()) {
-        if (write_file(common.trace_out, rep->trace_json) != 0) return 1;
-        std::fprintf(stderr, "trace -> %s\n", common.trace_out.c_str());
-      }
-      if (common.metrics) {
-        std::fputs(rep->metrics.to_string().c_str(), stdout);
-      }
-      return rep->aborted || rep->applied != rep->targets ? 1 : 0;
-    }
-    fleet::FleetOptions o;
-    std::string batch_csv = string_flag("--batch", "");
-    if (!batch_csv.empty()) {
-      o.batch_cve_ids = split_ids(batch_csv);
-    } else if (!synth_cve_id.empty()) {
-      o.cve_id = synth_cve_id;
-    } else if (args[1].rfind("--", 0) != 0) {
-      o.cve_id = args[1];
-    } else {
-      usage();
-      return 2;
-    }
-    o.prep_jobs =
-        static_cast<u32>(std::max(1.0, value_flag("--prep-jobs", 1)));
-    o.base_seed = common.seed;
-    o.jobs = common.jobs;
-    o.cpus = common.cpus;
-    o.targets = static_cast<u32>(std::max(1.0, value_flag("--targets", 8)));
-    o.rollout.canary =
-        static_cast<u32>(std::max(1.0, value_flag("--canary", 1)));
-    o.rollout.wave = static_cast<u32>(std::max(1.0, value_flag("--wave", 4)));
-    o.rollout.abort_failure_rate = value_flag("--abort-rate", 0.5);
-    double drop = value_flag("--drop", 0);
-    double corrupt = value_flag("--corrupt", 0);
-    if (drop > 0 || corrupt > 0) {
-      netsim::FaultPlan fp;
-      fp.rates.drop = drop;
-      fp.rates.corrupt = corrupt;
-      o.fault_plan = fp;
-    }
-    o.capture_trace = !common.trace_out.empty();
-    fleet::FleetController fc(o);
-    auto rep = fc.run_campaign();
-    if (!rep.is_ok()) {
-      std::fprintf(stderr, "fleet campaign failed: %s\n",
-                   rep.status().to_string().c_str());
-      return 1;
-    }
-    std::fputs(rep->to_string().c_str(), stdout);
-    std::printf("modeled makespan at --jobs %u: %.1f us (serial %.1f us)\n",
-                o.jobs, fleet::modeled_makespan_us(*rep, o.jobs),
-                fleet::modeled_makespan_us(*rep, 1));
-    if (!common.trace_out.empty()) {
-      if (write_file(common.trace_out, rep->trace_json) != 0) return 1;
-      std::printf("trace -> %s\n", common.trace_out.c_str());
-    }
-    if (common.metrics) {
-      std::fputs(rep->metrics.to_string().c_str(), stdout);
-    }
-    return rep->aborted || rep->applied != rep->targets ? 1 : 0;
-  }
-  if (cmd == "lifecycle") return cmd_lifecycle(common);
-  if (cmd == "disasm" && args.size() >= 3) return cmd_disasm(args[1], args[2]);
-  if (cmd == "package" && args.size() >= 2) return cmd_package(args[1]);
-  if (cmd == "fuzz") {
-    FuzzCliOptions o;
-    o.surface = string_flag("--surface", o.surface);
-    o.fuzz.seed = common.seed;
-    o.fuzz.iters = static_cast<u32>(
-        std::max(1.0, value_flag("--iters", o.fuzz.iters)));
-    o.fuzz.time_budget_s = value_flag("--time-budget", 0);
-    o.corpus_dir = string_flag("--corpus", "");
-    o.write_corpus_dir = string_flag("--write-corpus", "");
-    o.replay_file = string_flag("--replay", "");
-    o.selftest = has_flag("--selftest");
-    return cmd_fuzz(o);
-  }
-  if (cmd == "attack") {
-    u64 schedule_seed = static_cast<u64>(
-        value_flag("--schedule-seed", static_cast<double>(common.seed)));
-    u32 variants =
-        static_cast<u32>(std::max(1.0, value_flag("--variants", 200)));
-    return cmd_attack(schedule_seed, variants, common.jobs, common.cpus);
-  }
-  if (cmd == "synth") {
-    u32 cases = static_cast<u32>(std::max(1.0, value_flag("--cases", 200)));
-    u32 live = static_cast<u32>(std::max(0.0, value_flag("--live", 0)));
-    return cmd_synth(common, cases, string_flag("--classes", ""), live);
-  }
-  usage();
-  return 2;
+  return usage_error("kshot-sim", "unknown command " + args[0]);
 }
