@@ -339,11 +339,8 @@ Status Kshot::apply_with_retry(
 }
 
 Status Kshot::apply_and_notify(
-    const std::function<Result<SmmStatus>()>& attempt_once,
+    Mailbox& mbox, const std::function<Result<SmmStatus>()>& attempt_once,
     PatchReport& report, const std::function<bool()>& applied_probe) {
-  auto& m = kernel_.machine();
-  Mailbox mbox(m.mem(), kernel_.layout().mem_rw_base(),
-               machine::AccessMode::normal());
   for (u32 round = 1;; ++round) {
     if (Status st = apply_with_retry(attempt_once, report, applied_probe);
         !st.is_ok()) {
@@ -372,77 +369,167 @@ Status Kshot::apply_and_notify(
   }
 }
 
-Result<PatchReport> Kshot::live_patch(const std::string& patch_id) {
-  return live_patch(patch_id, LifecycleOptions{});
-}
-
 Result<PatchReport> Kshot::live_patch(const std::string& patch_id,
                                       const LifecycleOptions& opts) {
+  return staged_apply({patch_id}, opts, SmmCommand::kApplyPatch);
+}
+
+Result<PatchReport> Kshot::live_patch_batch(
+    const std::vector<std::string>& patch_ids) {
+  return staged_apply(patch_ids, {}, SmmCommand::kApplyBatch);
+}
+
+Result<PatchReport> Kshot::live_patch_chunked(const std::string& patch_id,
+                                              u32 chunk_bytes) {
+  return staged_apply({patch_id}, {}, SmmCommand::kStageChunk, chunk_bytes);
+}
+
+Status Kshot::write_staged(Mailbox& mbox, ByteSpan bytes,
+                           const crypto::X25519Key* pub, const char* what) {
+  auto& m = kernel_.machine();
+  const auto& lay = kernel_.layout();
+  if (bytes.size() > lay.mem_w_size) {
+    return Status{Errc::kResourceExhausted,
+                  std::string(what) + " exceeds mem_W"};
+  }
+  ++staging_attempts_;
+  KSHOT_RETURN_IF_ERROR(
+      m.mem().write(lay.mem_w_base(), bytes, machine::AccessMode::normal()));
+  if (pub) KSHOT_RETURN_IF_ERROR(mbox.write_enclave_pub(*pub));
+  KSHOT_RETURN_IF_ERROR(mbox.write_staged_size(bytes.size()));
+  staged_size_ = bytes.size();
+  return Status::ok();
+}
+
+Result<SmmStatus> Kshot::stage_chunks(Mailbox& mbox,
+                                      const crypto::X25519Key& smm_pub,
+                                      u32 chunk_bytes, PatchReport& report) {
+  auto t1 = Clock::now();
+  auto setup = enclave_->begin_seal_chunked(smm_pub, chunk_bytes);
+  if (!setup) return setup.status();
+  if (setup->size() != 36) {
+    return Status{Errc::kInternal, "malformed chunk setup"};
+  }
+  crypto::X25519Key enclave_pub;
+  std::memcpy(enclave_pub.data(), setup->data(), 32);
+  u32 chunks = load_u32(setup->data() + 32);
+  report.sgx.preprocess_us += us_since(t1);
+  KSHOT_RETURN_IF_ERROR(mbox.write_enclave_pub(enclave_pub));
+
+  // Stream the chunks, one SMI each.
+  for (u32 i = 0; i < chunks; ++i) {
+    t1 = Clock::now();
+    auto chunk = enclave_->get_chunk(i);
+    if (!chunk) return chunk.status();
+    Bytes blob = std::move(*chunk);
+    if (stage_tamperer_) stage_tamperer_(blob);
+    KSHOT_RETURN_IF_ERROR(write_staged(mbox, blob, nullptr, "chunk"));
+    report.sgx.passing_us += us_since(t1);
+
+    bool last = i + 1 == chunks;
+    if (last) notify_phase(PatchPhase::kStaged);  // whole train is in
+    auto status = trigger_and_status(SmmCommand::kStageChunk);
+    if (!status) return status.status();
+    if (last) return *status;  // kOk applies; anything else is the failure
+    if (*status != SmmStatus::kChunkAccepted) return *status;
+  }
+  return Status{Errc::kInternal, "package sealed to zero chunks"};
+}
+
+Status Kshot::fetch_and_preprocess(const std::vector<std::string>& ids,
+                                   const LifecycleOptions& opts, bool batch,
+                                   PatchReport& report) {
+  // Each fetch attempt is a whole fresh round trip: requests carry a fresh
+  // nonce, so a retried fetch can never be satisfied by a replayed response.
+  // fetch_with_retry writes per-call fetch_us; sum them across the ids.
+  double fetch_us = 0;
+  for (const std::string& id : ids) {
+    KSHOT_RETURN_IF_ERROR(fetch_with_retry(id, report));
+    fetch_us += report.sgx.fetch_us;
+    // Lifecycle directives go to the enclave first (single-shot; the next
+    // preprocess consumes them). Splice eligibility needs the old
+    // footprints, which only the helper side has — the kernel symbol table.
+    if (!opts.empty()) {
+      std::vector<KshotEnclave::OldSizeEntry> old_sizes;
+      if (opts.allow_splice) {
+        old_sizes.reserve(kernel_.image().symbols.size());
+        for (const auto& sym : kernel_.image().symbols) {
+          old_sizes.push_back({crypto::sdbm(to_bytes(sym.name)), sym.size});
+        }
+      }
+      KSHOT_RETURN_IF_ERROR(enclave_->set_lifecycle(
+          opts.depends, opts.supersedes, opts.allow_splice, old_sizes));
+    }
+    // Preprocess once: deterministic, and it consumes mem_X budget.
+    auto t0 = Clock::now();
+    auto prep_stats = enclave_->preprocess();
+    if (!prep_stats) return prep_stats.status();
+    report.sgx.preprocess_us += us_since(t0);
+    report.stats.functions += prep_stats->functions;
+    report.stats.code_bytes += prep_stats->code_bytes;
+    report.stats.package_bytes += prep_stats->package_bytes;
+    if (batch) KSHOT_RETURN_IF_ERROR(enclave_->batch_add());
+  }
+  report.sgx.fetch_us = fetch_us;
+  return Status::ok();
+}
+
+Result<PatchReport> Kshot::staged_apply(const std::vector<std::string>& ids,
+                                        const LifecycleOptions& opts,
+                                        SmmCommand apply_cmd,
+                                        u32 chunk_bytes) {
   if (!installed_) {
     return Status{Errc::kFailedPrecondition, "install() first"};
   }
   auto& m = kernel_.machine();
   const auto& lay = kernel_.layout();
+  const bool batch = apply_cmd == SmmCommand::kApplyBatch;
+  const bool chunked = apply_cmd == SmmCommand::kStageChunk;
+  if (ids.empty()) return Status{Errc::kInvalidArgument, "empty batch"};
+  // In u64: `chunk_bytes + 64` wraps in u32 for sizes near UINT32_MAX.
+  if (chunked &&
+      (chunk_bytes < 512 || u64{chunk_bytes} + 64 > lay.mem_w_size)) {
+    return Status{Errc::kInvalidArgument, "bad chunk size"};
+  }
   Mailbox mbox(m.mem(), lay.mem_rw_base(), machine::AccessMode::normal());
 
   PatchReport report;
-  report.id = patch_id;
+  report.id = batch ? "BATCH(" : "";
+  for (size_t i = 0; i < ids.size(); ++i) {
+    report.id += (i != 0 ? "," : "") + ids[i];
+  }
+  if (batch) report.id += ")";
   const DowntimeMark dt0 = mark_downtime(m);
   u64 run_c0 = m.cycles();
   auto run_t0 = Clock::now();
   metrics().counter("kshot.live_patches").inc();
+  if (batch) KSHOT_RETURN_IF_ERROR(enclave_->batch_reset());
 
-  // ---- Fetch (SGX <-> remote server over the untrusted channel) ----------
-  // Each attempt is a whole fresh round trip: requests carry a fresh nonce,
-  // so a retried fetch can never be satisfied by a replayed response.
   notify_phase(PatchPhase::kFetching);
-  if (Status st = fetch_with_retry(patch_id, report); !st.is_ok()) {
+  if (Status st = fetch_and_preprocess(ids, opts, batch, report);
+      !st.is_ok()) {
     notify_phase(PatchPhase::kFailed);
     return st;
   }
 
-  // ---- Preprocess once: deterministic, and it consumes mem_X budget ------
-  // Lifecycle directives go to the enclave first (single-shot; the next
-  // preprocess consumes them). Splice eligibility needs the old footprints,
-  // which only the helper side has — the kernel symbol table.
-  if (!opts.empty()) {
-    std::vector<KshotEnclave::OldSizeEntry> old_sizes;
-    if (opts.allow_splice) {
-      old_sizes.reserve(kernel_.image().symbols.size());
-      for (const auto& sym : kernel_.image().symbols) {
-        old_sizes.push_back(
-            {crypto::sdbm(to_bytes(sym.name)), sym.size});
-      }
-    }
-    if (Status st = enclave_->set_lifecycle(opts.depends, opts.supersedes,
-                                            opts.allow_splice, old_sizes);
-        !st.is_ok()) {
-      notify_phase(PatchPhase::kFailed);
-      return st;
-    }
-  }
-  auto t0 = Clock::now();
-  auto prep_stats = enclave_->preprocess();
-  if (!prep_stats) {
-    notify_phase(PatchPhase::kFailed);
-    return prep_stats.status();
-  }
-  report.sgx.preprocess_us = us_since(t0);
-  report.stats = *prep_stats;
-
   // ---- Seal + stage + apply: one transaction per attempt ------------------
   // Session keys are single-use, so every attempt begins a fresh session
   // and re-seals against the fresh SMM public key; a failed attempt is
-  // aborted (epoch bump) before the next one stages.
+  // aborted (epoch bump) before the next one stages. A batch still takes
+  // exactly two SMIs per attempt however many packages ride along; a chunk
+  // train takes one more per chunk, and any mid-stream failure voids the
+  // partial SMRAM accumulation via kAbortSession.
   auto attempt_once = [&]() -> Result<SmmStatus> {
     // SMI #1: fresh SMM session key.
     auto begin = trigger_and_status(SmmCommand::kBeginSession);
     if (!begin) return begin.status();
     auto smm_pub = mbox.read_smm_pub();
     if (!smm_pub) return smm_pub.status();
+    if (chunked) return stage_chunks(mbox, *smm_pub, chunk_bytes, report);
 
     auto t1 = Clock::now();
-    auto sealed = enclave_->seal_for_smm(*smm_pub);
+    auto sealed = batch ? enclave_->seal_batch_for_smm(*smm_pub)
+                        : enclave_->seal_for_smm(*smm_pub);
     if (!sealed) return sealed.status();
     if (sealed->size() < 32) {
       return Status{Errc::kInternal, "malformed seal output"};
@@ -461,26 +548,21 @@ Result<PatchReport> Kshot::live_patch(const std::string& patch_id,
     crypto::X25519Key enclave_pub;
     std::memcpy(enclave_pub.data(), blob.data(), 32);
     ByteSpan package(blob.data() + 32, blob.size() - 32);
-    if (package.size() > lay.mem_w_size) {
-      return Status{Errc::kResourceExhausted, "package exceeds mem_W"};
-    }
-    ++staging_attempts_;
-    KSHOT_RETURN_IF_ERROR(m.mem().write(lay.mem_w_base(), package,
-                                        machine::AccessMode::normal()));
-    KSHOT_RETURN_IF_ERROR(mbox.write_enclave_pub(enclave_pub));
-    KSHOT_RETURN_IF_ERROR(mbox.write_staged_size(package.size()));
-    staged_size_ = package.size();
+    KSHOT_RETURN_IF_ERROR(
+        write_staged(mbox, package, &enclave_pub, "package"));
     report.sgx.passing_us += us_since(t1);
-    emit_span("stage", stage_c0, us_since(t1),
-              {{"bytes", std::to_string(package.size())}});
+    std::vector<obs::TraceArg> args = {
+        {"bytes", std::to_string(package.size())}};
+    if (batch) args.push_back({"batch", std::to_string(ids.size())});
+    emit_span("stage", stage_c0, us_since(t1), std::move(args));
     notify_phase(PatchPhase::kStaged);
 
     // SMI #2: decrypt, verify, apply.
-    return trigger_and_status(SmmCommand::kApplyPatch);
+    return trigger_and_status(apply_cmd);
   };
-  auto applied_probe = [&] { return ids_applied({patch_id}); };
+  auto applied_probe = [&] { return ids_applied(ids); };
   KSHOT_RETURN_IF_ERROR(
-      apply_and_notify(attempt_once, report, applied_probe));
+      apply_and_notify(mbox, attempt_once, report, applied_probe));
 
   const SmmPatchTimings& t = handler_->last_timings();
   const auto& cost = m.cost_model();
@@ -490,7 +572,7 @@ Result<PatchReport> Kshot::live_patch(const std::string& patch_id,
   report.smm.apply_us = t.apply_ns / 1000.0;
   fill_downtime(m, dt0, report);
   // World-switch time straight from the decomposition: rendezvous + resume
-  // across both SMIs (at one CPU, exactly SMI-count * (smi_entry + rsm)).
+  // across every SMI (at one CPU, exactly SMI-count * (smi_entry + rsm)).
   report.smm.switch_us =
       cost.to_us(report.rendezvous_cycles + report.resume_cycles);
   report.smm.total_us = report.smm.keygen_us + report.smm.decrypt_us +
@@ -498,238 +580,11 @@ Result<PatchReport> Kshot::live_patch(const std::string& patch_id,
                         report.smm.switch_us;
   report.smm.modeled_total_us = cost.to_us(report.downtime_cycles);
   report.detections = take_detections();
-  emit_span("live_patch", run_c0, us_since(run_t0),
-            {{"id", patch_id}, {"success", report.success ? "1" : "0"}});
-  metrics().counter(report.success ? "kshot.patch_success"
-                                   : "kshot.patch_failure").inc();
-  metrics().histogram("kshot.downtime_us").observe(
-      report.smm.modeled_total_us);
-  return report;
-}
-
-Result<PatchReport> Kshot::live_patch_batch(
-    const std::vector<std::string>& patch_ids) {
-  if (!installed_) {
-    return Status{Errc::kFailedPrecondition, "install() first"};
-  }
-  if (patch_ids.empty()) {
-    return Status{Errc::kInvalidArgument, "empty batch"};
-  }
-  auto& m = kernel_.machine();
-  const auto& lay = kernel_.layout();
-  Mailbox mbox(m.mem(), lay.mem_rw_base(), machine::AccessMode::normal());
-
-  PatchReport report;
-  report.id = "BATCH(";
-  for (size_t i = 0; i < patch_ids.size(); ++i) {
-    if (i != 0) report.id += ",";
-    report.id += patch_ids[i];
-  }
-  report.id += ")";
-  const DowntimeMark dt0 = mark_downtime(m);
-  u64 run_c0 = m.cycles();
-  auto run_t0 = Clock::now();
-  metrics().counter("kshot.live_patches").inc();
-
-  // ---- Fetch + preprocess each package, accumulating in the enclave ------
-  // fetch_with_retry writes per-call fetch_us; sum them across the batch.
-  KSHOT_RETURN_IF_ERROR(enclave_->batch_reset());
-  notify_phase(PatchPhase::kFetching);
-  double fetch_us_total = 0;
-  for (const std::string& id : patch_ids) {
-    if (Status st = fetch_with_retry(id, report); !st.is_ok()) {
-      notify_phase(PatchPhase::kFailed);
-      return st;
-    }
-    fetch_us_total += report.sgx.fetch_us;
-    auto t0 = Clock::now();
-    auto prep_stats = enclave_->preprocess();
-    if (!prep_stats) {
-      notify_phase(PatchPhase::kFailed);
-      return prep_stats.status();
-    }
-    report.sgx.preprocess_us += us_since(t0);
-    report.stats.functions += prep_stats->functions;
-    report.stats.code_bytes += prep_stats->code_bytes;
-    report.stats.package_bytes += prep_stats->package_bytes;
-    if (Status st = enclave_->batch_add(); !st.is_ok()) {
-      notify_phase(PatchPhase::kFailed);
-      return st;
-    }
-  }
-  report.sgx.fetch_us = fetch_us_total;
-
-  // ---- One seal + stage + apply transaction for the whole batch ----------
-  // Exactly two SMIs per attempt (begin_session + apply_batch) no matter
-  // how many packages ride along; the enclave re-seals the accumulated
-  // envelope against each attempt's fresh SMM session key.
-  auto attempt_once = [&]() -> Result<SmmStatus> {
-    auto begin = trigger_and_status(SmmCommand::kBeginSession);
-    if (!begin) return begin.status();
-    auto smm_pub = mbox.read_smm_pub();
-    if (!smm_pub) return smm_pub.status();
-
-    auto t1 = Clock::now();
-    auto sealed = enclave_->seal_batch_for_smm(*smm_pub);
-    if (!sealed) return sealed.status();
-    if (sealed->size() < 32) {
-      return Status{Errc::kInternal, "malformed seal output"};
-    }
-    report.sgx.preprocess_us += us_since(t1);
-
-    t1 = Clock::now();
-    u64 stage_c0 = m.cycles();
-    Bytes blob = std::move(*sealed);
-    if (stage_tamperer_) stage_tamperer_(blob);
-    if (blob.size() < 32) {
-      return Status{Errc::kIntegrityFailure, "staged blob mangled"};
-    }
-    crypto::X25519Key enclave_pub;
-    std::memcpy(enclave_pub.data(), blob.data(), 32);
-    ByteSpan package(blob.data() + 32, blob.size() - 32);
-    if (package.size() > lay.mem_w_size) {
-      return Status{Errc::kResourceExhausted, "package exceeds mem_W"};
-    }
-    ++staging_attempts_;
-    KSHOT_RETURN_IF_ERROR(m.mem().write(lay.mem_w_base(), package,
-                                        machine::AccessMode::normal()));
-    KSHOT_RETURN_IF_ERROR(mbox.write_enclave_pub(enclave_pub));
-    KSHOT_RETURN_IF_ERROR(mbox.write_staged_size(package.size()));
-    staged_size_ = package.size();
-    report.sgx.passing_us += us_since(t1);
-    emit_span("stage", stage_c0, us_since(t1),
-              {{"bytes", std::to_string(package.size())},
-               {"batch", std::to_string(patch_ids.size())}});
-    notify_phase(PatchPhase::kStaged);
-
-    return trigger_and_status(SmmCommand::kApplyBatch);
-  };
-  auto applied_probe = [&] { return ids_applied(patch_ids); };
-  KSHOT_RETURN_IF_ERROR(
-      apply_and_notify(attempt_once, report, applied_probe));
-
-  const SmmPatchTimings& t = handler_->last_timings();
-  const auto& cost = m.cost_model();
-  report.smm.keygen_us = t.keygen_ns / 1000.0;
-  report.smm.decrypt_us = t.decrypt_ns / 1000.0;
-  report.smm.verify_us = t.verify_ns / 1000.0;
-  report.smm.apply_us = t.apply_ns / 1000.0;
-  fill_downtime(m, dt0, report);
-  report.smm.switch_us =
-      cost.to_us(report.rendezvous_cycles + report.resume_cycles);
-  report.smm.total_us = report.smm.keygen_us + report.smm.decrypt_us +
-                        report.smm.verify_us + report.smm.apply_us +
-                        report.smm.switch_us;
-  report.smm.modeled_total_us = cost.to_us(report.downtime_cycles);
-  report.detections = take_detections();
-  emit_span("live_patch_batch", run_c0, us_since(run_t0),
+  emit_span(batch     ? "live_patch_batch"
+            : chunked ? "live_patch_chunked"
+                      : "live_patch",
+            run_c0, us_since(run_t0),
             {{"id", report.id}, {"success", report.success ? "1" : "0"}});
-  metrics().counter(report.success ? "kshot.patch_success"
-                                   : "kshot.patch_failure").inc();
-  metrics().histogram("kshot.downtime_us").observe(
-      report.smm.modeled_total_us);
-  return report;
-}
-
-Result<PatchReport> Kshot::live_patch_chunked(const std::string& patch_id,
-                                              u32 chunk_bytes) {
-  if (!installed_) {
-    return Status{Errc::kFailedPrecondition, "install() first"};
-  }
-  auto& m = kernel_.machine();
-  const auto& lay = kernel_.layout();
-  if (chunk_bytes < 512 || chunk_bytes + 64 > lay.mem_w_size) {
-    return Status{Errc::kInvalidArgument, "bad chunk size"};
-  }
-  Mailbox mbox(m.mem(), lay.mem_rw_base(), machine::AccessMode::normal());
-
-  PatchReport report;
-  report.id = patch_id;
-  const DowntimeMark dt0 = mark_downtime(m);
-  u64 run_c0 = m.cycles();
-  auto run_t0 = Clock::now();
-  metrics().counter("kshot.live_patches").inc();
-
-  // Fetch + preprocess exactly as in the single-shot path.
-  notify_phase(PatchPhase::kFetching);
-  if (Status st = fetch_with_retry(patch_id, report); !st.is_ok()) {
-    notify_phase(PatchPhase::kFailed);
-    return st;
-  }
-
-  auto t0 = Clock::now();
-  auto prep_stats = enclave_->preprocess();
-  if (!prep_stats) {
-    notify_phase(PatchPhase::kFailed);
-    return prep_stats.status();
-  }
-  report.sgx.preprocess_us = us_since(t0);
-  report.stats = *prep_stats;
-
-  // One attempt = fresh session, fresh chunked sealing (new stream key,
-  // per-chunk nonces), the whole chunk train. Any mid-stream failure voids
-  // the partial SMRAM accumulation via kAbortSession; nothing of a failed
-  // stream can leak into a later one.
-  auto attempt_once = [&]() -> Result<SmmStatus> {
-    auto begin = trigger_and_status(SmmCommand::kBeginSession);
-    if (!begin) return begin.status();
-    auto smm_pub = mbox.read_smm_pub();
-    if (!smm_pub) return smm_pub.status();
-
-    auto t1 = Clock::now();
-    auto setup = enclave_->begin_seal_chunked(*smm_pub, chunk_bytes);
-    if (!setup) return setup.status();
-    if (setup->size() != 36) {
-      return Status{Errc::kInternal, "malformed chunk setup"};
-    }
-    crypto::X25519Key enclave_pub;
-    std::memcpy(enclave_pub.data(), setup->data(), 32);
-    u32 chunks = load_u32(setup->data() + 32);
-    report.sgx.preprocess_us += us_since(t1);
-    KSHOT_RETURN_IF_ERROR(mbox.write_enclave_pub(enclave_pub));
-
-    // Stream the chunks, one SMI each.
-    for (u32 i = 0; i < chunks; ++i) {
-      t1 = Clock::now();
-      auto chunk = enclave_->get_chunk(i);
-      if (!chunk) return chunk.status();
-      Bytes blob = std::move(*chunk);
-      if (stage_tamperer_) stage_tamperer_(blob);
-      if (blob.size() > lay.mem_w_size) {
-        return Status{Errc::kResourceExhausted, "chunk exceeds mem_W"};
-      }
-      ++staging_attempts_;
-      KSHOT_RETURN_IF_ERROR(m.mem().write(lay.mem_w_base(), blob,
-                                          machine::AccessMode::normal()));
-      KSHOT_RETURN_IF_ERROR(mbox.write_staged_size(blob.size()));
-      staged_size_ = blob.size();
-      report.sgx.passing_us += us_since(t1);
-
-      bool last = i + 1 == chunks;
-      if (last) notify_phase(PatchPhase::kStaged);  // whole train is in
-      auto status = trigger_and_status(SmmCommand::kStageChunk);
-      if (!status) return status.status();
-      if (last) return *status;  // kOk applies; anything else is the failure
-      if (*status != SmmStatus::kChunkAccepted) return *status;
-    }
-    return Status{Errc::kInternal, "package sealed to zero chunks"};
-  };
-  auto applied_probe = [&] { return ids_applied({patch_id}); };
-  KSHOT_RETURN_IF_ERROR(
-      apply_and_notify(attempt_once, report, applied_probe));
-
-  const SmmPatchTimings& t = handler_->last_timings();
-  const auto& cost = m.cost_model();
-  report.smm.keygen_us = t.keygen_ns / 1000.0;
-  report.smm.verify_us = t.verify_ns / 1000.0;
-  report.smm.apply_us = t.apply_ns / 1000.0;
-  fill_downtime(m, dt0, report);
-  report.smm.switch_us =
-      cost.to_us(report.rendezvous_cycles + report.resume_cycles);
-  report.smm.modeled_total_us = cost.to_us(report.downtime_cycles);
-  report.detections = take_detections();
-  emit_span("live_patch_chunked", run_c0, us_since(run_t0),
-            {{"id", patch_id}, {"success", report.success ? "1" : "0"}});
   metrics().counter(report.success ? "kshot.patch_success"
                                    : "kshot.patch_failure").inc();
   metrics().histogram("kshot.downtime_us").observe(

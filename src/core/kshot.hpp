@@ -152,15 +152,12 @@ class Kshot {
   Status install(u64 watchdog_interval_cycles = 0);
 
   /// Fetches, preprocesses, and applies `patch_id` end to end. The target
-  /// OS keeps running except during the two SMIs.
-  Result<PatchReport> live_patch(const std::string& patch_id);
-
-  /// live_patch with lifecycle directives: dependency declarations,
-  /// supersede lists, and splice eligibility ride to the enclave (stamped
-  /// into the wire-v2 package) and are enforced in SMM. With empty options
-  /// this is byte-for-byte the plain live_patch path.
+  /// OS keeps running except during the two SMIs. Lifecycle directives in
+  /// `opts` (dependency declarations, supersede lists, splice eligibility)
+  /// ride to the enclave (stamped into the wire-v2 package) and are
+  /// enforced in SMM.
   Result<PatchReport> live_patch(const std::string& patch_id,
-                                 const LifecycleOptions& opts);
+                                 const LifecycleOptions& opts = {});
 
   /// Batched end-to-end patching: fetches and preprocesses each id in
   /// order, accumulates the processed packages in the enclave, then runs
@@ -311,8 +308,34 @@ class Kshot {
   /// set is gone, records a kMailboxFlip detection and applies again, up
   /// to the retry policy's attempt count.
   Status apply_and_notify(
-      const std::function<Result<SmmStatus>()>& attempt_once,
+      Mailbox& mbox, const std::function<Result<SmmStatus>()>& attempt_once,
       PatchReport& report, const std::function<bool()>& applied_probe);
+
+  /// The one staged-apply pipeline behind live_patch, live_patch_batch and
+  /// live_patch_chunked: fetch and preprocess each id, then seal, stage and
+  /// apply under the retry policy, and fill the report. `apply_cmd` picks
+  /// the shape: kApplyPatch stages one sealed package, kApplyBatch a sealed
+  /// batch envelope, and kStageChunk a train of `chunk_bytes` chunks.
+  Result<PatchReport> staged_apply(const std::vector<std::string>& ids,
+                                   const LifecycleOptions& opts,
+                                   SmmCommand apply_cmd, u32 chunk_bytes = 0);
+  /// One chunk-train attempt after kBeginSession: chunked sealing against
+  /// `smm_pub`, then one kStageChunk SMI per chunk. Returns the last SMI's
+  /// status (kOk once the final chunk applied) or the first non-accepting.
+  Result<SmmStatus> stage_chunks(Mailbox& mbox,
+                                 const crypto::X25519Key& smm_pub,
+                                 u32 chunk_bytes, PatchReport& report);
+  /// The helper app's write of staged bytes into mem_W and their size (plus
+  /// `pub`, when set) into the mailbox; `what` names the bytes in the
+  /// too-large error.
+  Status write_staged(Mailbox& mbox, ByteSpan bytes,
+                      const crypto::X25519Key* pub, const char* what);
+  /// The driver's fetch -> preprocess loop over `ids` (each fetch under
+  /// the retry policy), summing fetch/preprocess time and package stats
+  /// into `report`; a batch adds each processed package to the enclave.
+  Status fetch_and_preprocess(const std::vector<std::string>& ids,
+                              const LifecycleOptions& opts, bool batch,
+                              PatchReport& report);
 
   /// True when every id in `ids` shows up in the handler's applied set
   /// (one kQueryApplied SMI). Only consulted on ambiguous apply attempts

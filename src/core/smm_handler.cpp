@@ -180,10 +180,16 @@ void SmmPatchHandler::on_smi(machine::Machine& m) {
           cmd_name = "begin_session";
           begin_session(m, mbox);
           break;
-        case SmmCommand::kApplyPatch:
+        case SmmCommand::kApplyPatch: {
           cmd_name = "apply_patch";
-          status = apply_patch(m, mbox, snap);
+          std::shared_ptr<const Bytes> retain;
+          ByteSpan package;
+          status = decrypt_staged(m, mbox, snap, retain, package);
+          if (status == SmmStatus::kOk) {
+            status = verify_and_apply(m, retain, package);
+          }
           break;
+        }
         case SmmCommand::kApplyBatch:
           cmd_name = "apply_batch";
           status = apply_batch(m, mbox, snap);
@@ -250,10 +256,11 @@ void SmmPatchHandler::abort_session(Mailbox& mbox) {
 }
 
 void SmmPatchHandler::begin_session(machine::Machine& m, Mailbox& mbox) {
+  timings_ = {};
   auto t0 = Clock::now();
   u64 c0 = m.cycles();
   session_keys_ = crypto::dh_generate(rng_);
-  m.charge_cycles(m.cost_model().keygen_cycles);
+  charge_phase(m, m.cost_model().keygen_cycles);
   timings_.keygen_ns = phase_span(m, "keygen", c0, t0);
 
   // A new session implicitly supersedes any partial chunk stream: the old
@@ -301,44 +308,42 @@ bool SmmPatchHandler::bounds_ok(const patchtool::FunctionPatchView& p) const {
   return true;
 }
 
-SmmStatus SmmPatchHandler::decrypt_staged(
-    machine::Machine& m, Mailbox& mbox, const MailboxSnapshot& snap,
-    std::shared_ptr<const Bytes>& out_retain, ByteSpan& out_plain,
-    size_t& out_staged) {
+void SmmPatchHandler::charge_phase(machine::Machine& m, u64 cycles) {
+  m.charge_cycles(cycles);
+  timings_.modeled_cycles += cycles;
+}
+
+SmmStatus SmmPatchHandler::fetch_staged(machine::Machine& m, Mailbox& mbox,
+                                        const MailboxSnapshot& snap,
+                                        const StagedText& text,
+                                        StagedBytes& out) {
   const auto mode = machine::AccessMode::smm();
   const auto& cost = m.cost_model();
-
-  c_stagings_->inc();
-  if (!session_keys_.has_value()) return SmmStatus::kNoSession;
   u64 staged = snap.staged_size;
   if (staged == 0) {
-    // A live session with nothing staged: the helper never issues this
-    // command without staging first, so a zero size here is a flipped field.
+    // The helper never issues a staging command without staging first, so
+    // a zero size here is a flipped field.
     record_detection(m, DetectionClass::kStagedSizeFlip,
-                     SmmStatus::kNothingStaged,
-                     "staged size is zero under a live session");
+                     SmmStatus::kNothingStaged, text.zero_size);
     return SmmStatus::kNothingStaged;
   }
   if (staged > layout_.mem_w_size) {
     record_detection(m, DetectionClass::kStagedSizeFlip, SmmStatus::kBadPackage,
-                     "staged size exceeds mem_W");
+                     text.too_big);
     return SmmStatus::kBadPackage;
   }
 
-  // ---- Data fetching + decryption (Table III "Data Decryption") ----------
+  // ---- Data fetching (Table III "Data Decryption" opens here) -------------
   // The staged bytes are fetched exactly once into SMRAM and their hash is
   // pinned; everything downstream (freshness classification, decrypt)
   // operates on this copy. A concurrent writer racing the SMI can no longer
   // swap bytes between validation and use.
-  auto t0 = Clock::now();
-  u64 c0 = m.cycles();
+  out.t0 = Clock::now();
+  out.c0 = m.cycles();
   auto fetched = m.mem().read_bytes(layout_.mem_w_base(), staged, mode);
   if (!fetched) return SmmStatus::kBadPackage;
-  // The envelope buffer is SMRAM-owned for the rest of the session: it is
-  // decrypted in place and every downstream span (the package views, the
-  // installed bodies) borrows straight from it.
-  auto envelope = std::make_shared<Bytes>(std::move(*fetched));
-  crypto::Digest256 pin = crypto::sha256(*envelope);
+  out.bytes = std::make_shared<Bytes>(std::move(*fetched));
+  out.pin = crypto::sha256(*out.bytes);
   const u64 pin_cycles =
       parallel_bytes_cost(m, cost.pin_hash_cycles_per_byte, staged);
   m.charge_cycles(pin_cycles);
@@ -355,29 +360,57 @@ SmmStatus SmmPatchHandler::decrypt_staged(
     if (staged2 && *staged2 != 0 && *staged2 <= layout_.mem_w_size) {
       staged = *staged2;
       auto again = m.mem().read_bytes(layout_.mem_w_base(), staged, mode);
-      if (again) *envelope = std::move(*again);
+      if (again) *out.bytes = std::move(*again);
     }
-  } else if (!crypto::digest_equal(crypto::sha256(*envelope), pin)) {
+  } else if (!crypto::digest_equal(crypto::sha256(*out.bytes), out.pin)) {
     // Defense-in-depth: the SMRAM copy cannot change, so this never fires
     // unless the single-fetch invariant itself regresses.
     record_detection(m, DetectionClass::kMemWRewrite, SmmStatus::kMacFailure,
-                     "staged-bytes pin mismatch");
+                     text.pin_mismatch);
     session_keys_.reset();
     return SmmStatus::kMacFailure;
   }
+  out.size = staged;
+  if (auto box = crypto::SealedBoxView::deserialize(
+          MutByteSpan(out.bytes->data(), out.bytes->size()))) {
+    out.box = *box;
+  }
+  return SmmStatus::kOk;
+}
+
+Result<MutByteSpan> SmmPatchHandler::open_staged(machine::Machine& m,
+                                                 const crypto::Key256& key,
+                                                 const StagedBytes& s) {
+  const auto& cost = m.cost_model();
+  auto plain = crypto::open_in_place(key, *s.box);
+  charge_phase(m, cost.bytes_cost(cost.decrypt_cycles_per_byte, s.size));
+  timings_.decrypt_ns += phase_span(m, "decrypt", s.c0, s.t0);
+  return plain;
+}
+
+SmmStatus SmmPatchHandler::decrypt_staged(
+    machine::Machine& m, Mailbox& mbox, const MailboxSnapshot& snap,
+    std::shared_ptr<const Bytes>& out_retain, ByteSpan& out_plain) {
+  c_stagings_->inc();
+  if (!session_keys_.has_value()) return SmmStatus::kNoSession;
+  StagedBytes staged;
+  SmmStatus st = fetch_staged(
+      m, mbox, snap,
+      {"staged size is zero under a live session", "staged size exceeds mem_W",
+       "staged-bytes pin mismatch"},
+      staged);
+  if (st != SmmStatus::kOk) return st;
 
   // Freshness: a wire this handler has staged before can only reappear via
   // an attacker replaying a stale sealed envelope.
-  bool replayed = seen_recent_wire(pin);
-  remember_wire(pin);
+  bool replayed = seen_recent_wire(staged.pin);
+  remember_wire(staged.pin);
 
   crypto::X25519Key shared =
       crypto::dh_shared(session_keys_->private_key, snap.enclave_pub);
   crypto::Key256 key = crypto::derive_key(
       ByteSpan(shared.data(), shared.size()), "sgx-smm");
-  auto view = crypto::SealedBoxView::deserialize(
-      MutByteSpan(envelope->data(), envelope->size()));
-  if (!view) {
+  if (!staged.box) {
     // Undecodable staging is indistinguishable from tampering; burn the
     // session either way.
     session_keys_.reset();
@@ -387,9 +420,7 @@ SmmStatus SmmPatchHandler::decrypt_staged(
                      "staged bytes do not decode as a sealed envelope");
     return SmmStatus::kMacFailure;
   }
-  auto plain = crypto::open_in_place(key, *view);
-  m.charge_cycles(cost.bytes_cost(cost.decrypt_cycles_per_byte, staged));
-  timings_.decrypt_ns = phase_span(m, "decrypt", c0, t0);
+  auto plain = open_staged(m, key, staged);
   if (!plain) {
     // MAC failure: tampered mem_W or a replayed blob from an old session.
     session_keys_.reset();
@@ -403,22 +434,29 @@ SmmStatus SmmPatchHandler::decrypt_staged(
   }
 
   out_plain = ByteSpan(plain->data(), plain->size());
-  out_retain = std::move(envelope);
+  out_retain = std::move(staged.bytes);
   // Session keys are single-use: replaying this exact ciphertext later
   // cannot succeed (paper §V-C).
   session_keys_.reset();
-  out_staged = staged;
   return SmmStatus::kOk;
 }
 
-SmmStatus SmmPatchHandler::apply_patch(machine::Machine& m, Mailbox& mbox,
-                                       const MailboxSnapshot& snap) {
-  std::shared_ptr<const Bytes> retain;
-  ByteSpan package;
-  size_t staged = 0;
-  SmmStatus st = decrypt_staged(m, mbox, snap, retain, package, staged);
-  if (st != SmmStatus::kOk) return st;
-  return verify_and_apply(m, retain, package, staged);
+Result<patchtool::PatchSetView> SmmPatchHandler::verify_package(
+    machine::Machine& m, ByteSpan pkg) {
+  // The per-byte hashing fans out across the rendezvoused CPUs when there
+  // is more than one.
+  const auto& cost = m.cost_model();
+  charge_phase(m, cost.verify_fixed_cycles +
+                      parallel_bytes_cost(m, cost.verify_cycles_per_byte,
+                                          pkg.size()));
+  return patchtool::parse_patchset_view(pkg, arena_);
+}
+
+SmmStatus SmmPatchHandler::verify_failed(machine::Machine& m,
+                                         const Status& parse_error) {
+  const bool digest = parse_error.code() == Errc::kIntegrityFailure;
+  emit_instant(m, digest ? "digest_failure" : "bad_package");
+  return digest ? SmmStatus::kDigestFailure : SmmStatus::kBadPackage;
 }
 
 SmmStatus SmmPatchHandler::apply_batch(machine::Machine& m, Mailbox& mbox,
@@ -427,8 +465,7 @@ SmmStatus SmmPatchHandler::apply_batch(machine::Machine& m, Mailbox& mbox,
 
   std::shared_ptr<const Bytes> retain;
   ByteSpan envelope;
-  size_t staged = 0;
-  SmmStatus st = decrypt_staged(m, mbox, snap, retain, envelope, staged);
+  SmmStatus st = decrypt_staged(m, mbox, snap, retain, envelope);
   if (st != SmmStatus::kOk) return st;
 
   arena_.reset();
@@ -447,8 +484,7 @@ SmmStatus SmmPatchHandler::apply_batch(machine::Machine& m, Mailbox& mbox,
   u64 c0 = m.cycles();
   std::vector<patchtool::PatchSetView> sets;
   sets.reserve(pkg_wires->size());
-  u64 verify_cycles = 0;
-  SmmStatus verdict = SmmStatus::kOk;
+  Status parse_error;
   const char* fail_instant = nullptr;
   // A batch is an apply-only construct: rollback is a per-unit command on
   // the mailbox, never an inner package. Lifecycle operations (supersede/
@@ -457,31 +493,25 @@ SmmStatus SmmPatchHandler::apply_batch(machine::Machine& m, Mailbox& mbox,
   // semantics, so an inner package carrying lifecycle data is rejected
   // outright.
   for (ByteSpan pkg : *pkg_wires) {
-    u64 c = cost.verify_fixed_cycles +
-            parallel_bytes_cost(m, cost.verify_cycles_per_byte, pkg.size());
-    m.charge_cycles(c);
-    verify_cycles += c;
-    auto set = patchtool::parse_patchset_view(pkg, arena_);
+    auto set = verify_package(m, pkg);
     if (!set) {
-      bool digest = set.status().code() == Errc::kIntegrityFailure;
-      verdict = digest ? SmmStatus::kDigestFailure : SmmStatus::kBadPackage;
-      fail_instant = digest ? "digest_failure" : "bad_package";
+      parse_error = set.status();
       break;
     }
     const bool has_rollback = std::any_of(
         set->patches.begin(), set->patches.end(),
         [](const auto& p) { return p.op == patchtool::PatchOp::kRollback; });
     if (has_rollback || set->has_lifecycle()) {
-      verdict = SmmStatus::kBadPackage;
       fail_instant = has_rollback ? "rollback_in_batch" : "lifecycle_in_batch";
       break;
     }
     sets.push_back(*set);
   }
   timings_.verify_ns = phase_span(m, "verify", c0, t0);
-  if (verdict != SmmStatus::kOk) {
-    if (fail_instant) emit_instant(m, fail_instant);
-    return verdict;
+  if (!parse_error.is_ok()) return verify_failed(m, parse_error);
+  if (fail_instant) {
+    emit_instant(m, fail_instant);
+    return SmmStatus::kBadPackage;
   }
 
   // ---- Cross-batch validation: if any set would fail validation, reject
@@ -536,16 +566,12 @@ SmmStatus SmmPatchHandler::apply_batch(machine::Machine& m, Mailbox& mbox,
   // Counted only once the txn commits: an unwound batch applied nothing.
   c_staged_copies_->inc(sets.size());
   c_applied_->inc(sets.size());
-  m.charge_cycles(cost.bytes_cost(cost.apply_cycles_per_byte, total_code));
+  charge_phase(m, cost.bytes_cost(cost.apply_cycles_per_byte, total_code));
   timings_.apply_ns = phase_span(m, "apply", c0, t0);
 
   timings_.package_bytes = envelope.size();
   timings_.code_bytes = total_code;
   timings_.functions = total_functions;
-  timings_.modeled_cycles =
-      cost.keygen_cycles +
-      cost.bytes_cost(cost.decrypt_cycles_per_byte, staged) + verify_cycles +
-      cost.bytes_cost(cost.apply_cycles_per_byte, total_code);
 
   c_batch_applies_->inc();
   metrics_->histogram("smm.batch_size").observe(
@@ -557,27 +583,16 @@ SmmStatus SmmPatchHandler::apply_batch(machine::Machine& m, Mailbox& mbox,
 
 SmmStatus SmmPatchHandler::verify_and_apply(
     machine::Machine& m, const std::shared_ptr<const Bytes>& retain,
-    ByteSpan package, size_t staged_bytes) {
+    ByteSpan package) {
   const auto& cost = m.cost_model();
 
-  // ---- Patch verification (Table III "Patch Verification": SHA-2 digest
-  //      over the package plus per-function CRCs, done by the parser). The
-  //      per-byte hashing fans out across the rendezvoused CPUs when there
-  //      is more than one. -------------------------------------------------
+  // ---- Patch verification ------------------------------------------------
   auto t0 = Clock::now();
   u64 c0 = m.cycles();
   arena_.reset();
-  auto parsed = patchtool::parse_patchset_view(package, arena_);
-  const u64 verify_cycles =
-      cost.verify_fixed_cycles +
-      parallel_bytes_cost(m, cost.verify_cycles_per_byte, package.size());
-  m.charge_cycles(verify_cycles);
+  auto parsed = verify_package(m, package);
   timings_.verify_ns = phase_span(m, "verify", c0, t0);
-  if (!parsed) {
-    bool digest = parsed.status().code() == Errc::kIntegrityFailure;
-    emit_instant(m, digest ? "digest_failure" : "bad_package");
-    return digest ? SmmStatus::kDigestFailure : SmmStatus::kBadPackage;
-  }
+  if (!parsed) return verify_failed(m, parsed.status());
   const patchtool::PatchSetView& set = *parsed;
 
   timings_.package_bytes = package.size();
@@ -628,29 +643,26 @@ SmmStatus SmmPatchHandler::verify_and_apply(
       m.release_aps(m.cpus());
     }
   }
-  u64 apply_cycles =
-      cost.bytes_cost(cost.apply_cycles_per_byte, tramp_code) +
-      cost.bytes_cost(cost.splice_cycles_per_byte, splice_code);
-  m.charge_cycles(apply_cycles);
+  charge_phase(m,
+               cost.bytes_cost(cost.apply_cycles_per_byte, tramp_code) +
+                   cost.bytes_cost(cost.splice_cycles_per_byte, splice_code));
   timings_.apply_ns = phase_span(m, "apply", c0, t0);
-  timings_.modeled_cycles =
-      cost.keygen_cycles +
-      cost.bytes_cost(cost.decrypt_cycles_per_byte, staged_bytes) +
-      verify_cycles + apply_cycles;
   return st;
 }
 
 SmmStatus SmmPatchHandler::stage_chunk(machine::Machine& m, Mailbox& mbox,
                                        const MailboxSnapshot& snap) {
-  const auto mode = machine::AccessMode::smm();
-  const auto& cost = m.cost_model();
   constexpr u32 kMaxChunks = 4096;
   constexpr size_t kMaxStreamBytes = 256ull << 20;
 
-  auto abort_stream = [&]() { reset_stream(); };
+  auto abort_stream = [&](SmmStatus st) {
+    reset_stream();
+    return st;
+  };
 
   c_stagings_->inc();
-  // First chunk: consume the session key and derive the stream key.
+  // First chunk: consume the session key and derive the stream key. The
+  // stream state is already clear: only reset_stream() drops a stream key.
   if (!stream_key_.has_value()) {
     if (!session_keys_.has_value()) return SmmStatus::kNoSession;
     crypto::X25519Key shared =
@@ -658,80 +670,35 @@ SmmStatus SmmPatchHandler::stage_chunk(machine::Machine& m, Mailbox& mbox,
     stream_key_ = crypto::derive_key(ByteSpan(shared.data(), shared.size()),
                                      "sgx-smm-stream");
     session_keys_.reset();
-    stream_expected_ = 0;
-    stream_total_ = 0;
-    stream_buffer_.clear();
   }
 
-  u64 staged = snap.staged_size;
-  if (staged == 0) {
-    record_detection(m, DetectionClass::kStagedSizeFlip,
-                     SmmStatus::kNothingStaged,
-                     "chunk staged size is zero under a live stream");
-    abort_stream();
-    return SmmStatus::kNothingStaged;
-  }
-  if (staged > layout_.mem_w_size) {
-    record_detection(m, DetectionClass::kStagedSizeFlip, SmmStatus::kBadPackage,
-                     "chunk staged size exceeds mem_W");
-    abort_stream();
-    return SmmStatus::kBadPackage;
-  }
-  // Single fetch of the chunk into SMRAM, hash-pinned — same TOCTOU
-  // discipline as decrypt_staged.
-  auto sealed_wire = m.mem().read_bytes(layout_.mem_w_base(), staged, mode);
-  if (!sealed_wire) {
-    abort_stream();
-    return SmmStatus::kBadPackage;
-  }
-  crypto::Digest256 pin = crypto::sha256(*sealed_wire);
-  const u64 pin_cycles =
-      parallel_bytes_cost(m, cost.pin_hash_cycles_per_byte, staged);
-  m.charge_cycles(pin_cycles);
-  detection_overhead_cycles_ += pin_cycles;
-  if (concurrent_writer_) concurrent_writer_(m);
-  if (legacy_double_fetch_) {
-    auto staged2 = mbox.read_staged_size();
-    if (staged2 && *staged2 != 0 && *staged2 <= layout_.mem_w_size) {
-      staged = *staged2;
-      auto again = m.mem().read_bytes(layout_.mem_w_base(), staged, mode);
-      if (again) sealed_wire = std::move(again);
-    }
-  } else if (!crypto::digest_equal(crypto::sha256(*sealed_wire), pin)) {
-    record_detection(m, DetectionClass::kMemWRewrite, SmmStatus::kMacFailure,
-                     "chunk pin mismatch");
-    abort_stream();
-    return SmmStatus::kMacFailure;
-  }
-
-  // Same AEAD-open path as decrypt_staged: the chunk is opened in place over
-  // the SMRAM copy fetched above.
-  auto box = crypto::SealedBoxView::deserialize(
-      MutByteSpan(sealed_wire->data(), sealed_wire->size()));
-  if (!box) {
+  StagedBytes chunk;
+  SmmStatus st = fetch_staged(
+      m, mbox, snap,
+      {"chunk staged size is zero under a live stream",
+       "chunk staged size exceeds mem_W", "chunk pin mismatch"},
+      chunk);
+  if (st != SmmStatus::kOk) return abort_stream(st);
+  if (!chunk.box) {
     record_detection(m, DetectionClass::kMemWRewrite, SmmStatus::kMacFailure,
                      "chunk does not decode as a sealed envelope");
-    abort_stream();
-    return SmmStatus::kMacFailure;
+    return abort_stream(SmmStatus::kMacFailure);
   }
   // Enforce the expected index through the nonce: a chunk sealed for a
   // different position cannot authenticate.
   crypto::Nonce96 want_nonce{};
   store_u32(want_nonce.data(), stream_expected_);
   want_nonce[11] = 0x5C;
-  if (box->nonce != want_nonce) {
+  if (chunk.box->nonce != want_nonce) {
     record_detection(m, DetectionClass::kChunkReorder,
                      SmmStatus::kChunkOutOfOrder, "chunk nonce out of order");
-    abort_stream();
-    return SmmStatus::kChunkOutOfOrder;
+    return abort_stream(SmmStatus::kChunkOutOfOrder);
   }
-  auto plain = crypto::open_in_place(*stream_key_, *box);
-  m.charge_cycles(cost.bytes_cost(cost.decrypt_cycles_per_byte, staged));
+  auto plain = open_staged(m, *stream_key_, chunk);
   if (!plain) {
     record_detection(m, DetectionClass::kMemWRewrite, SmmStatus::kMacFailure,
                      "chunk failed authentication");
-    abort_stream();
-    return SmmStatus::kMacFailure;
+    return abort_stream(SmmStatus::kMacFailure);
   }
 
   ByteReader r(ByteSpan(plain->data(), plain->size()));
@@ -742,14 +709,12 @@ SmmStatus SmmPatchHandler::stage_chunk(machine::Machine& m, Mailbox& mbox,
     record_detection(m, DetectionClass::kChunkReorder,
                      SmmStatus::kChunkOutOfOrder,
                      "chunk header index/total inconsistent");
-    abort_stream();
-    return SmmStatus::kChunkOutOfOrder;
+    return abort_stream(SmmStatus::kChunkOutOfOrder);
   }
   stream_total_ = *total;
   auto payload = r.get_span(r.remaining());
   if (stream_buffer_.size() + payload->size() > kMaxStreamBytes) {
-    abort_stream();
-    return SmmStatus::kBadPackage;
+    return abort_stream(SmmStatus::kBadPackage);
   }
   stream_buffer_.insert(stream_buffer_.end(), payload->begin(),
                         payload->end());
@@ -760,10 +725,9 @@ SmmStatus SmmPatchHandler::stage_chunk(machine::Machine& m, Mailbox& mbox,
   // Final chunk: the accumulated plaintext is the full package. The stream
   // buffer itself becomes the retained envelope — no copy.
   auto package = std::make_shared<Bytes>(std::move(stream_buffer_));
-  size_t staged_total = package->size();
-  abort_stream();
+  reset_stream();
   ByteSpan span(package->data(), package->size());
-  return verify_and_apply(m, std::move(package), span, staged_total);
+  return verify_and_apply(m, std::move(package), span);
 }
 
 void SmmPatchHandler::collect_windows(const patchtool::FunctionPatchView& p,

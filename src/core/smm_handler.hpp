@@ -36,16 +36,16 @@
 
 namespace kshot::core {
 
-/// Wall-clock nanoseconds of each SMM phase during the last kApplyPatch,
-/// plus the modeled virtual-time charges (Table III columns). Since the obs
-/// layer landed this struct is derived from the phase spans the handler
-/// emits — each *_ns field is the wall duration of the matching "smm" span.
+/// Wall-clock nanoseconds of each SMM phase of the current session (cleared
+/// by kBeginSession) plus the modeled charges (Table III columns). Each
+/// *_ns field is the wall duration of the matching "smm" span(s): a chunk
+/// train's decrypt_ns sums one decrypt span per chunk.
 struct SmmPatchTimings {
   double keygen_ns = 0;       // measured in the last kBeginSession
   double decrypt_ns = 0;      // mem_W read + DH shared secret + ChaCha20/MAC
   double verify_ns = 0;       // package SHA-256 digest + per-function CRCs
   double apply_ns = 0;        // var edits + mem_X copies + trampolines
-  u64 modeled_cycles = 0;     // total modeled SMM work (excl. SMI/RSM)
+  u64 modeled_cycles = 0;     // phase charges (excl. SMI/RSM, pinning)
   size_t package_bytes = 0;
   size_t code_bytes = 0;
   u32 functions = 0;
@@ -241,8 +241,6 @@ class SmmPatchHandler {
 
  private:
   void begin_session(machine::Machine& m, Mailbox& mbox);
-  SmmStatus apply_patch(machine::Machine& m, Mailbox& mbox,
-                        const MailboxSnapshot& snap);
   SmmStatus apply_batch(machine::Machine& m, Mailbox& mbox,
                         const MailboxSnapshot& snap);
   SmmStatus stage_chunk(machine::Machine& m, Mailbox& mbox,
@@ -258,18 +256,41 @@ class SmmPatchHandler {
   SmmStatus query_applied(machine::Machine& m, Mailbox& mbox);
   void introspect(machine::Machine& m);
 
-  /// Shared decrypt leg of kApplyPatch/kApplyBatch: session check, single
-  /// staged mem_W fetch into SMRAM with a pinned hash, DH + "sgx-smm" key
-  /// derivation, authenticated open, decrypt charge, and single-use
-  /// session-key reset. All mailbox fields come from `snap` — nothing is
-  /// re-read from attacker-writable memory (unless the legacy double-fetch
-  /// seam is enabled). Returns kOk with the plaintext span in `out_plain`
-  /// and the buffer that owns it in `out_retain` (the SMRAM copy of the
-  /// envelope itself, decrypted in place), or the status to report.
+  /// The staged bytes of one SMI, fetched once into SMRAM.
+  struct StagedBytes {
+    std::shared_ptr<Bytes> bytes;  // the SMRAM copy, opened in place
+    u64 size = 0;                  // bytes fetched (and decrypt-charged)
+    crypto::Digest256 pin{};       // hash taken right after the fetch
+    std::optional<crypto::SealedBoxView> box;  // empty: does not decode
+    u64 c0 = 0;                    // the decrypt span opens at the fetch
+    std::chrono::steady_clock::time_point t0;
+  };
+  /// A staged-fetch caller's detection details.
+  struct StagedText {
+    const char* zero_size;
+    const char* too_big;
+    const char* pin_mismatch;
+  };
+  /// The staged-fetch leg of every staging SMI: size checks on `snap`, one
+  /// mem_W fetch into SMRAM, the pinned hash and its charge, the concurrent-
+  /// writer window, the pin re-check (a mismatch burns the session key) and
+  /// the envelope decode. Nothing is re-read from attacker-writable memory
+  /// unless the legacy double-fetch seam is on.
+  SmmStatus fetch_staged(machine::Machine& m, Mailbox& mbox,
+                         const MailboxSnapshot& snap, const StagedText& text,
+                         StagedBytes& out);
+  /// Opens `s.box` in place under `key`, charges its decrypt cost and
+  /// closes the decrypt span fetch_staged opened.
+  Result<MutByteSpan> open_staged(machine::Machine& m,
+                                  const crypto::Key256& key,
+                                  const StagedBytes& s);
+  /// Decrypt leg of kApplyPatch/kApplyBatch: fetch_staged, replay check,
+  /// "sgx-smm" key, open, single-use key reset. On kOk `out_plain` borrows
+  /// from `out_retain`, the SMRAM copy of the envelope decrypted in place.
   SmmStatus decrypt_staged(machine::Machine& m, Mailbox& mbox,
                            const MailboxSnapshot& snap,
                            std::shared_ptr<const Bytes>& out_retain,
-                           ByteSpan& out_plain, size_t& out_staged);
+                           ByteSpan& out_plain);
 
   /// Records one classified tamper detection (counter, report, trace).
   void record_detection(machine::Machine& m, DetectionClass cls,
@@ -284,12 +305,21 @@ class SmmPatchHandler {
   /// Idempotent — aborting with nothing active is still a clean abort.
   void abort_session(Mailbox& mbox);
 
-  /// Shared tail of apply_patch / stage_chunk: verify the plaintext package
-  /// and apply it, charging costs and recording timings. `package` borrows
-  /// from `retain` (which installed patches keep alive past the SMI).
+  /// Shared tail of kApplyPatch and the final kStageChunk: verify and apply
+  /// the plaintext `package`, which borrows from `retain` (kept alive past
+  /// the SMI by the installed records).
   SmmStatus verify_and_apply(machine::Machine& m,
                              const std::shared_ptr<const Bytes>& retain,
-                             ByteSpan package, size_t staged_bytes);
+                             ByteSpan package);
+  /// One package's verify step (Table III "Patch Verification": digest and
+  /// per-function CRCs): the fixed + per-byte charge, then the parse.
+  Result<patchtool::PatchSetView> verify_package(machine::Machine& m,
+                                                 ByteSpan pkg);
+  /// kDigestFailure or kBadPackage for a failed verify_package, with its
+  /// instant; called once the verify span has closed.
+  SmmStatus verify_failed(machine::Machine& m, const Status& parse_error);
+  /// Charges `cycles` of phase work and counts them in modeled_cycles.
+  void charge_phase(machine::Machine& m, u64 cycles);
 
   /// Applies one parsed set, journaling every memory write into `txn` for
   /// the caller to commit; the caller counts the apply ("smm.applied",

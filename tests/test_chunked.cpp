@@ -190,6 +190,8 @@ TEST(Chunked, BadChunkSizeRejected) {
                               static_cast<u32>(
                                   (*tb)->kernel().layout().mem_w_size))
           .is_ok());
+  // chunk_bytes + 64 must not wrap in u32 and slip past the mem_W bound.
+  EXPECT_FALSE((*tb)->kshot().live_patch_chunked(c.id, 0xFFFFFFF0u).is_ok());
 }
 
 }  // namespace

@@ -198,6 +198,28 @@ TEST(SmmHandler, TimingsPopulatedAfterApply) {
   EXPECT_GT(tm.modeled_cycles, 0u);
 }
 
+TEST(SmmHandler, FailedRunReportsNoStalePhaseTimes) {
+  // kBeginSession clears the phase timings: a run that dies at the MAC
+  // check reports no verify or apply time, not the previous run's.
+  auto t = boot();
+  const std::string id = t->cve_case().id;
+  auto ok = t->kshot().live_patch(id);
+  ASSERT_TRUE(ok.is_ok() && ok->success);
+  ASSERT_GT(ok->smm.verify_us, 0.0);
+  ASSERT_GT(ok->smm.apply_us, 0.0);
+  auto rb = t->kshot().rollback();
+  ASSERT_TRUE(rb.is_ok() && rb->success);
+
+  t->kshot().set_retry_policy(RetryPolicy::none());
+  t->kshot().set_stage_tamperer([](Bytes& b) { b.back() ^= 0x01; });
+  auto bad = t->kshot().live_patch(id);
+  ASSERT_TRUE(bad.is_ok()) << bad.status().to_string();
+  EXPECT_FALSE(bad->success);
+  EXPECT_EQ(bad->smm_status, SmmStatus::kMacFailure);
+  EXPECT_EQ(bad->smm.verify_us, 0.0);
+  EXPECT_EQ(bad->smm.apply_us, 0.0);
+}
+
 // ---- SMM undo journal ------------------------------------------------------------
 
 Bytes read_smm(const machine::PhysMem& mem, u64 addr, size_t n) {

@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <set>
 
+#include "cve/suite.hpp"
 #include "fleet/fleet.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -210,49 +211,114 @@ TEST(PipelineTrace, EveryLayerEmitsSpans) {
   EXPECT_EQ(run->metrics.counter("server.requests").value(), 1u);
 }
 
-TEST(PipelineTrace, SmiSpansSumToModeledDowntime) {
-  auto run = traced_live_patch();
-  ASSERT_TRUE(run->report.success);
-  auto& m = run->tb->machine();
-  const auto& cost = m.cost_model();
+/// The three shapes of the staged-apply pipeline.
+enum class Shape { kSingle, kBatch, kChunked };
 
-  u64 smi_cycles = 0;
-  u64 phase_cycles = 0;
-  u64 smi_spans = 0;
-  for (const auto& e : run->trace.snapshot()) {
-    if (e.component != "smm") continue;
-    if (e.name == "smi") {
-      smi_cycles += e.virt_cycles();
-      ++smi_spans;
-    } else if (e.name == "keygen" || e.name == "decrypt" ||
-               e.name == "verify" || e.name == "apply") {
-      phase_cycles += e.virt_cycles();
-    }
+/// One traced run of `shape` on a fresh testbed: CVE-2014-0196 as one
+/// package, three sim-4.4 CVEs as one batch on their merged kernel, or
+/// CVE-2016-7914 (~15 KB) as a train of 2 KB chunks.
+std::unique_ptr<TracedRun> traced_run(Shape shape) {
+  if (shape == Shape::kSingle) return traced_live_patch();
+  auto run = std::make_unique<TracedRun>();
+  testbed::TestbedOptions opts;
+  opts.trace = &run->trace;
+  opts.metrics = &run->metrics;
+  const std::vector<std::string> ids = {"CVE-2016-2543", "CVE-2016-4578",
+                                        "CVE-2016-4580"};
+  cve::CveCase target = cve::find_case("CVE-2016-7914");
+  std::vector<cve::CveCase> parts;
+  if (shape == Shape::kBatch) {
+    auto batch = cve::combine_cases(ids);
+    auto batch_parts = cve::batch_part_cases(ids);
+    EXPECT_TRUE(batch.is_ok() && batch_parts.is_ok());
+    if (!batch.is_ok() || !batch_parts.is_ok()) return run;
+    target = batch->merged;
+    parts = *batch_parts;
   }
-  // live_patch = one begin-session SMI + one apply SMI.
-  EXPECT_EQ(smi_spans, 2u);
+  auto tb = testbed::Testbed::boot(target, opts);
+  EXPECT_TRUE(tb.is_ok()) << tb.status().to_string();
+  if (!tb.is_ok()) return run;
+  run->tb = std::move(*tb);
+  for (const auto& p : parts) {
+    run->tb->server().add_patch({p.id, p.kernel, p.pre_source, p.post_source});
+  }
+  auto rep = shape == Shape::kBatch
+                 ? run->tb->kshot().live_patch_batch(ids)
+                 : run->tb->kshot().live_patch_chunked(target.id, 2048);
+  EXPECT_TRUE(rep.is_ok()) << rep.status().to_string();
+  if (rep.is_ok()) run->report = *rep;
+  return run;
+}
 
-  // Identity 1: the "smi" spans cover the machine's SMM residency exactly —
-  // their sum is the paper's downtime, which is what the report publishes.
-  EXPECT_EQ(smi_cycles, run->report.downtime_cycles);
-  EXPECT_EQ(smi_cycles, m.smm_cycles());
-  EXPECT_DOUBLE_EQ(cost.to_us(smi_cycles), run->report.smm.modeled_total_us);
+TEST(PipelineTrace, SmiSpansSumToModeledDowntime) {
+  // Both identities hold for every entry point of the staged-apply
+  // pipeline: live_patch, live_patch_batch and live_patch_chunked.
+  for (Shape shape : {Shape::kSingle, Shape::kBatch, Shape::kChunked}) {
+    SCOPED_TRACE("shape " + std::to_string(static_cast<int>(shape)));
+    auto run = traced_run(shape);
+    ASSERT_TRUE(run->tb);
+    ASSERT_TRUE(run->report.success);
+    auto& m = run->tb->machine();
+    const auto& cost = m.cost_model();
 
-  // Identity 2: the four phase spans sum to the handler's modeled work plus
-  // the staged-bytes hash pinning (charged inside the decrypt span), and
-  // adding the per-SMI switch overhead and the per-SMI detection charge
-  // (mailbox snapshot + freshness checks, charged before any phase span
-  // opens) reconstructs the full downtime. Hardening is not free, and every
-  // cycle of it must be accounted for here.
-  const auto& t = run->tb->kshot().handler().last_timings();
-  const u64 per_smi_detect = cost.snapshot_cycles + cost.detect_fixed_cycles;
-  const u64 pin_cycles =
-      run->tb->kshot().handler().detection_overhead_cycles() -
-      smi_spans * per_smi_detect;
-  EXPECT_EQ(phase_cycles, t.modeled_cycles + pin_cycles);
-  EXPECT_EQ(phase_cycles + smi_spans * (cost.smi_entry_cycles +
-                                        cost.rsm_cycles + per_smi_detect),
-            smi_cycles);
+    u64 smi_cycles = 0;
+    u64 phase_cycles = 0;
+    u64 smi_spans = 0;
+    u64 decrypt_spans = 0;
+    for (const auto& e : run->trace.snapshot()) {
+      if (e.component != "smm") continue;
+      if (e.name == "smi") {
+        smi_cycles += e.virt_cycles();
+        ++smi_spans;
+      } else if (e.name == "keygen" || e.name == "decrypt" ||
+                 e.name == "verify" || e.name == "apply") {
+        phase_cycles += e.virt_cycles();
+        if (e.name == "decrypt") ++decrypt_spans;
+      }
+    }
+    // live_patch and live_patch_batch take one begin-session SMI + one
+    // apply SMI; a chunk train takes one SMI per chunk after the begin-
+    // session SMI. Every staging SMI opens one decrypt span.
+    if (shape == Shape::kChunked) {
+      EXPECT_GT(smi_spans, 2u);
+    } else {
+      EXPECT_EQ(smi_spans, 2u);
+    }
+    EXPECT_EQ(smi_spans, m.smi_count());
+    EXPECT_EQ(decrypt_spans, smi_spans - 1);
+
+    // Identity 1: the "smi" spans cover the machine's SMM residency
+    // exactly — their sum is the paper's downtime, which is what the report
+    // publishes.
+    EXPECT_EQ(smi_cycles, run->report.downtime_cycles);
+    EXPECT_EQ(smi_cycles, m.smm_cycles());
+    EXPECT_DOUBLE_EQ(cost.to_us(smi_cycles),
+                     run->report.smm.modeled_total_us);
+
+    // Identity 2: the four phase spans sum to the handler's modeled work
+    // plus the staged-bytes hash pinning (charged inside each decrypt
+    // span), and adding the per-SMI switch overhead and the per-SMI
+    // detection charge (mailbox snapshot + freshness checks, charged before
+    // any phase span opens) reconstructs the full downtime. Hardening is
+    // not free, and every cycle of it must be accounted for here.
+    const auto& t = run->tb->kshot().handler().last_timings();
+    const u64 per_smi_detect =
+        cost.snapshot_cycles + cost.detect_fixed_cycles;
+    const u64 pin_cycles =
+        run->tb->kshot().handler().detection_overhead_cycles() -
+        smi_spans * per_smi_detect;
+    EXPECT_EQ(phase_cycles, t.modeled_cycles + pin_cycles);
+    EXPECT_EQ(phase_cycles + smi_spans * (cost.smi_entry_cycles +
+                                          cost.rsm_cycles + per_smi_detect),
+              smi_cycles);
+
+    // The report's Table III total is the sum of its phase columns.
+    const core::SmmPhaseTimings& smm = run->report.smm;
+    EXPECT_GT(smm.decrypt_us, 0.0);
+    EXPECT_DOUBLE_EQ(smm.total_us, smm.keygen_us + smm.decrypt_us +
+                                       smm.verify_us + smm.apply_us +
+                                       smm.switch_us);
+  }
 }
 
 TEST(PipelineTrace, VirtualTimelineIsSeedDeterministic) {
