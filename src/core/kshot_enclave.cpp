@@ -650,18 +650,25 @@ Result<Bytes> KshotEnclave::do_get_chunk(ByteSpan input) {
   u64 off = static_cast<u64>(*index) * chunk_plain_bytes_;
   u64 len = std::min<u64>(chunk_plain_bytes_, processed->size() - off);
 
-  // Authenticated chunk header + payload slice.
-  ByteWriter plain;
-  plain.put_u32(*index);
-  plain.put_u32(chunk_count_);
-  plain.put_bytes(ByteSpan(*processed).subspan(off, len));
-
   // Nonce: per-chunk, derived from the index — never reused under this
   // stream's fresh key.
   crypto::Nonce96 nonce{};
   store_u32(nonce.data(), *index);
   nonce[11] = 0x5C;  // stream-mode domain separator
-  return crypto::seal(chunk_key_, nonce, plain.bytes()).serialize();
+
+  // Authenticated chunk header + payload slice, placed once in the sealed
+  // wire (nonce || len || ciphertext || mac) and encrypted in place. Bytes
+  // are identical to seal().serialize().
+  constexpr size_t kHdr = sizeof(crypto::Nonce96) + 4;
+  constexpr size_t kChunkHdr = 8;
+  Bytes out(kHdr + kChunkHdr + len + sizeof(crypto::Digest256));
+  store_u32(out.data() + kHdr, *index);
+  store_u32(out.data() + kHdr + 4, chunk_count_);
+  std::memcpy(out.data() + kHdr + kChunkHdr, processed->data() + off, len);
+  KSHOT_RETURN_IF_ERROR(crypto::seal_in_place(
+      chunk_key_, nonce, MutByteSpan(out.data(), out.size()),
+      kChunkHdr + len));
+  return out;
 }
 
 // ---- EPC package storage ----------------------------------------------------

@@ -9,19 +9,20 @@ namespace kshot::crypto {
 namespace {
 
 Digest256 mac_key(const Key256& key) {
-  ByteWriter w;
-  w.put_bytes(ByteSpan(key.data(), key.size()));
-  w.put_bytes(to_bytes(std::string("mac")));
-  return sha256(w.bytes());
+  Sha256 h;
+  h.update(ByteSpan(key.data(), key.size()));
+  h.update(to_bytes(std::string("mac")));
+  return h.finish();
 }
 
+// HMAC over nonce || ciphertext, streamed: the ciphertext is never copied.
 Digest256 compute_mac(const Key256& key, const Nonce96& nonce,
                       ByteSpan ciphertext) {
   Digest256 mk = mac_key(key);
-  ByteWriter w;
-  w.put_bytes(ByteSpan(nonce.data(), nonce.size()));
-  w.put_bytes(ciphertext);
-  return hmac_sha256(ByteSpan(mk.data(), mk.size()), w.bytes());
+  HmacSha256 mac(ByteSpan(mk.data(), mk.size()));
+  mac.update(ByteSpan(nonce.data(), nonce.size()));
+  mac.update(ciphertext);
+  return mac.finish();
 }
 
 }  // namespace

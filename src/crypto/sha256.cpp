@@ -2,6 +2,11 @@
 
 #include <cstring>
 
+#if defined(__x86_64__)
+#include <cpuid.h>
+#include <immintrin.h>
+#endif
+
 #include "crypto/simd.hpp"
 
 namespace kshot::crypto {
@@ -23,7 +28,92 @@ constexpr u32 kK[64] = {
 
 inline u32 rotr(u32 x, int n) { return (x >> n) | (x << (32 - n)); }
 
+#if defined(__x86_64__)
+
+// CPUID leaf 7 EBX bit 29 (SHA), leaf 1 ECX bits 9 (SSSE3) and 19 (SSE4.1):
+// everything sha_ni_compress executes. Probed once per process.
+bool cpu_has_sha_ni() {
+  static const bool has = [] {
+    unsigned a = 0, b = 0, c = 0, d = 0;
+    if (!__get_cpuid(1, &a, &b, &c, &d)) return false;
+    bool ssse3 = (c >> 9) & 1;
+    bool sse41 = (c >> 19) & 1;
+    if (!__get_cpuid_count(7, 0, &a, &b, &c, &d)) return false;
+    bool sha = (b >> 29) & 1;
+    return sha && ssse3 && sse41;
+  }();
+  return has;
+}
+
+// Compresses `blocks` consecutive 64-byte blocks with the SHA extensions.
+// The state is kept as the ABEF/CDGH register pair sha256rnds2 works on;
+// each group of four rounds adds K to four schedule words and runs two
+// rnds2 steps, while msg1/msg2 extend the schedule four words at a time.
+// The shuffle/blend framing follows Intel's "New Instructions Supporting
+// the Secure Hash Algorithm on Intel Architecture Processors" (2013).
+__attribute__((target("sha,ssse3,sse4.1"))) void sha_ni_compress(
+    u32 state[8], const u8* data, size_t blocks) {
+  const __m128i kByteSwap =
+      _mm_set_epi64x(0x0c0d0e0f08090a0bULL, 0x0405060700010203ULL);
+  __m128i tmp = _mm_loadu_si128(reinterpret_cast<const __m128i*>(state));
+  __m128i state1 =
+      _mm_loadu_si128(reinterpret_cast<const __m128i*>(state + 4));
+  tmp = _mm_shuffle_epi32(tmp, 0xB1);                 // CDAB
+  state1 = _mm_shuffle_epi32(state1, 0x1B);           // EFGH
+  __m128i state0 = _mm_alignr_epi8(tmp, state1, 8);   // ABEF
+  state1 = _mm_blend_epi16(state1, tmp, 0xF0);        // CDGH
+
+  for (; blocks > 0; --blocks, data += 64) {
+    const __m128i abef = state0;
+    const __m128i cdgh = state1;
+    __m128i m[4];
+#pragma GCC unroll 16
+    for (int g = 0; g < 16; ++g) {
+      __m128i& cur = m[g & 3];
+      if (g < 4) {
+        cur = _mm_shuffle_epi8(
+            _mm_loadu_si128(reinterpret_cast<const __m128i*>(data + 16 * g)),
+            kByteSwap);
+      }
+      __m128i wk = _mm_add_epi32(
+          cur, _mm_loadu_si128(reinterpret_cast<const __m128i*>(kK + 4 * g)));
+      state1 = _mm_sha256rnds2_epu32(state1, state0, wk);
+      if (g >= 3 && g < 15) {
+        // W[4g+4 .. 4g+7] from the msg1 partial sums computed two groups
+        // earlier, W[4g-3 .. 4g] (via alignr) and W[4g .. 4g+3].
+        __m128i& next = m[(g + 1) & 3];
+        next = _mm_add_epi32(next, _mm_alignr_epi8(cur, m[(g + 3) & 3], 4));
+        next = _mm_sha256msg2_epu32(next, cur);
+      }
+      state0 = _mm_sha256rnds2_epu32(state0, state1,
+                                     _mm_shuffle_epi32(wk, 0x0E));
+      if (g >= 1 && g < 13) {
+        __m128i& prev = m[(g + 3) & 3];
+        prev = _mm_sha256msg1_epu32(prev, cur);
+      }
+    }
+    state0 = _mm_add_epi32(state0, abef);
+    state1 = _mm_add_epi32(state1, cdgh);
+  }
+
+  tmp = _mm_shuffle_epi32(state0, 0x1B);              // FEBA
+  state1 = _mm_shuffle_epi32(state1, 0xB1);           // DCHG
+  state0 = _mm_blend_epi16(tmp, state1, 0xF0);        // DCBA
+  state1 = _mm_alignr_epi8(state1, tmp, 8);           // HGFE
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(state), state0);
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(state + 4), state1);
+}
+
+#endif  // __x86_64__
+
 }  // namespace
+
+const char* sha256_path() {
+#if defined(__x86_64__)
+  if (simd_enabled() && cpu_has_sha_ni()) return "sha-ni";
+#endif
+  return "scalar";
+}
 
 void Sha256::reset() {
   h_ = {0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a,
@@ -40,29 +130,10 @@ void Sha256::compress(const u8 block[64]) {
            (static_cast<u32>(block[4 * i + 2]) << 8) |
            static_cast<u32>(block[4 * i + 3]);
   }
-  if (simd_enabled()) {
-    // Vectorize the independent part of the schedule recurrence: for four
-    // consecutive words, t[k] = w[i+k-16] + s0(w[i+k-15]) + w[i+k-7] only
-    // reads words below i, so it computes in one 4-lane pass. The s1 term
-    // reads w[i+k-2] — inside the group for lanes 2 and 3 — and is fixed up
-    // sequentially. All adds are mod 2^32, so the result is bit-identical
-    // to the scalar loop.
-    for (int i = 16; i < 64; i += 4) {
-      u32x4 wm15 = u32x4::make(w[i - 15], w[i - 14], w[i - 13], w[i - 12]);
-      u32x4 s0 = vrotr(wm15, 7) ^ vrotr(wm15, 18) ^ vshr(wm15, 3);
-      u32x4 t = u32x4::make(w[i - 16], w[i - 15], w[i - 14], w[i - 13]) + s0 +
-                u32x4::make(w[i - 7], w[i - 6], w[i - 5], w[i - 4]);
-      for (int k = 0; k < 4; ++k) {
-        u32 x = w[i + k - 2];
-        w[i + k] = t.lane(k) + (rotr(x, 17) ^ rotr(x, 19) ^ (x >> 10));
-      }
-    }
-  } else {
-    for (int i = 16; i < 64; ++i) {
-      u32 s0 = rotr(w[i - 15], 7) ^ rotr(w[i - 15], 18) ^ (w[i - 15] >> 3);
-      u32 s1 = rotr(w[i - 2], 17) ^ rotr(w[i - 2], 19) ^ (w[i - 2] >> 10);
-      w[i] = w[i - 16] + s0 + w[i - 7] + s1;
-    }
+  for (int i = 16; i < 64; ++i) {
+    u32 s0 = rotr(w[i - 15], 7) ^ rotr(w[i - 15], 18) ^ (w[i - 15] >> 3);
+    u32 s1 = rotr(w[i - 2], 17) ^ rotr(w[i - 2], 19) ^ (w[i - 2] >> 10);
+    w[i] = w[i - 16] + s0 + w[i - 7] + s1;
   }
 
   u32 a = h_[0], b = h_[1], c = h_[2], d = h_[3];
@@ -95,6 +166,16 @@ void Sha256::compress(const u8 block[64]) {
   h_[7] += h;
 }
 
+void Sha256::compress_blocks(const u8* data, size_t blocks) {
+#if defined(__x86_64__)
+  if (simd_enabled() && cpu_has_sha_ni()) {
+    sha_ni_compress(h_.data(), data, blocks);
+    return;
+  }
+#endif
+  for (size_t i = 0; i < blocks; ++i) compress(data + 64 * i);
+}
+
 void Sha256::update(ByteSpan data) {
   total_len_ += data.size();
   size_t off = 0;
@@ -104,13 +185,14 @@ void Sha256::update(ByteSpan data) {
     buf_len_ += take;
     off += take;
     if (buf_len_ == 64) {
-      compress(buf_);
+      compress_blocks(buf_, 1);
       buf_len_ = 0;
     }
   }
-  while (off + 64 <= data.size()) {
-    compress(data.data() + off);
-    off += 64;
+  size_t blocks = (data.size() - off) / 64;
+  if (blocks > 0) {
+    compress_blocks(data.data() + off, blocks);
+    off += 64 * blocks;
   }
   if (off < data.size()) {
     std::memcpy(buf_, data.data() + off, data.size() - off);

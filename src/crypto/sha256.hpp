@@ -24,7 +24,10 @@ class Sha256 {
   Digest256 finish();
 
  private:
+  /// The scalar FIPS 180-4 reference compression of one block.
   void compress(const u8 block[64]);
+  /// Compresses whole blocks on the selected path (see sha256_path()).
+  void compress_blocks(const u8* data, size_t blocks);
 
   std::array<u32, 8> h_{};
   u8 buf_[64];
@@ -34,5 +37,10 @@ class Sha256 {
 
 /// One-shot convenience.
 Digest256 sha256(ByteSpan data);
+
+/// The compression path update() takes right now: "sha-ni" when the SIMD
+/// toggle is on and CPUID reports SHA, SSSE3 and SSE4.1 (x86-64 only),
+/// "scalar" otherwise. Both give bit-identical digests.
+const char* sha256_path();
 
 }  // namespace kshot::crypto

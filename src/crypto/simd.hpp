@@ -1,8 +1,9 @@
-// Portable 4-lane 32-bit SIMD abstraction backing the crypto hot paths
-// (SHA-256 message schedule, ChaCha20 4-block keystream). Uses GNU vector
-// extensions where the compiler provides them and a plain scalar array
-// otherwise; both produce bit-identical results, and a process-wide runtime
-// toggle lets tests and CI exercise the scalar fallback explicitly.
+// Portable 4-lane 32-bit SIMD abstraction backing the ChaCha20 4-block
+// keystream, plus the process-wide runtime toggle for every accelerated
+// crypto path (ChaCha20 4-lane, SHA-256 SHA-NI). Uses GNU vector extensions
+// where the compiler provides them and a plain scalar array otherwise; both
+// produce bit-identical results, and the toggle lets tests and CI exercise
+// the scalar references explicitly.
 #pragma once
 
 #include <atomic>
@@ -90,7 +91,6 @@ inline u32x4 vshr(u32x4 x, int n) {
 #endif  // KSHOT_SIMD_NATIVE
 
 inline u32x4 vrotl(u32x4 x, int n) { return vshl(x, n) | vshr(x, 32 - n); }
-inline u32x4 vrotr(u32x4 x, int n) { return vrotl(x, 32 - n); }
 
 // ---- Runtime toggle ----------------------------------------------------------
 //

@@ -285,7 +285,14 @@ Result<Bytes> PatchServer::handle_request(ByteSpan request_wire) {
 
   PatchResponse resp;
   resp.server_pub = server_keys.public_key;
-  resp.sealed_package = crypto::seal(session, nonce, package).serialize();
+  // Seal into the wire buffer itself: nonce || len || ciphertext || mac,
+  // with the package encrypted in place. Bytes equal seal().serialize().
+  constexpr size_t kHdr = sizeof(crypto::Nonce96) + 4;
+  Bytes& wire = resp.sealed_package;
+  wire.resize(kHdr + package.size() + sizeof(crypto::Digest256));
+  std::memcpy(wire.data() + kHdr, package.data(), package.size());
+  KSHOT_RETURN_IF_ERROR(crypto::seal_in_place(
+      session, nonce, MutByteSpan(wire.data(), wire.size()), package.size()));
 
   KSHOT_LOG(kInfo, "server") << "served " << req.patch_id << " ("
                              << package.size() << " bytes, "

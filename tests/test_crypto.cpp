@@ -2,6 +2,8 @@
 // RFC 8439, RFC 7748) plus property tests.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "common/hex.hpp"
 #include "common/rng.hpp"
 #include "crypto/aead.hpp"
@@ -106,6 +108,18 @@ TEST(Hmac, Rfc4231Case6LongKey) {
       std::string("Test Using Larger Than Block-Size Key - Hash Key First"));
   EXPECT_EQ(digest_hex(hmac_sha256(key, msg)),
             "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54");
+}
+
+TEST(Hmac, StreamedPiecesMatchOneShot) {
+  Rng rng(4231);
+  Bytes key = rng.next_bytes(32);
+  Bytes msg = rng.next_bytes(1000);
+  for (size_t split : {0ul, 1ul, 12ul, 63ul, 64ul, 65ul, 999ul, 1000ul}) {
+    HmacSha256 mac(key);
+    mac.update(ByteSpan(msg).subspan(0, split));
+    mac.update(ByteSpan(msg).subspan(split));
+    EXPECT_EQ(mac.finish(), hmac_sha256(key, msg)) << "split at " << split;
+  }
 }
 
 TEST(Hmac, KeySensitivity) {
@@ -293,6 +307,67 @@ TEST(Aead, WrongKeyRejected) {
   EXPECT_FALSE(open(k2, box).is_ok());
 }
 
+TEST(Aead, SealedWireMatchesGolden) {
+  // Wire bytes of seal(...).serialize() for a fixed key, nonce and 1 KiB
+  // message: nonce(12) || len(4) || ciphertext || mac(32). Any change to
+  // ChaCha20, the MAC construction or the framing moves them.
+  Key256 key;
+  for (size_t i = 0; i < key.size(); ++i) key[i] = static_cast<u8>(i);
+  Nonce96 nonce;
+  for (size_t i = 0; i < nonce.size(); ++i) {
+    nonce[i] = static_cast<u8>(0xA0 + i);
+  }
+  Bytes msg(1024);
+  for (size_t i = 0; i < msg.size(); ++i) {
+    msg[i] = static_cast<u8>(i * 37 + 11);
+  }
+  const char* want =
+      "a0a1a2a3a4a5a6a7a8a9aaab00040000079b2d25d2222ba393578eb63b16eccd"
+      "c6de7675ac7e59fd37701643665ea28ac750e39091ad76241534e8ff7addc990"
+      "b1e40f5286b8b27f041c66d2fbf6a4eefa8bf2f4e7edbbbe51686f6b0a9cf808"
+      "9b59eae933e8ef3eb8c047b2d9b0017d775752faf0ffa41bbc783de0330ceae3"
+      "73a236ff9aa4f39bcb640d81458cf158f49d290496e3924db66d221f3dd986af"
+      "42d224a319bcb38ffd5fca9b2e390702b3ea6bc8e7793445fec311827fbd5c1b"
+      "8c1e27b70babe8ad975535712e1684bfe972ed3e4f5fa3988f08f352e68320c4"
+      "9b6822640d4790f33e58125b5dfde9dcc16b7195799d3c3d2a2ba1721a1eac05"
+      "678b05af88f1dd2826a5ae8fe41fee2360c461d1bdcf3f18293f56799859ca66"
+      "b10121d3cb68bb947bb623f5cc3157ba1a57a701179e7ecd3c739f113ce6505c"
+      "e7c74e826550fb32fbd26c33fb230c768ec956176564e52f3e8f6c10718a8294"
+      "c57edc04e00b8094b770e7ad506b7c551e9a7652d8d2757b848521c49887a928"
+      "5e9e86c0562151b6d63839dae324ac772bb9afdb5d21e175ded286b89964948f"
+      "f9cb322ba89e7cbad6aa9ea62197c28f46d1c6515d27cf5bc310ae0bbdacd0fd"
+      "9faab45dff17233fa1f5ec4b5cca5a0f02758c5cdf2c81b2556ed85df0f7913e"
+      "9f840f66efee24347c82c9339011055544e59bec3d49ca9216b67c296ae5af7f"
+      "69d1f5d86a76d04a11af85ded8b3ffbb34cf3c2899bd29f38b82b8f891894f58"
+      "6e24066db1ad42eaeee0c8d06ba981f9d8892297f3c5520b070f3d9a3205486f"
+      "208ec31d44c6ad39792a59dc27fe3f617f5b7a1605c314bbd91a4e0ac3a9e25d"
+      "1c3dece3d45023ef20804dab5cb870f8268863e0203b37e607fa50a58c651879"
+      "b6653e6feb45cb33b3ca33862ca43a8d6978b7b14caf8f15370388118a6d82a5"
+      "8c10414532513f1c352a951cb1e4563a1271e98615ca216fa46b01c15c6b4355"
+      "517e98a192e2a011fc5998c48ac17e197811ecb7a19d3075684139f74cbe84fe"
+      "ba788ccaa8efe49e6e57bb401a8abfe2ed8901cdf19a3d881098ecfe3338516a"
+      "01a90877ca1e1ba29ad6e3a88c1f77ba9d37d3bdac98738c8b89d52f071c272a"
+      "ce4b250d6b0d4b9e1100bc3d885d753d10abc3625d8b4f9f91847891b2e77ed5"
+      "02b627ebea16d94cf2515c2564bebb77c3abc0cac2a98e2377870d2ceb00f7c0"
+      "0efc5d851eeea5917fdaf1d4ae6ed7c41d5eaab2e3fbfa851506f464ec1caa95"
+      "48eb35ae3a90bbb0bd7e90ca5598588e0fb64af4db1e1dda7d0b0cc3c0a18b14"
+      "13ef9dfc27c46e8d0807d8921d294762cdf48e0da0b2634e2f4b02bd3a8db937"
+      "307290e3714b25e94bbae55f34a0b84d1540b856b08edc0861f55bcca351a206"
+      "1ffbb8efef3577bdc5988cc200b9217da306d7d6573e1993c15ddecff3a53d10"
+      "5b932aa06ad12736f3c59b982eed744e3ff4840eda624b806ac23b026e133502"
+      "be9a0586c2d10557185fc2365049f4bd";
+  Bytes wire = seal(key, nonce, msg).serialize();
+  EXPECT_EQ(to_hex(ByteSpan(wire.data(), wire.size())), want);
+
+  Bytes in_place(wire.size());
+  std::copy(msg.begin(), msg.end(), in_place.begin() + 16);
+  ASSERT_TRUE(seal_in_place(key, nonce,
+                            MutByteSpan(in_place.data(), in_place.size()),
+                            msg.size())
+                  .is_ok());
+  EXPECT_EQ(in_place, wire);
+}
+
 TEST(Aead, DeriveKeyLabelsDiffer) {
   Bytes secret = to_bytes(std::string("shared"));
   EXPECT_NE(derive_key(secret, "a"), derive_key(secret, "b"));
@@ -314,6 +389,31 @@ TEST(SimpleHash, SdbmKnownBehaviour) {
 TEST(SimpleHash, Crc32KnownValue) {
   Bytes msg = to_bytes(std::string("123456789"));
   EXPECT_EQ(crc32(msg), 0xCBF43926u);  // classic check value
+}
+
+/// Bytewise reference CRC-32, kept here so the slice-by-8 table loop is
+/// checked against the textbook definition rather than against itself.
+u32 crc32_bytewise(ByteSpan data) {
+  u32 c = 0xFFFFFFFFu;
+  for (u8 b : data) {
+    c ^= b;
+    for (int k = 0; k < 8; ++k) c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+  }
+  return c ^ 0xFFFFFFFFu;
+}
+
+TEST(SimpleHash, Crc32MatchesBytewiseReference) {
+  Rng rng(0xC3C);
+  Bytes buf = rng.next_bytes(16 + 257);
+  for (size_t len = 0; len <= 257; ++len) {
+    for (size_t off = 0; off < 16; ++off) {
+      ByteSpan in(buf.data() + off, len);
+      ASSERT_EQ(crc32(in), crc32_bytewise(in)) << "len=" << len
+                                               << " off=" << off;
+    }
+  }
+  Bytes big = rng.next_bytes(1 << 20);
+  EXPECT_EQ(crc32(big), crc32_bytewise(big));
 }
 
 TEST(SimpleHash, Fnv1aKnownValue) {

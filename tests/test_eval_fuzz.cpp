@@ -261,11 +261,16 @@ struct MachineWorld {
 
 // ---- The differential test ---------------------------------------------------
 
+// gtest labels each case with the param's raw bytes. The six bytes after
+// the flags are a named, zeroed member rather than padding, so the label is
+// the same in every build of the same source.
 struct FuzzConfig {
   u64 seed;
   bool inlining;
   bool constfold;
+  u8 zero[6] = {};
 };
+static_assert(sizeof(FuzzConfig) == 16, "every byte of the label is a member");
 
 class DifferentialFuzz : public ::testing::TestWithParam<FuzzConfig> {};
 

@@ -1,17 +1,25 @@
-// SIMD crypto differential: the 4-lane u32x4 kernels behind SHA-256 and
-// ChaCha20 must be bit-identical to the scalar references on every input
-// shape — standard NIST/RFC vectors, every length 0..257, every unaligned
-// source offset 0..15, and multi-block sizes spanning the 4-lane ChaCha20
-// threshold. Every case here flips the runtime toggle itself, so one run of
+// Accelerated-vs-scalar crypto differential: SHA-256 on SHA-NI and the
+// 4-lane u32x4 ChaCha20 keystream must be bit-identical to the scalar
+// references on every input shape — standard NIST/RFC vectors, every length
+// 0..257, every unaligned source offset 0..15, multi-block sizes spanning the
+// 4-lane ChaCha20 threshold, and random update() chunkings of a 1 MiB+
+// message. Every case here flips the runtime toggle itself, so one run of
 // this binary exercises both code paths — no separate CI matrix leg needed
 // to keep the scalar fallback honest.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "common/hex.hpp"
 #include "common/rng.hpp"
 #include "crypto/chacha20.hpp"
+#include "crypto/hmac.hpp"
 #include "crypto/sha256.hpp"
 #include "crypto/simd.hpp"
+
+#if defined(__x86_64__)
+#include <cpuid.h>
+#endif
 
 namespace kshot::crypto {
 namespace {
@@ -81,6 +89,97 @@ TEST(SimdSha256, EveryLengthAndOffsetMatchesScalar) {
         simd_d = hex_digest(in);
       }
       ASSERT_EQ(scalar_d, simd_d) << "len=" << len << " off=" << off;
+    }
+  }
+}
+
+TEST(SimdSha256, RandomChunkingsMatchOneShotInBothModes) {
+  // Seeded random update() splits of a message just over 1 MiB: pieces that
+  // cut through the 64-byte buffer, runs of single-byte feeds and
+  // multi-block pieces that go straight to the block compressor.
+  Rng rng(0xC4A7);
+  Bytes msg = rng.next_bytes((1u << 20) + 37);
+  std::string want;
+  {
+    SimdMode mode(false);
+    want = hex_digest(msg);
+  }
+  for (bool simd : {false, true}) {
+    SimdMode mode(simd);
+    ASSERT_EQ(hex_digest(msg), want) << (simd ? "simd" : "scalar");
+    for (int trial = 0; trial < 6; ++trial) {
+      Sha256 ctx;
+      size_t off = 0;
+      while (off < msg.size()) {
+        size_t piece;
+        switch (rng.next_below(4)) {
+          case 0: piece = 1; break;
+          case 1: piece = 1 + rng.next_below(64); break;
+          case 2: piece = 1 + rng.next_below(300); break;
+          default: piece = 1 + rng.next_below(64 * 1024); break;
+        }
+        piece = std::min(piece, msg.size() - off);
+        ctx.update(ByteSpan(msg).subspan(off, piece));
+        off += piece;
+      }
+      Digest256 d = ctx.finish();
+      ASSERT_EQ(to_hex(ByteSpan(d.data(), d.size())), want)
+          << (simd ? "simd" : "scalar") << " mode, trial " << trial;
+    }
+  }
+}
+
+/// CPUID leaf 7 EBX bit 29 plus SSSE3/SSE4.1, probed here independently of
+/// the library's own check.
+bool cpuid_reports_sha_ni() {
+#if defined(__x86_64__)
+  unsigned a = 0, b = 0, c = 0, d = 0;
+  if (!__get_cpuid(1, &a, &b, &c, &d)) return false;
+  bool ssse3_sse41 = (c & (1u << 9)) && (c & (1u << 19));
+  if (!__get_cpuid_count(7, 0, &a, &b, &c, &d)) return false;
+  return ssse3_sse41 && (b & (1u << 29));
+#else
+  return false;
+#endif
+}
+
+TEST(SimdSha256, SelectedPathIsShaNiWhereCpuidReportsIt) {
+  {
+    SimdMode mode(false);
+    EXPECT_STREQ(sha256_path(), "scalar");
+  }
+  SimdMode mode(true);
+  if (!cpuid_reports_sha_ni()) {
+    EXPECT_STREQ(sha256_path(), "scalar");
+    GTEST_SKIP() << "CPUID reports no SHA-NI: only the scalar SHA-256 path "
+                    "runs on this machine";
+  }
+  EXPECT_STREQ(sha256_path(), "sha-ni");
+}
+
+TEST(SimdHmac, Rfc4231VectorsPassInBothModes) {
+  struct Vector {
+    Bytes key;
+    std::string msg;
+    const char* want;
+  };
+  const Vector vectors[] = {
+      {Bytes(20, 0x0b), "Hi There",
+       "b0344c61d8db38535ca8afceaf0bf12b881dc200c9833da726e9376c2e32cff7"},
+      {Bytes{'J', 'e', 'f', 'e'}, "what do ya want for nothing?",
+       "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843"},
+      {Bytes(20, 0xaa), std::string(50, '\xdd'),
+       "773ea91e36800e46854db8ebd09181a72959098b3ef8c122d9635514ced565fe"},
+      {Bytes(131, 0xaa),
+       "Test Using Larger Than Block-Size Key - Hash Key First",
+       "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54"},
+  };
+  for (bool simd : {false, true}) {
+    SimdMode mode(simd);
+    for (const auto& v : vectors) {
+      Digest256 d = hmac_sha256(v.key, span_of(v.msg));
+      EXPECT_EQ(to_hex(ByteSpan(d.data(), d.size())), v.want)
+          << (simd ? "simd" : "scalar") << " mode";
     }
   }
 }
