@@ -26,6 +26,7 @@ namespace kshot::core {
 /// Table II columns (microseconds; real measured work + modeled link time).
 struct SgxPhaseTimings {
   double fetch_us = 0;       // request/response crypto + modeled network
+  double link_us = 0;        // the modeled-network share of fetch_us
   double preprocess_us = 0;  // integrity check, layout, branch replacement,
                              // sealing for SMM
   double passing_us = 0;     // writing mem_W + mailbox (untrusted app)

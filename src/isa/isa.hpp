@@ -98,6 +98,22 @@ struct Decoded {
   size_t len = 0;
 };
 
+/// The longest encoding (loadr/storer): the interpreter's fetch window.
+inline constexpr size_t kMaxInstrLen = 7;
+
+/// Why decoding failed: the Errc and text decode() reports.
+struct DecodeFault {
+  Errc code;
+  const char* message;  // static storage
+};
+
+/// The decoder's Result-free core, shared by decode() and the interpreter.
+/// Decodes one instruction from code[0, n) into `out` and returns null, or
+/// returns a static DecodeFault (and `out` is unspecified). It builds no
+/// Status and no string, so the interpreter's per-step decode allocates
+/// nothing.
+const DecodeFault* decode_into(const u8* code, size_t n, Decoded& out);
+
 /// Decodes one instruction at the start of `code`.
 Result<Decoded> decode(ByteSpan code);
 

@@ -156,27 +156,35 @@ void Machine::trigger_smi() {
 }
 
 StepResult Machine::step() {
-  // Fetch up to the longest instruction (7 bytes).
-  u8 buf[8] = {0};
-  size_t want = 7;
-  if (cpu_.rip + want > mem_.size()) {
-    if (cpu_.rip >= mem_.size()) {
-      return {StepKind::kMemFault, cpu_.rip, "rip out of range"};
+  const AccessMode mode = access_mode();
+  isa::Decoded dec;
+  const isa::DecodeFault* bad = nullptr;
+  if (const u8* window =
+          mem_.exec_window(cpu_.rip, isa::kMaxInstrLen, mode, fetch_memo_)) {
+    // The memo's page was checked for this mode and nothing that check()
+    // reads has changed since: decode straight from the live frame.
+    bad = isa::decode_into(window, isa::kMaxInstrLen, dec);
+  } else {
+    // Checked fetch of up to the longest instruction; refreshes the memo.
+    u8 buf[isa::kMaxInstrLen] = {0};
+    size_t want = isa::kMaxInstrLen;
+    if (cpu_.rip + want > mem_.size()) {
+      if (cpu_.rip >= mem_.size()) {
+        return {StepKind::kMemFault, cpu_.rip, "rip out of range"};
+      }
+      want = mem_.size() - cpu_.rip;
     }
-    want = mem_.size() - cpu_.rip;
+    Status st = mem_.fetch(cpu_.rip, want, MutByteSpan(buf, sizeof(buf)),
+                           mode, &fetch_memo_);
+    if (!st.is_ok()) {
+      return {StepKind::kMemFault, cpu_.rip, "fetch: " + st.message()};
+    }
+    bad = isa::decode_into(buf, want, dec);
   }
-  Status st = mem_.fetch(cpu_.rip, want, MutByteSpan(buf, sizeof(buf)),
-                         access_mode());
-  if (!st.is_ok()) {
-    return {StepKind::kMemFault, cpu_.rip, "fetch: " + st.message()};
-  }
-  auto dec = isa::decode(ByteSpan(buf, want));
-  if (!dec) {
-    return {StepKind::kBadInstr, cpu_.rip, dec.status().message()};
-  }
+  if (bad != nullptr) return {StepKind::kBadInstr, cpu_.rip, bad->message};
   charge_cycles(cost_.cycles_per_instr);
   ++instret_;
-  StepResult res = exec(dec->instr, dec->len);
+  StepResult res = exec(dec.instr, dec.len);
 
   // Firmware periodic SMI timer: fires between instructions.
   if (periodic_smi_interval_ != 0 && cycles_ >= next_periodic_smi_ &&
@@ -203,10 +211,10 @@ StepResult Machine::exec(const isa::Instr& in, size_t len) {
       break;
     case Op::kHlt:
       cpu_.rip = next;
-      return {StepKind::kHalt, 0, ""};
+      return {StepKind::kHalt};
     case Op::kInt3:
       cpu_.rip = next;
-      return {StepKind::kBreak, 0, ""};
+      return {StepKind::kBreak};
     case Op::kUd2:
       return {StepKind::kOops, 0, "ud2 (kernel BUG)"};
     case Op::kTrap:
@@ -324,7 +332,7 @@ StepResult Machine::exec(const isa::Instr& in, size_t len) {
       cpu_.sp() += 8;
       if (*ra == kReturnSentinel) {
         cpu_.rip = *ra;
-        return {StepKind::kRetTop, 0, ""};
+        return {StepKind::kRetTop};
       }
       next = *ra;
       break;
@@ -346,7 +354,7 @@ StepResult Machine::exec(const isa::Instr& in, size_t len) {
   }
 
   cpu_.rip = next;
-  return {StepKind::kOk, 0, ""};
+  return {};
 }
 
 Status Machine::set_periodic_smi(u64 interval_cycles) {
@@ -359,12 +367,11 @@ Status Machine::set_periodic_smi(u64 interval_cycles) {
 }
 
 StepResult Machine::run(u64 max_instrs) {
-  StepResult res;
   for (u64 i = 0; i < max_instrs; ++i) {
-    res = step();
+    StepResult res = step();
     if (res.kind != StepKind::kOk) return res;
   }
-  return res;
+  return {};
 }
 
 }  // namespace kshot::machine

@@ -209,6 +209,8 @@ class Machine {
   u64 rendezvous_cost();
 
   PhysMem mem_;
+  /// The code page step() last fetched through a checked fetch.
+  FetchMemo fetch_memo_;
   CpuState cpu_;
   CpuMode mode_ = CpuMode::kProtected;
   CostModel cost_;

@@ -8,16 +8,35 @@
 
 namespace kshot::machine {
 
-namespace {
-
-constexpr std::array<u8, kPageSize> kZeroPage{};
-
-}  // namespace
+u64 PhysMem::next_epoch() {
+  static std::atomic<u64> counter{0};
+  return ++counter;
+}
 
 PhysMem::PhysMem(size_t size_bytes)
     : size_(size_bytes),
       frames_((size_bytes + kPageSize - 1) / kPageSize),
       attrs_(frames_.size()) {}
+
+PhysMem::PhysMem(PhysMem&& o) noexcept
+    : size_(std::exchange(o.size_, 0)),
+      frames_(std::move(o.frames_)),
+      attrs_(std::move(o.attrs_)),
+      smram_base_(o.smram_base_),
+      smram_len_(o.smram_len_) {
+  o.epoch_ = next_epoch();
+}
+
+PhysMem& PhysMem::operator=(PhysMem&& o) noexcept {
+  size_ = std::exchange(o.size_, 0);
+  frames_ = std::move(o.frames_);
+  attrs_ = std::move(o.attrs_);
+  smram_base_ = o.smram_base_;
+  smram_len_ = o.smram_len_;
+  epoch_ = next_epoch();
+  o.epoch_ = next_epoch();
+  return *this;
+}
 
 PhysMem PhysMem::fork() const {
   PhysMem out(0);
@@ -147,17 +166,27 @@ Result<Bytes> PhysMem::read_bytes(PhysAddr addr, size_t n,
 }
 
 Status PhysMem::fetch(PhysAddr addr, size_t n, MutByteSpan out,
-                      AccessMode mode) const {
+                      AccessMode mode, FetchMemo* memo) const {
   if (n > out.size()) {
     return {Errc::kInvalidArgument, "fetch longer than the output buffer"};
   }
   KSHOT_RETURN_IF_ERROR(check(addr, n, mode, false, true));
   copy_out(addr, out.first(n));
+  // check() judges whole pages, so every window inside this page passes as
+  // well, as long as the page lies wholly in memory and the epoch stands.
+  const size_t page = addr / kPageSize;
+  if (memo != nullptr && n > 0 && (addr + n - 1) / kPageSize == page &&
+      (page + 1) * kPageSize <= size_) {
+    memo->page_ = page;
+    memo->mode_ = mode;
+    memo->epoch_ = epoch_;
+  }
   return Status::ok();
 }
 
 void PhysMem::set_attrs(PhysAddr addr, size_t len, PageAttr attr) {
   if (len == 0) return;
+  epoch_ = next_epoch();
   PhysAddr first = addr / kPageSize;
   PhysAddr last = (addr + len - 1) / kPageSize;
   for (PhysAddr p = first; p <= last && p < attrs_.size(); ++p) {
@@ -176,6 +205,7 @@ void PhysMem::set_smram(PhysAddr base, size_t len) {
               "PhysMem: set_smram base and length must be page-aligned");
   smram_base_ = base;
   smram_len_ = len;
+  epoch_ = next_epoch();
 }
 
 bool PhysMem::in_smram(PhysAddr addr) const {
@@ -196,8 +226,8 @@ std::optional<MemDifference> first_difference(
     const u8* pa = a.page_bytes(page);
     const u8* pb = b.page_bytes(page);
     if (pa == pb) continue;  // one shared frame, or both untouched
-    if (!pa) pa = kZeroPage.data();
-    if (!pb) pb = kZeroPage.data();
+    if (!pa) pa = PhysMem::kZeroPage.data();
+    if (!pb) pb = PhysMem::kZeroPage.data();
     const PhysAddr base = page * kPageSize;
     const size_t n = std::min<PhysAddr>(kPageSize, limit - base);
     if (std::memcmp(pa, pb, n) == 0) continue;

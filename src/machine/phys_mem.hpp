@@ -57,6 +57,19 @@ struct AddrRange {
   }
 };
 
+/// What the last successful checked instruction fetch proved: its mode may
+/// fetch from every byte of its page while the memory's attribute epoch is
+/// unchanged. Only PhysMem::fetch fills one, so a memo cannot be forged. It
+/// holds no bytes and no pointer, so a write cannot make it stale; see
+/// PhysMem::exec_window.
+class FetchMemo {
+ private:
+  friend class PhysMem;
+  u64 page_ = ~u64{0};  // matches no page until a fetch fills it
+  AccessMode mode_;
+  u64 epoch_ = 0;       // no PhysMem ever has epoch 0
+};
+
 /// The first byte at which two memories differ.
 struct MemDifference {
   PhysAddr addr = 0;
@@ -69,8 +82,10 @@ class PhysMem {
   explicit PhysMem(size_t size_bytes);
   PhysMem(const PhysMem&) = delete;
   PhysMem& operator=(const PhysMem&) = delete;
-  PhysMem(PhysMem&&) noexcept = default;
-  PhysMem& operator=(PhysMem&&) noexcept = default;
+  /// A move gives both sides a fresh attribute epoch (and leaves the source
+  /// empty), so no FetchMemo taken before it matches either of them.
+  PhysMem(PhysMem&& o) noexcept;
+  PhysMem& operator=(PhysMem&& o) noexcept;
 
   /// Copy-on-write clone in O(pages): contents, attributes and SMRAM range.
   /// Later writes to either side are invisible to the other.
@@ -86,15 +101,39 @@ class PhysMem {
   Result<Bytes> read_bytes(PhysAddr addr, size_t n, AccessMode mode) const;
 
   /// Instruction fetch: checked against the page's exec attribute (not read),
-  /// so execute-only regions like mem_X work as the paper requires.
-  Status fetch(PhysAddr addr, size_t n, MutByteSpan out, AccessMode mode) const;
+  /// so execute-only regions like mem_X work as the paper requires. When it
+  /// succeeds on a window inside one page that lies wholly in memory, it
+  /// records that page, `mode` and the attribute epoch in `*memo`.
+  Status fetch(PhysAddr addr, size_t n, MutByteSpan out, AccessMode mode,
+               FetchMemo* memo = nullptr) const;
+
+  /// The live bytes of the fetch window [addr, addr + len) when `memo`
+  /// already proves fetch() would allow it: the window lies in the memo's
+  /// page, and `mode` and the attribute epoch are the ones fetch() checked.
+  /// Returns null otherwise; the caller then takes fetch(). The pointer is
+  /// the page's current frame, so every write made so far (a COW swap
+  /// included) is visible through it, and it is valid until the next write.
+  [[nodiscard]] const u8* exec_window(PhysAddr addr, size_t len,
+                                      AccessMode mode,
+                                      const FetchMemo& memo) const {
+    const size_t off = addr % kPageSize;
+    if (addr / kPageSize != memo.page_ || len > kPageSize - off ||
+        memo.epoch_ != epoch_ || mode.kind != memo.mode_.kind ||
+        mode.enclave_id != memo.mode_.enclave_id) {
+      return nullptr;
+    }
+    const u8* p = page_bytes(memo.page_);
+    return (p != nullptr ? p : kZeroPage.data()) + off;
+  }
 
   // Page attributes ------------------------------------------------------
   /// Sets attributes on [addr, addr+len), rounded outward to page boundaries.
+  /// Starts a new attribute epoch.
   void set_attrs(PhysAddr addr, size_t len, PageAttr attr);
   [[nodiscard]] PageAttr attrs_at(PhysAddr addr) const;
 
   // SMRAM ----------------------------------------------------------------
+  /// Moves SMRAM to [base, base+len); starts a new attribute epoch.
   void set_smram(PhysAddr base, size_t len);
   [[nodiscard]] bool in_smram(PhysAddr addr) const;
   [[nodiscard]] PhysAddr smram_base() const { return smram_base_; }
@@ -137,6 +176,12 @@ class PhysMem {
     Frame* f_ = nullptr;
   };
 
+  static constexpr std::array<u8, kPageSize> kZeroPage{};
+
+  /// A value no PhysMem has held before: epochs come from one process-wide
+  /// counter, so a memo can only ever match the state it was taken on.
+  static u64 next_epoch();
+
   friend std::optional<MemDifference> first_difference(
       const PhysMem&, const PhysMem&, PhysAddr, std::span<const AddrRange>);
 
@@ -172,6 +217,10 @@ class PhysMem {
   std::vector<PageAttr> attrs_;
   PhysAddr smram_base_ = 0;
   size_t smram_len_ = 0;
+  /// Changes whenever a check() result could: new attributes, a new SMRAM
+  /// range, or a move (the only way size_ changes). Besides its arguments,
+  /// check() reads nothing else.
+  u64 epoch_ = next_epoch();
 };
 
 /// Finds the lowest address below `limit` whose byte differs between `a`

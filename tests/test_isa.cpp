@@ -3,6 +3,13 @@
 // scanning/retargeting.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <map>
+#include <set>
+#include <string>
+#include <vector>
+
 #include "isa/assembler.hpp"
 #include "isa/disasm.hpp"
 #include "isa/isa.hpp"
@@ -117,6 +124,61 @@ TEST(Decode, RejectsBad0FEscape) {
 }
 
 TEST(Decode, EmptyInput) { EXPECT_FALSE(decode({}).is_ok()); }
+
+TEST(IsaDecodeCore, AgreesWithDecodeOnEveryFirstByteAndLength) {
+  // The interpreter decodes through decode_into(); decode() wraps it. Both
+  // must give the same answer for every window the interpreter can fetch:
+  // any first byte, register bytes in and out of range, 0F escapes, and
+  // every length up to the 7-byte fetch window.
+  const std::vector<std::array<u8, 6>> tails = {
+      {0x03, 0x0E, 0x44, 0x33, 0x22, 0x11},  // registers in range
+      {0x0F, 0x10, 0x00, 0x00, 0x00, 0x80},  // second register out of range
+      {0x10, 0x02, 0xFF, 0xFF, 0xFF, 0xFF},  // first register out of range
+      {0xFF, 0xFF, 0x01, 0x02, 0x03, 0x04},  // both out of range
+      {0x0B, 0x00, 0x00, 0x00, 0x00, 0x00},  // ud2 after 0F
+      {0x1F, 0x44, 0x00, 0x00, 0x00, 0x00},  // nop5 after 0F
+      {0x1F, 0x44, 0x00, 0x01, 0x00, 0x00},  // broken nop5
+  };
+  // The only failures decode() reports, each with one code.
+  const std::map<std::string, Errc> known = {
+      {"empty code", Errc::kOutOfRange},
+      {"truncated instruction", Errc::kOutOfRange},
+      {"bad register", Errc::kInvalidArgument},
+      {"bad 0F escape", Errc::kInvalidArgument},
+      {"unknown opcode", Errc::kInvalidArgument},
+  };
+  std::set<std::string> seen;
+  u64 decoded = 0;
+  for (int b0 = 0; b0 <= 0xFF; ++b0) {
+    for (const auto& tail : tails) {
+      u8 window[kMaxInstrLen];
+      window[0] = static_cast<u8>(b0);
+      std::copy(tail.begin(), tail.end(), window + 1);
+      for (size_t n = 0; n <= kMaxInstrLen; ++n) {
+        SCOPED_TRACE(::testing::Message() << "b0 " << b0 << " len " << n);
+        Decoded core;
+        const DecodeFault* fault = decode_into(window, n, core);
+        auto full = decode(ByteSpan(window, n));
+        ASSERT_EQ(fault == nullptr, full.is_ok());
+        if (fault == nullptr) {
+          EXPECT_EQ(core.instr, full->instr);
+          EXPECT_EQ(core.len, full->len);
+          EXPECT_LE(core.len, n);
+          ++decoded;
+          continue;
+        }
+        EXPECT_EQ(fault->code, full.status().code());
+        EXPECT_EQ(fault->message, full.status().message());
+        auto it = known.find(fault->message);
+        ASSERT_NE(it, known.end()) << fault->message;
+        EXPECT_EQ(it->second, fault->code);
+        seen.insert(fault->message);
+      }
+    }
+  }
+  EXPECT_EQ(seen.size(), known.size());
+  EXPECT_GT(decoded, 0u);
+}
 
 // ---- Assembler ----------------------------------------------------------------
 

@@ -491,6 +491,160 @@ TEST(Interp, WhileLoopViaBranches) {
   EXPECT_EQ(m.cpu().regs[0], 55u);
 }
 
+// ---- Instruction fetch memo --------------------------------------------------
+// step() skips the page check while its fetch memo stands, but it always
+// decodes the page's live bytes, and any change check() could see ends the
+// memo. Each test below first runs code on a page (so the memo holds it),
+// then changes the page or the mode, and checks the very next step.
+
+TEST(Interp, StoreIntoCurrentCodePageRunsOnNextStep) {
+  Machine m = make_machine();
+  constexpr u64 kBase = 0x1000;
+  constexpr i32 kTrapAt = 6 + 6 + 7;  // movi, movi, storer
+  isa::Assembler a;
+  a.movi(6, kBase);
+  a.movi(5, static_cast<i32>(0x909090F4));  // bytes F4 90 90 90: hlt, nops
+  a.storer(5, 6, kTrapAt);                  // normal-mode store into W+X
+  a.trap(7);                                // overwritten before it runs
+  ASSERT_TRUE(m.mem().write(kBase, *a.finish(), AccessMode::smm()).is_ok());
+  // A fork shares the code frame, so the store must copy the page (a COW
+  // swap) before it writes; the next fetch has to read the copy.
+  PhysMem snapshot = m.mem().fork();
+  m.cpu().rip = kBase;
+  auto res = m.run(100);
+  EXPECT_EQ(res.kind, StepKind::kHalt) << res.detail;
+  EXPECT_EQ(m.instret(), 4u);
+  EXPECT_EQ(m.cpu().rip, kBase + kTrapAt + 1);
+  auto old = snapshot.read_bytes(kBase + kTrapAt, 1, AccessMode::smm());
+  ASSERT_TRUE(old.is_ok());
+  EXPECT_EQ((*old)[0], 0x72);  // the fork still holds the trap
+}
+
+TEST(Interp, SmmWriteToCodePageRunsOnNextStep) {
+  // KShot's trampoline write: SMM rewrites code the kernel is running.
+  Machine m = make_machine();
+  constexpr u64 kBase = 0x1000;
+  ASSERT_TRUE(m.set_smm_handler([](Machine& mm) {
+                 const Bytes hlt = {0xF4};
+                 ASSERT_TRUE(
+                     mm.mem().write(kBase + 1, hlt, AccessMode::smm()).is_ok());
+               })
+                  .is_ok());
+  const Bytes code = {0x90, 0x72, 0x07};  // nop; trap 7
+  ASSERT_TRUE(m.mem().write(kBase, code, AccessMode::smm()).is_ok());
+  m.cpu().rip = kBase;
+  ASSERT_EQ(m.step().kind, StepKind::kOk);
+  m.trigger_smi();
+  EXPECT_EQ(m.step().kind, StepKind::kHalt);
+}
+
+TEST(Interp, RevokingExecFaultsOnNextStep) {
+  Machine m = make_machine();
+  constexpr u64 kBase = 0x3000;
+  const Bytes code = {0x90, 0x90, 0xF4};
+  ASSERT_TRUE(m.mem().write(kBase, code, AccessMode::smm()).is_ok());
+  m.cpu().rip = kBase;
+  ASSERT_EQ(m.step().kind, StepKind::kOk);
+  m.mem().set_attrs(kBase, kPageSize, {true, true, false, 0});
+  auto res = m.step();
+  EXPECT_EQ(res.kind, StepKind::kMemFault);
+  EXPECT_EQ(res.info, kBase + 1);
+  EXPECT_EQ(res.detail, "fetch: page not executable");
+}
+
+TEST(Interp, SmramCodeFaultsInProtectedModeAfterRsm) {
+  Machine m = make_machine();
+  constexpr u64 kCode = kSmramBase + 0x2000;
+  const Bytes code = {0x90, 0x90, 0xF4};
+  ASSERT_TRUE(m.mem().write(kCode, code, AccessMode::smm()).is_ok());
+  StepKind in_smm = StepKind::kHalt;
+  ASSERT_TRUE(m.set_smm_handler([&](Machine& mm) {
+                 mm.cpu().rip = kCode;  // RSM restores the saved rip
+                 in_smm = mm.step().kind;
+               })
+                  .is_ok());
+  m.trigger_smi();
+  EXPECT_EQ(in_smm, StepKind::kOk);
+  m.cpu().rip = kCode + 1;  // the page SMM just fetched from
+  auto res = m.step();
+  EXPECT_EQ(res.kind, StepKind::kMemFault);
+  EXPECT_EQ(res.detail, "fetch: SMRAM access in protected mode");
+}
+
+TEST(Interp, NopAtPageEndBeforeNonExecPageFaults) {
+  // The fetch window is 7 bytes whatever the instruction: a nop whose
+  // window reaches a non-exec page faults, memo or not.
+  Machine m = make_machine();
+  constexpr u64 kPage = 0x4000;
+  const Bytes nops(16, 0x90);
+  ASSERT_TRUE(
+      m.mem().write(kPage + kPageSize - 16, nops, AccessMode::smm()).is_ok());
+  m.mem().set_attrs(kPage + kPageSize, kPageSize, {true, true, false, 0});
+  m.cpu().rip = kPage + kPageSize - 16;
+  auto res = m.run(100);
+  EXPECT_EQ(res.kind, StepKind::kMemFault);
+  EXPECT_EQ(res.info, kPage + kPageSize - 6);
+  EXPECT_EQ(res.detail, "fetch: page not executable");
+  EXPECT_EQ(m.instret(), 10u);
+}
+
+TEST(Interp, MovedInMemoryDoesNotReuseStaleMemo) {
+  Machine m = make_machine();
+  constexpr u64 kBase = 0x1000;
+  const Bytes code = {0x90, 0x90, 0xF4};
+  ASSERT_TRUE(m.mem().write(kBase, code, AccessMode::smm()).is_ok());
+  m.cpu().rip = kBase;
+  ASSERT_EQ(m.step().kind, StepKind::kOk);
+
+  // Same bytes, same size, but the code page is not executable.
+  PhysMem other = m.mem().fork();
+  other.set_attrs(kBase, kPageSize, {true, true, false, 0});
+  PhysMem moved(std::move(other));
+  m.mem() = std::move(moved);
+  auto res = m.step();
+  EXPECT_EQ(res.kind, StepKind::kMemFault);
+  EXPECT_EQ(res.detail, "fetch: page not executable");
+
+  // And a freshly built memory of the same shape, assigned in, is checked
+  // from scratch too.
+  PhysMem fresh(8 << 20);
+  fresh.set_smram(kSmramBase, kSmramSize);
+  m.mem() = std::move(fresh);
+  m.cpu().rip = kBase;
+  res = m.step();
+  EXPECT_EQ(res.kind, StepKind::kBadInstr);  // zero page: opcode 00
+  EXPECT_EQ(res.detail, "unknown opcode");
+}
+
+TEST(Interp, PeriodicSmiNopSweepMatchesClosedForm) {
+  // Guards the modeled clock: every instruction is charged and counted, and
+  // the periodic SMI is checked after every one, whatever fetch path ran.
+  Machine m = make_machine();
+  const CostModel& cost = m.cost_model();
+  constexpr u64 kBase = 0x10000;
+  constexpr u64 kNops = 64 * 1024;
+  constexpr u64 kInterval = 1001;  // not a multiple of cycles_per_instr
+  Bytes code(kNops, 0x90);
+  code.push_back(0xF4);
+  ASSERT_TRUE(m.mem().write(kBase, code, AccessMode::smm()).is_ok());
+  ASSERT_TRUE(m.set_smm_handler([](Machine&) {}).is_ok());
+  ASSERT_TRUE(m.set_periodic_smi(kInterval).is_ok());
+  m.cpu().rip = kBase;
+  auto res = m.run(kNops + 10);
+  ASSERT_EQ(res.kind, StepKind::kHalt);
+
+  // An SMI fires once per `every` instructions: the first instruction to
+  // reach the deadline, which restarts `kInterval` after the RSM.
+  const u64 n = kNops + 1;
+  const u64 every =
+      (kInterval + cost.cycles_per_instr - 1) / cost.cycles_per_instr;
+  const u64 smis = n / every;
+  EXPECT_EQ(m.instret(), n);
+  EXPECT_EQ(m.smi_count(), smis);
+  EXPECT_EQ(m.cycles(), n * cost.cycles_per_instr +
+                            smis * (cost.smi_entry_cycles + cost.rsm_cycles));
+}
+
 // ---- SMM ----------------------------------------------------------------------
 
 TEST(Smm, StateSavedAndRestoredAcrossSmi) {

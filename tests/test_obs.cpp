@@ -321,6 +321,77 @@ TEST(PipelineTrace, SmiSpansSumToModeledDowntime) {
   }
 }
 
+/// The span a pipeline span closes inside: the server's compile inside
+/// handle_request, the fetch round trip inside kshot/fetch, every SMM phase
+/// inside its smm/smi, and everything else inside the closing
+/// kshot/live_patch* span, which is itself top level ("").
+std::string parent_of(const TraceEvent& e) {
+  const std::string key = e.component + "/" + e.name;
+  if (key == "netsim/compile") return "netsim/handle_request";
+  if (key == "netsim/handle_request" || key == "enclave/begin_fetch" ||
+      key == "enclave/finish_fetch") {
+    return "kshot/fetch";
+  }
+  if (e.component == "smm" && e.name != "smi") return "smm/smi";
+  if (key.rfind("kshot/live_patch", 0) == 0) return "";
+  return "kshot/live_patch";
+}
+
+TEST(PipelineTrace, KshotSpansCoverTheirChildren) {
+  // A span's wall time is host time measured around its children, so it can
+  // never be shorter than their sum. Modeled time (the link latency of a
+  // fetch) belongs in args and on the virtual clock, not in wall_us.
+  for (bool sweep : {false, true}) {
+    SCOPED_TRACE(sweep ? "64 KiB size sweep" : "CVE-2014-0196");
+    auto run = std::make_unique<TracedRun>();
+    testbed::TestbedOptions opts;
+    opts.trace = &run->trace;
+    opts.metrics = &run->metrics;
+    cve::CveCase c = cve::find_case("CVE-2014-0196");
+    if (sweep) {
+      c = testbed::make_size_sweep_case(64 * 1024);
+      opts.layout = testbed::layout_for_patch_bytes(64 * 1024);
+    }
+    auto tb = testbed::Testbed::boot(c, opts);
+    ASSERT_TRUE(tb.is_ok()) << tb.status().to_string();
+    auto rep = (*tb)->kshot().live_patch(c.id);
+    ASSERT_TRUE(rep.is_ok() && rep->success);
+    EXPECT_GT(rep->sgx.link_us, 0.0);
+    EXPECT_GT(rep->sgx.fetch_us, rep->sgx.link_us);
+
+    // Children complete before their parent: a closing span adopts every
+    // pending span that names it as parent.
+    struct Pending {
+      std::string parent;
+      double wall_us;
+    };
+    std::vector<Pending> pending;
+    u32 kshot_parents = 0;
+    for (const auto& e : run->trace.snapshot()) {
+      if (e.kind != EventKind::kComplete) continue;
+      const std::string key = e.component + "/" + e.name;
+      double children = 0;
+      u32 adopted = 0;
+      std::vector<Pending> keep;
+      for (const Pending& p : pending) {
+        if (p.parent == key) {
+          children += p.wall_us;
+          ++adopted;
+        } else {
+          keep.push_back(p);
+        }
+      }
+      pending = std::move(keep);
+      pending.push_back({parent_of(e), e.wall_us});
+      if (e.component != "kshot" || adopted == 0) continue;
+      ++kshot_parents;
+      EXPECT_GE(e.wall_us, children) << key << " has " << adopted
+                                      << " children";
+    }
+    EXPECT_EQ(kshot_parents, 2u);  // kshot/fetch and kshot/live_patch
+  }
+}
+
 TEST(PipelineTrace, VirtualTimelineIsSeedDeterministic) {
   // Two runs with the same seed must produce the same virtual-clock event
   // sequence (names + virtual timestamps); wall clocks may differ.
