@@ -104,13 +104,11 @@ Result<BaselineReport> KpatchSim::apply(const patchtool::PatchSet& set) {
         return rep;
       }
 
-      Bytes jmp;
-      jmp.push_back(0xE9);
-      u8 rel[4];
+      Bytes jmp(5);
+      jmp[0] = 0xE9;
       i64 disp = static_cast<i64>(pl.addr + pl.p->ftrace_off) -
                  static_cast<i64>(jmp_addr + 5);
-      store_u32(rel, static_cast<u32>(static_cast<i32>(disp)));
-      jmp.insert(jmp.end(), rel, rel + 4);
+      store_u32(jmp.data() + 1, static_cast<u32>(static_cast<i32>(disp)));
       if (hook_) hook_(jmp);  // the trampoline write is hijackable too
       st = m.mem().write(jmp_addr, jmp, mode);
       if (!st.is_ok()) {

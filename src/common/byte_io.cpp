@@ -62,33 +62,4 @@ Status ByteReader::skip(size_t n) {
   return Status::ok();
 }
 
-u16 load_u16(const u8* p) {
-  return static_cast<u16>(p[0] | (static_cast<u16>(p[1]) << 8));
-}
-
-u32 load_u32(const u8* p) {
-  u32 v = 0;
-  for (int i = 3; i >= 0; --i) v = (v << 8) | p[i];
-  return v;
-}
-
-u64 load_u64(const u8* p) {
-  u64 v = 0;
-  for (int i = 7; i >= 0; --i) v = (v << 8) | p[i];
-  return v;
-}
-
-void store_u16(u8* p, u16 v) {
-  p[0] = static_cast<u8>(v);
-  p[1] = static_cast<u8>(v >> 8);
-}
-
-void store_u32(u8* p, u32 v) {
-  for (int i = 0; i < 4; ++i) p[i] = static_cast<u8>(v >> (8 * i));
-}
-
-void store_u64(u8* p, u64 v) {
-  for (int i = 0; i < 8; ++i) p[i] = static_cast<u8>(v >> (8 * i));
-}
-
 }  // namespace kshot

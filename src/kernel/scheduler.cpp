@@ -62,9 +62,10 @@ void Scheduler::run_thread_quantum(Thread& t, u64 quantum_instrs) {
 
   machine_.cpu() = t.ctx_;
   u64 budget = quantum_instrs;
+  machine::StepResult res;  // written only when a step stops
   while (budget > 0) {
-    machine::StepResult res = machine_.step();
     --budget;
+    if (machine_.step_into(res)) continue;
     switch (res.kind) {
       case machine::StepKind::kOk:
         continue;

@@ -1,5 +1,7 @@
 #include "machine/machine.hpp"
 
+#include <string_view>
+
 #include "common/byte_io.hpp"
 #include "common/check.hpp"
 #include "common/log.hpp"
@@ -17,6 +19,19 @@ constexpr size_t kSaveStateBytes = 16 * 8 + 3 * 8;
 /// its memory.
 void save_state_or_die(const Status& st) {
   KSHOT_CHECK(st.is_ok(), "SMM save-state access failed: " + st.to_string());
+}
+
+/// Writes a stop into `stop` and returns false (nothing more retires).
+bool stop_with(StepResult& stop, StepKind kind, u64 info = 0,
+               std::string_view detail = {}) {
+  stop.kind = kind;
+  stop.info = info;
+  stop.detail.assign(detail);
+  return false;
+}
+
+bool mem_fault(StepResult& stop, u64 addr, const AccessFault& f) {
+  return stop_with(stop, StepKind::kMemFault, addr, f.message);
 }
 
 }  // namespace
@@ -156,6 +171,12 @@ void Machine::trigger_smi() {
 }
 
 StepResult Machine::step() {
+  StepResult stop;
+  (void)step_into(stop);
+  return stop;
+}
+
+bool Machine::step_into(StepResult& stop) {
   const AccessMode mode = access_mode();
   isa::Decoded dec;
   const isa::DecodeFault* bad = nullptr;
@@ -170,21 +191,25 @@ StepResult Machine::step() {
     size_t want = isa::kMaxInstrLen;
     if (cpu_.rip + want > mem_.size()) {
       if (cpu_.rip >= mem_.size()) {
-        return {StepKind::kMemFault, cpu_.rip, "rip out of range"};
+        return stop_with(stop, StepKind::kMemFault, cpu_.rip,
+                         "rip out of range");
       }
       want = mem_.size() - cpu_.rip;
     }
     Status st = mem_.fetch(cpu_.rip, want, MutByteSpan(buf, sizeof(buf)),
                            mode, &fetch_memo_);
     if (!st.is_ok()) {
-      return {StepKind::kMemFault, cpu_.rip, "fetch: " + st.message()};
+      return stop_with(stop, StepKind::kMemFault, cpu_.rip,
+                       "fetch: " + st.message());
     }
     bad = isa::decode_into(buf, want, dec);
   }
-  if (bad != nullptr) return {StepKind::kBadInstr, cpu_.rip, bad->message};
+  if (bad != nullptr) {
+    return stop_with(stop, StepKind::kBadInstr, cpu_.rip, bad->message);
+  }
   charge_cycles(cost_.cycles_per_instr);
   ++instret_;
-  StepResult res = exec(dec.instr, dec.len);
+  const bool retired = exec(dec.instr, dec.len, stop);
 
   // Firmware periodic SMI timer: fires between instructions.
   if (periodic_smi_interval_ != 0 && cycles_ >= next_periodic_smi_ &&
@@ -192,10 +217,10 @@ StepResult Machine::step() {
     trigger_smi();
     next_periodic_smi_ = cycles_ + periodic_smi_interval_;
   }
-  return res;
+  return retired;
 }
 
-StepResult Machine::exec(const isa::Instr& in, size_t len) {
+bool Machine::exec(const isa::Instr& in, size_t len, StepResult& stop) {
   using isa::Op;
   u64 next = cpu_.rip + len;
   auto& r = cpu_.regs;
@@ -211,14 +236,15 @@ StepResult Machine::exec(const isa::Instr& in, size_t len) {
       break;
     case Op::kHlt:
       cpu_.rip = next;
-      return {StepKind::kHalt};
+      return stop_with(stop, StepKind::kHalt);
     case Op::kInt3:
       cpu_.rip = next;
-      return {StepKind::kBreak};
+      return stop_with(stop, StepKind::kBreak);
     case Op::kUd2:
-      return {StepKind::kOops, 0, "ud2 (kernel BUG)"};
+      return stop_with(stop, StepKind::kOops, 0, "ud2 (kernel BUG)");
     case Op::kTrap:
-      return {StepKind::kOops, static_cast<u64>(in.imm), "software trap"};
+      return stop_with(stop, StepKind::kOops, static_cast<u64>(in.imm),
+                       "software trap");
 
     case Op::kMov:
       r[in.a] = r[in.b];
@@ -231,11 +257,15 @@ StepResult Machine::exec(const isa::Instr& in, size_t len) {
     case Op::kSub: r[in.a] -= r[in.b]; break;
     case Op::kMul: r[in.a] *= r[in.b]; break;
     case Op::kDiv:
-      if (r[in.b] == 0) return {StepKind::kOops, 0, "divide by zero"};
+      if (r[in.b] == 0) {
+        return stop_with(stop, StepKind::kOops, 0, "divide by zero");
+      }
       r[in.a] /= r[in.b];
       break;
     case Op::kMod:
-      if (r[in.b] == 0) return {StepKind::kOops, 0, "mod by zero"};
+      if (r[in.b] == 0) {
+        return stop_with(stop, StepKind::kOops, 0, "mod by zero");
+      }
       r[in.a] %= r[in.b];
       break;
     case Op::kXor: r[in.a] ^= r[in.b]; break;
@@ -248,11 +278,15 @@ StepResult Machine::exec(const isa::Instr& in, size_t len) {
     case Op::kSubi: r[in.a] -= static_cast<u64>(in.imm); break;
     case Op::kMuli: r[in.a] *= static_cast<u64>(in.imm); break;
     case Op::kDivi:
-      if (in.imm == 0) return {StepKind::kOops, 0, "divide by zero"};
+      if (in.imm == 0) {
+        return stop_with(stop, StepKind::kOops, 0, "divide by zero");
+      }
       r[in.a] /= static_cast<u64>(in.imm);
       break;
     case Op::kModi:
-      if (in.imm == 0) return {StepKind::kOops, 0, "mod by zero"};
+      if (in.imm == 0) {
+        return stop_with(stop, StepKind::kOops, 0, "mod by zero");
+      }
       r[in.a] %= static_cast<u64>(in.imm);
       break;
     case Op::kXori: r[in.a] ^= static_cast<u64>(in.imm); break;
@@ -262,31 +296,37 @@ StepResult Machine::exec(const isa::Instr& in, size_t len) {
     case Op::kShri: r[in.a] >>= (in.imm & 63); break;
 
     case Op::kLoadG: {
-      auto v = mem_.read_u64(static_cast<u64>(in.imm), access_mode());
-      if (!v) return {StepKind::kMemFault, static_cast<u64>(in.imm),
-                      v.status().message()};
-      r[in.a] = *v;
+      const u64 addr = static_cast<u64>(in.imm);
+      u64 v = 0;
+      if (const AccessFault* f = mem_.load_word(addr, access_mode(), v)) {
+        return mem_fault(stop, addr, *f);
+      }
+      r[in.a] = v;
       break;
     }
     case Op::kStoreG: {
-      Status st =
-          mem_.write_u64(static_cast<u64>(in.imm), r[in.a], access_mode());
-      if (!st.is_ok()) {
-        return {StepKind::kMemFault, static_cast<u64>(in.imm), st.message()};
+      const u64 addr = static_cast<u64>(in.imm);
+      if (const AccessFault* f =
+              mem_.store_word(addr, r[in.a], access_mode())) {
+        return mem_fault(stop, addr, *f);
       }
       break;
     }
     case Op::kLoadR: {
-      u64 addr = r[in.b] + static_cast<u64>(in.imm);
-      auto v = mem_.read_u64(addr, access_mode());
-      if (!v) return {StepKind::kMemFault, addr, v.status().message()};
-      r[in.a] = *v;
+      const u64 addr = r[in.b] + static_cast<u64>(in.imm);
+      u64 v = 0;
+      if (const AccessFault* f = mem_.load_word(addr, access_mode(), v)) {
+        return mem_fault(stop, addr, *f);
+      }
+      r[in.a] = v;
       break;
     }
     case Op::kStoreR: {
-      u64 addr = r[in.b] + static_cast<u64>(in.imm);
-      Status st = mem_.write_u64(addr, r[in.a], access_mode());
-      if (!st.is_ok()) return {StepKind::kMemFault, addr, st.message()};
+      const u64 addr = r[in.b] + static_cast<u64>(in.imm);
+      if (const AccessFault* f =
+              mem_.store_word(addr, r[in.a], access_mode())) {
+        return mem_fault(stop, addr, *f);
+      }
       break;
     }
 
@@ -320,41 +360,54 @@ StepResult Machine::exec(const isa::Instr& in, size_t len) {
       break;
 
     case Op::kCall: {
+      // sp is lowered before the store, so a faulting call leaves it lowered.
       cpu_.sp() -= 8;
-      Status st = mem_.write_u64(cpu_.sp(), next, access_mode());
-      if (!st.is_ok()) return {StepKind::kMemFault, cpu_.sp(), st.message()};
+      if (const AccessFault* f =
+              mem_.store_word(cpu_.sp(), next, access_mode())) {
+        return mem_fault(stop, cpu_.sp(), *f);
+      }
       next = next + static_cast<i64>(in.imm);
       break;
     }
     case Op::kRet: {
-      auto ra = mem_.read_u64(cpu_.sp(), access_mode());
-      if (!ra) return {StepKind::kMemFault, cpu_.sp(), ra.status().message()};
-      cpu_.sp() += 8;
-      if (*ra == kReturnSentinel) {
-        cpu_.rip = *ra;
-        return {StepKind::kRetTop};
+      u64 ra = 0;
+      if (const AccessFault* f =
+              mem_.load_word(cpu_.sp(), access_mode(), ra)) {
+        return mem_fault(stop, cpu_.sp(), *f);
       }
-      next = *ra;
+      cpu_.sp() += 8;
+      if (ra == kReturnSentinel) {
+        cpu_.rip = ra;
+        return stop_with(stop, StepKind::kRetTop);
+      }
+      next = ra;
       break;
     }
 
     case Op::kPush: {
       cpu_.sp() -= 8;
-      Status st = mem_.write_u64(cpu_.sp(), r[in.a], access_mode());
-      if (!st.is_ok()) return {StepKind::kMemFault, cpu_.sp(), st.message()};
+      if (const AccessFault* f =
+              mem_.store_word(cpu_.sp(), r[in.a], access_mode())) {
+        return mem_fault(stop, cpu_.sp(), *f);
+      }
       break;
     }
     case Op::kPop: {
-      auto v = mem_.read_u64(cpu_.sp(), access_mode());
-      if (!v) return {StepKind::kMemFault, cpu_.sp(), v.status().message()};
+      u64 v = 0;
+      if (const AccessFault* f =
+              mem_.load_word(cpu_.sp(), access_mode(), v)) {
+        return mem_fault(stop, cpu_.sp(), *f);
+      }
+      // sp moves before the register is written: `pop r15` sets sp to the
+      // loaded word.
       cpu_.sp() += 8;
-      r[in.a] = *v;
+      r[in.a] = v;
       break;
     }
   }
 
   cpu_.rip = next;
-  return {};
+  return true;
 }
 
 Status Machine::set_periodic_smi(u64 interval_cycles) {
@@ -367,11 +420,11 @@ Status Machine::set_periodic_smi(u64 interval_cycles) {
 }
 
 StepResult Machine::run(u64 max_instrs) {
+  StepResult stop;
   for (u64 i = 0; i < max_instrs; ++i) {
-    StepResult res = step();
-    if (res.kind != StepKind::kOk) return res;
+    if (!step_into(stop)) break;
   }
-  return {};
+  return stop;
 }
 
 }  // namespace kshot::machine

@@ -92,6 +92,14 @@ class Machine {
   /// Interprets the instruction at cpu().rip in the current mode.
   StepResult step();
 
+  /// The step core that step() and run() wrap. Returns true when the
+  /// instruction retired and execution may go on (kOk), leaving `stop`
+  /// untouched; otherwise writes the stop's kind, info and detail into
+  /// `stop` and returns false. The ok path builds no StepResult, Status or
+  /// string, so a caller that steps one instruction at a time (the
+  /// scheduler) should call this rather than step().
+  [[nodiscard]] bool step_into(StepResult& stop);
+
   /// Runs up to `max_instrs` instructions; stops early on any non-kOk result.
   StepResult run(u64 max_instrs);
 
@@ -203,7 +211,8 @@ class Machine {
   void restore_state_from_smram();
 
  private:
-  StepResult exec(const isa::Instr& in, size_t len);
+  /// Executes one decoded instruction; the same contract as step_into().
+  [[nodiscard]] bool exec(const isa::Instr& in, size_t len, StepResult& stop);
   /// Entry charge for the next SMI; draws one jitter per AP (never touches
   /// hw_rng, and draws nothing at all on a 1-CPU machine).
   u64 rendezvous_cost();

@@ -69,12 +69,54 @@ void PhysMem::copy_out(PhysAddr addr, MutByteSpan out) const {
   });
 }
 
-Status PhysMem::check(PhysAddr addr, size_t len, AccessMode mode, bool writing,
-                      bool fetching) const {
-  if (addr + len > size_ || addr + len < addr) {
-    return {Errc::kOutOfRange, "physical address out of range"};
-  }
-  if (len == 0) return Status::ok();
+void PhysMem::copy_in(PhysAddr addr, ByteSpan data) {
+  for_each_page(addr, data.size(), [&](size_t page, size_t off, size_t done,
+                                       size_t n) {
+    std::memcpy(writable_page(page) + off, data.data() + done, n);
+  });
+}
+
+namespace {
+
+constexpr AccessFault kPastEnd{Errc::kOutOfRange,
+                               "physical address out of range"};
+constexpr AccessFault kSmramFromNormal{Errc::kPermissionDenied,
+                                       "SMRAM access in protected mode"};
+constexpr AccessFault kEpcFromNormal{Errc::kPermissionDenied,
+                                     "EPC access from non-enclave code"};
+constexpr AccessFault kEpcFromSmm{Errc::kPermissionDenied,
+                                  "EPC access from SMM"};
+constexpr AccessFault kSmramFromEnclave{Errc::kPermissionDenied,
+                                        "SMRAM access from enclave"};
+constexpr AccessFault kEpcOfOtherEnclave{Errc::kPermissionDenied,
+                                         "EPC page of another enclave"};
+constexpr AccessFault kNotExecutable{Errc::kPermissionDenied,
+                                     "page not executable"};
+constexpr AccessFault kNotWritable{Errc::kPermissionDenied,
+                                   "page not writable"};
+constexpr AccessFault kNotReadable{Errc::kPermissionDenied,
+                                   "page not readable"};
+
+/// The page-attribute verdict for normal-mode (and enclave non-EPC) access.
+[[nodiscard]] const AccessFault* attr_fault(const PageAttr& a, bool writing,
+                                          bool fetching) {
+  if (fetching) return a.exec ? nullptr : &kNotExecutable;
+  if (writing) return a.write ? nullptr : &kNotWritable;
+  return a.read ? nullptr : &kNotReadable;
+}
+
+/// A fault as a Status; null is ok.
+Status to_status(const AccessFault* f) {
+  return f != nullptr ? Status(f->code, f->message) : Status::ok();
+}
+
+}  // namespace
+
+const AccessFault* PhysMem::access_fault(PhysAddr addr, size_t len,
+                                         AccessMode mode, bool writing,
+                                         bool fetching) const {
+  if (addr + len > size_ || addr + len < addr) return &kPastEnd;
+  if (len == 0) return nullptr;
 
   for (PhysAddr page = addr / kPageSize; page <= (addr + len - 1) / kPageSize;
        ++page) {
@@ -84,49 +126,35 @@ Status PhysMem::check(PhysAddr addr, size_t len, AccessMode mode, bool writing,
 
     switch (mode.kind) {
       case AccessMode::Kind::kNormal:
-        if (smram) {
-          return {Errc::kPermissionDenied, "SMRAM access in protected mode"};
-        }
-        if (a.epc_owner != 0) {
-          return {Errc::kPermissionDenied, "EPC access from non-enclave code"};
-        }
-        if (fetching) {
-          if (!a.exec) return {Errc::kPermissionDenied, "page not executable"};
-        } else if (writing) {
-          if (!a.write) return {Errc::kPermissionDenied, "page not writable"};
-        } else {
-          if (!a.read) return {Errc::kPermissionDenied, "page not readable"};
-        }
+        if (smram) return &kSmramFromNormal;
+        if (a.epc_owner != 0) return &kEpcFromNormal;
+        if (const AccessFault* f = attr_fault(a, writing, fetching)) return f;
         break;
       case AccessMode::Kind::kSmm:
         // SMM bypasses page attributes and may use SMRAM, but the memory
         // encryption engine keeps EPC opaque even to SMM.
-        if (a.epc_owner != 0) {
-          return {Errc::kPermissionDenied, "EPC access from SMM"};
-        }
+        if (a.epc_owner != 0) return &kEpcFromSmm;
         break;
       case AccessMode::Kind::kEnclave:
-        if (smram) {
-          return {Errc::kPermissionDenied, "SMRAM access from enclave"};
-        }
+        if (smram) return &kSmramFromEnclave;
         if (a.epc_owner != 0 && a.epc_owner != mode.enclave_id) {
-          return {Errc::kPermissionDenied, "EPC page of another enclave"};
+          return &kEpcOfOtherEnclave;
         }
         // Enclave code obeys ordinary page attributes on non-EPC memory.
         if (a.epc_owner == 0) {
-          if (fetching) {
-            if (!a.exec)
-              return {Errc::kPermissionDenied, "page not executable"};
-          } else if (writing) {
-            if (!a.write) return {Errc::kPermissionDenied, "page not writable"};
-          } else {
-            if (!a.read) return {Errc::kPermissionDenied, "page not readable"};
+          if (const AccessFault* f = attr_fault(a, writing, fetching)) {
+            return f;
           }
         }
         break;
     }
   }
-  return Status::ok();
+  return nullptr;
+}
+
+Status PhysMem::check(PhysAddr addr, size_t len, AccessMode mode, bool writing,
+                      bool fetching) const {
+  return to_status(access_fault(addr, len, mode, writing, fetching));
 }
 
 Status PhysMem::read(PhysAddr addr, MutByteSpan out, AccessMode mode) const {
@@ -137,24 +165,52 @@ Status PhysMem::read(PhysAddr addr, MutByteSpan out, AccessMode mode) const {
 
 Status PhysMem::write(PhysAddr addr, ByteSpan data, AccessMode mode) {
   KSHOT_RETURN_IF_ERROR(check(addr, data.size(), mode, true, false));
-  for_each_page(addr, data.size(), [&](size_t page, size_t off, size_t done,
-                                       size_t n) {
-    std::memcpy(writable_page(page) + off, data.data() + done, n);
-  });
+  copy_in(addr, data);
   return Status::ok();
 }
 
+const AccessFault* PhysMem::load_word(PhysAddr addr, AccessMode mode,
+                                      u64& out) const {
+  if (const AccessFault* f = access_fault(addr, 8, mode, false, false)) {
+    return f;
+  }
+  const size_t off = addr % kPageSize;
+  if (off <= kPageSize - 8) {
+    const u8* p = page_bytes(addr / kPageSize);
+    out = load_u64((p != nullptr ? p : kZeroPage.data()) + off);
+  } else {
+    u8 buf[8];
+    copy_out(addr, MutByteSpan(buf, 8));
+    out = load_u64(buf);
+  }
+  return nullptr;
+}
+
+const AccessFault* PhysMem::store_word(PhysAddr addr, u64 value,
+                                       AccessMode mode) {
+  if (const AccessFault* f = access_fault(addr, 8, mode, true, false)) {
+    return f;
+  }
+  const size_t off = addr % kPageSize;
+  if (off <= kPageSize - 8) {
+    // writable_page copies a shared frame first, so a fork never sees this.
+    store_u64(writable_page(addr / kPageSize) + off, value);
+  } else {
+    u8 buf[8];
+    store_u64(buf, value);
+    copy_in(addr, ByteSpan(buf, 8));
+  }
+  return nullptr;
+}
+
 Result<u64> PhysMem::read_u64(PhysAddr addr, AccessMode mode) const {
-  u8 buf[8];
-  Status st = read(addr, MutByteSpan(buf, 8), mode);
-  if (!st.is_ok()) return st;
-  return load_u64(buf);
+  u64 v = 0;
+  if (const AccessFault* f = load_word(addr, mode, v)) return to_status(f);
+  return v;
 }
 
 Status PhysMem::write_u64(PhysAddr addr, u64 value, AccessMode mode) {
-  u8 buf[8];
-  store_u64(buf, value);
-  return write(addr, ByteSpan(buf, 8), mode);
+  return to_status(store_word(addr, value, mode));
 }
 
 Result<Bytes> PhysMem::read_bytes(PhysAddr addr, size_t n,

@@ -57,6 +57,14 @@ struct AddrRange {
   }
 };
 
+/// Why PhysMem refused an access: the Status-free form of a check()
+/// failure, with the same code and text. Like isa::DecodeFault it points at
+/// static storage, so reporting a fault builds no string.
+struct AccessFault {
+  Errc code;
+  const char* message;  // static storage
+};
+
 /// What the last successful checked instruction fetch proved: its mode may
 /// fetch from every byte of its page while the memory's attribute epoch is
 /// unchanged. Only PhysMem::fetch fills one, so a memo cannot be forged. It
@@ -96,8 +104,17 @@ class PhysMem {
   // Data access ---------------------------------------------------------
   Status read(PhysAddr addr, MutByteSpan out, AccessMode mode) const;
   Status write(PhysAddr addr, ByteSpan data, AccessMode mode);
+  /// Wrappers over load_word/store_word that build a Status on failure.
   Result<u64> read_u64(PhysAddr addr, AccessMode mode) const;
   Status write_u64(PhysAddr addr, u64 value, AccessMode mode);
+  /// The interpreter's word access: the same check, code and text as
+  /// read_u64/write_u64, but a fault is returned as a static AccessFault
+  /// and null means done. A load writes `out` only on success, and a
+  /// refused store writes nothing.
+  [[nodiscard]] const AccessFault* load_word(PhysAddr addr, AccessMode mode,
+                                             u64& out) const;
+  [[nodiscard]] const AccessFault* store_word(PhysAddr addr, u64 value,
+                                              AccessMode mode);
   Result<Bytes> read_bytes(PhysAddr addr, size_t n, AccessMode mode) const;
 
   /// Instruction fetch: checked against the page's exec attribute (not read),
@@ -185,6 +202,12 @@ class PhysMem {
   friend std::optional<MemDifference> first_difference(
       const PhysMem&, const PhysMem&, PhysAddr, std::span<const AddrRange>);
 
+  /// The one access checker: null when `mode` may access every byte of
+  /// [addr, addr + len), else the first fault found.
+  [[nodiscard]] const AccessFault* access_fault(PhysAddr addr, size_t len,
+                                                AccessMode mode, bool writing,
+                                                bool fetching) const;
+  /// access_fault() as a Status.
   Status check(PhysAddr addr, size_t len, AccessMode mode, bool writing,
                bool fetching) const;
   /// Page bytes for reading; null for an untouched (all-zero) page.
@@ -195,6 +218,7 @@ class PhysMem {
   /// Page bytes for writing: allocates a null frame, copies a shared one.
   u8* writable_page(size_t page);
   void copy_out(PhysAddr addr, MutByteSpan out) const;
+  void copy_in(PhysAddr addr, ByteSpan data);
   /// Calls fn(page, offset in page, offset in span, length) for each page
   /// piece of [addr, addr+len). A span inside one page (nearly every
   /// access) is one call with a runtime length, which reaches libc's
@@ -217,9 +241,9 @@ class PhysMem {
   std::vector<PageAttr> attrs_;
   PhysAddr smram_base_ = 0;
   size_t smram_len_ = 0;
-  /// Changes whenever a check() result could: new attributes, a new SMRAM
-  /// range, or a move (the only way size_ changes). Besides its arguments,
-  /// check() reads nothing else.
+  /// Changes whenever an access_fault() result could: new attributes, a new
+  /// SMRAM range, or a move (the only way size_ changes). Besides its
+  /// arguments, access_fault() reads nothing else.
   u64 epoch_ = next_epoch();
 };
 

@@ -4,10 +4,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <optional>
+#include <string>
 #include <thread>
 #include <vector>
 
+#include "common/byte_io.hpp"
 #include "common/rng.hpp"
 #include "isa/assembler.hpp"
 #include "machine/machine.hpp"
@@ -347,6 +350,121 @@ TEST(PhysMem, FirstDifferenceMatchesByteScan) {
   EXPECT_GT(equal, 500u);
 }
 
+// ---- PhysMem word access ----------------------------------------------------
+
+std::string verdict(const AccessFault* f) {
+  if (f == nullptr) return "ok";
+  return std::to_string(static_cast<int>(f->code)) + ": " + f->message;
+}
+
+std::string verdict(const Status& st) {
+  if (st.is_ok()) return "ok";
+  return std::to_string(static_cast<int>(st.code())) + ": " + st.message();
+}
+
+TEST(PhysMem, WordAccessMatchesCheckedAccess) {
+  // load_word/store_word must agree with read/write (the byte path through
+  // check()) on every verdict, value and byte. Pages 1 and 2 take every
+  // pair of R/W/X and EPC owner (none, enclave 1, enclave 2), so a word
+  // crossing between them meets each combination; page 3 is never written
+  // (the zero page), page 4 is SMRAM and page 5 ends memory.
+  constexpr size_t kPages = 6;
+  constexpr PhysAddr kSmram = 4 * kPageSize;
+  constexpr PhysAddr kEnd = kPages * kPageSize;
+  PhysMem pristine(kEnd);
+  pristine.set_smram(kSmram, kPageSize);
+  Rng rng(0xACCE55);
+  for (PhysAddr page : {0, 1, 2, 4, 5}) {
+    ASSERT_TRUE(pristine
+                    .write(page * kPageSize, rng.next_bytes(kPageSize),
+                           AccessMode::smm())
+                    .is_ok());
+  }
+  const Bytes original = *pristine.read_bytes(0, kEnd, AccessMode::smm());
+  std::vector<PageAttr> attrs;
+  for (u16 owner : {0, 1, 2}) {
+    for (int rwx = 0; rwx < 8; ++rwx) {
+      attrs.push_back({(rwx & 4) != 0, (rwx & 2) != 0, (rwx & 1) != 0, owner});
+    }
+  }
+  const AccessMode modes[] = {AccessMode::normal(), AccessMode::smm(),
+                              AccessMode::enclave(1), AccessMode::enclave(2)};
+  std::vector<PhysAddr> addrs = {0, 8, kEnd - 8, kEnd - 7, kEnd - 1, kEnd,
+                                 kEnd + 8, ~0ull, ~0ull - 3, ~0ull - 7,
+                                 ~0ull - 8, kSmram - 4, kSmram, kSmram - 8,
+                                 kSmram + kPageSize - 4, 3 * kPageSize - 4,
+                                 3 * kPageSize + 16};
+  for (PhysAddr off = 0; off <= 8; ++off) {
+    addrs.push_back(2 * kPageSize - off);  // inside page 1 or crossing to 2
+  }
+  addrs.push_back(kPageSize);
+  addrs.push_back(kPageSize + 1234);
+
+  size_t allowed = 0, refused = 0;
+  u64 value = 0x0123456789ABCDEFull;
+  for (const PageAttr& a1 : attrs) {
+    for (const PageAttr& a2 : attrs) {
+      PhysMem base = pristine.fork();
+      base.set_attrs(kPageSize, kPageSize, a1);
+      base.set_attrs(2 * kPageSize, kPageSize, a2);
+      for (const AccessMode& mode : modes) {
+        for (PhysAddr addr : addrs) {
+          SCOPED_TRACE(::testing::Message()
+                       << "addr 0x" << std::hex << addr << std::dec
+                       << " mode " << static_cast<int>(mode.kind) << "/"
+                       << mode.enclave_id << " attrs " << a1.read << a1.write
+                       << a1.exec << a1.epc_owner << " " << a2.read
+                       << a2.write << a2.exec << a2.epc_owner);
+          // Load: same verdict and value; nothing written to `out` on a
+          // fault.
+          u8 buf[8];
+          const Status rd = base.read(addr, MutByteSpan(buf, 8), mode);
+          u64 got = 0x5A5A5A5A5A5A5A5Aull;
+          const AccessFault* lf = base.load_word(addr, mode, got);
+          ASSERT_EQ(verdict(lf), verdict(rd));
+          if (lf == nullptr) {
+            EXPECT_EQ(got, load_u64(buf));
+          } else {
+            EXPECT_EQ(got, 0x5A5A5A5A5A5A5A5Aull);
+          }
+
+          // Store: same verdict and the same bytes afterwards; a refused
+          // store writes nothing. Both sides start as forks of `base`, so
+          // every store into a filled page is a copy-on-write.
+          value = value * 6364136223846793005ull + 1442695040888963407ull;
+          PhysMem by_word = base.fork();
+          PhysMem by_bytes = base.fork();
+          u8 vbuf[8];
+          store_u64(vbuf, value);
+          const Status wr = by_bytes.write(addr, ByteSpan(vbuf, 8), mode);
+          const AccessFault* sf = by_word.store_word(addr, value, mode);
+          ASSERT_EQ(verdict(sf), verdict(wr));
+          EXPECT_FALSE(first_difference(by_word, by_bytes, kEnd, {}));
+          if (sf != nullptr) {
+            ++refused;
+            EXPECT_FALSE(first_difference(by_word, base, kEnd, {}));
+          } else {
+            ++allowed;
+          }
+          // Every memory here shares `pristine`'s frames, so a store that
+          // skipped the copy would show in them.
+          if (addr < kEnd) {
+            const PhysAddr from = addr / kPageSize * kPageSize;
+            const size_t n = std::min<PhysAddr>(2 * kPageSize, kEnd - from);
+            const Bytes now =
+                *pristine.read_bytes(from, n, AccessMode::smm());
+            EXPECT_TRUE(std::equal(now.begin(), now.end(),
+                                   original.begin() + from));
+          }
+        }
+      }
+    }
+  }
+  // Both verdicts must be common, or the comparison proves little.
+  EXPECT_GT(allowed, 10000u);
+  EXPECT_GT(refused, 10000u);
+}
+
 // ---- Interpreter -----------------------------------------------------------
 
 /// Assembles code at `base`, points rip at it and runs to a terminal state.
@@ -643,6 +761,201 @@ TEST(Interp, PeriodicSmiNopSweepMatchesClosedForm) {
   EXPECT_EQ(m.smi_count(), smis);
   EXPECT_EQ(m.cycles(), n * cost.cycles_per_instr +
                             smis * (cost.smi_entry_cycles + cost.rsm_cycles));
+}
+
+// ---- Step core ----------------------------------------------------------------
+// step() and run() both wrap Machine::step_into, which writes a StepResult
+// only when an instruction stops the run.
+
+constexpr u64 kRoPage = 0x20000;      // readable, not writable
+constexpr u64 kNoReadPage = 0x21000;  // writable, not readable
+constexpr u64 kMemEnd = 8 << 20;
+
+/// A machine whose code at 0x1000 is `code`, with a read-only and a
+/// write-only page to fault on.
+Machine machine_running(const Bytes& code) {
+  Machine m = make_machine();
+  EXPECT_TRUE(m.mem().write(0x1000, code, AccessMode::smm()).is_ok());
+  m.mem().set_attrs(kRoPage, kPageSize, {true, false, true, 0});
+  m.mem().set_attrs(kNoReadPage, kPageSize, {false, true, true, 0});
+  for (int i = 0; i < isa::kNumRegs; ++i) m.cpu().regs[i] = 0x100 * i + 7;
+  m.cpu().sp() = 0x100000;
+  m.cpu().rip = 0x1000;
+  return m;
+}
+
+void expect_same_cpu(const Machine& a, const Machine& b) {
+  EXPECT_EQ(a.cpu().regs, b.cpu().regs);
+  EXPECT_EQ(a.cpu().rip, b.cpu().rip);
+  EXPECT_EQ(a.cpu().zf, b.cpu().zf);
+  EXPECT_EQ(a.cpu().sf, b.cpu().sf);
+  EXPECT_EQ(a.instret(), b.instret());
+  EXPECT_EQ(a.cycles(), b.cycles());
+}
+
+TEST(Interp, StepAndRunReportTheSame) {
+  struct Case {
+    const char* name;
+    StepKind kind;
+    std::function<void(isa::Assembler&)> emit;
+    std::function<void(Machine&)> setup = [](Machine&) {};
+  };
+  using isa::Op;
+  const std::vector<Case> cases = {
+      {"nop", StepKind::kOk, [](isa::Assembler& a) { a.nop(); }},
+      {"movi", StepKind::kOk, [](isa::Assembler& a) { a.movi(3, -9); }},
+      {"hlt", StepKind::kHalt, [](isa::Assembler& a) { a.hlt(); }},
+      {"int3", StepKind::kBreak,
+       [](isa::Assembler& a) { a.emit({Op::kInt3}); }},
+      {"ud2", StepKind::kOops, [](isa::Assembler& a) { a.ud2(); }},
+      {"trap", StepKind::kOops, [](isa::Assembler& a) { a.trap(42); }},
+      {"div", StepKind::kOops,
+       [](isa::Assembler& a) { a.alu(Op::kDiv, 1, 2); },
+       [](Machine& m) { m.cpu().regs[2] = 0; }},
+      {"mod", StepKind::kOops,
+       [](isa::Assembler& a) { a.alu(Op::kMod, 1, 2); },
+       [](Machine& m) { m.cpu().regs[2] = 0; }},
+      {"divi", StepKind::kOops,
+       [](isa::Assembler& a) { a.alui(Op::kDivi, 1, 0); }},
+      {"modi", StepKind::kOops,
+       [](isa::Assembler& a) { a.alui(Op::kModi, 1, 0); }},
+      {"bad opcode", StepKind::kBadInstr,
+       [](isa::Assembler& a) { a.emit({Op::kNop}); },
+       [](Machine& m) {
+         ASSERT_TRUE(m.mem().write(0x1000, Bytes{0}, AccessMode::smm())
+                         .is_ok());
+       }},
+      {"fetch fault", StepKind::kMemFault,
+       [](isa::Assembler& a) { a.nop(); },
+       [](Machine& m) { m.cpu().rip = kSmramBase + 16; }},
+      {"rip out of range", StepKind::kMemFault,
+       [](isa::Assembler& a) { a.nop(); },
+       [](Machine& m) { m.cpu().rip = kMemEnd; }},
+      {"loadg", StepKind::kMemFault,
+       [](isa::Assembler& a) { a.loadg(1, kNoReadPage + 8); }},
+      {"storeg", StepKind::kMemFault,
+       [](isa::Assembler& a) { a.storeg(1, kRoPage + 8); }},
+      {"loadr", StepKind::kMemFault,
+       [](isa::Assembler& a) { a.loadr(1, 2, 16); },
+       [](Machine& m) { m.cpu().regs[2] = kMemEnd - 20; }},
+      {"storer", StepKind::kMemFault,
+       [](isa::Assembler& a) { a.storer(1, 2, -8); },
+       [](Machine& m) { m.cpu().regs[2] = kSmramBase + 64; }},
+      {"push", StepKind::kMemFault, [](isa::Assembler& a) { a.push(3); },
+       [](Machine& m) { m.cpu().sp() = kRoPage + 64; }},
+      {"pop", StepKind::kMemFault, [](isa::Assembler& a) { a.pop(3); },
+       [](Machine& m) { m.cpu().sp() = kNoReadPage + 64; }},
+      {"call", StepKind::kMemFault,
+       [](isa::Assembler& a) {
+         auto l = a.new_label();
+         a.branch(Op::kCall, l);
+         a.bind(l);
+         a.hlt();
+       },
+       [](Machine& m) { m.cpu().sp() = 0; }},
+      {"ret", StepKind::kMemFault, [](isa::Assembler& a) { a.ret(); },
+       [](Machine& m) { m.cpu().sp() = kMemEnd - 4; }},
+      {"ret to sentinel", StepKind::kRetTop,
+       [](isa::Assembler& a) { a.ret(); },
+       [](Machine& m) {
+         ASSERT_TRUE(m.mem()
+                         .write_u64(m.cpu().sp(), kReturnSentinel,
+                                    AccessMode::normal())
+                         .is_ok());
+       }},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    isa::Assembler a;
+    c.emit(a);
+    a.hlt();
+    const Bytes code = *a.finish();
+    Machine by_step = machine_running(code);
+    Machine by_run = machine_running(code);
+    c.setup(by_step);
+    c.setup(by_run);
+    const StepResult s = by_step.step();
+    const StepResult r = by_run.run(1);
+    EXPECT_EQ(s.kind, c.kind) << s.detail;
+    EXPECT_EQ(r.kind, s.kind);
+    EXPECT_EQ(r.info, s.info);
+    EXPECT_EQ(r.detail, s.detail);
+    if (c.kind == StepKind::kOk) {
+      EXPECT_EQ(s.info, 0u);
+      EXPECT_EQ(s.detail, "");
+    } else {
+      EXPECT_EQ(s.kind == StepKind::kMemFault || s.kind == StepKind::kOops ||
+                    s.kind == StepKind::kBadInstr,
+                !s.detail.empty());
+    }
+    expect_same_cpu(by_step, by_run);
+  }
+}
+
+TEST(Interp, FaultingMemoryOpsPinRegistersAndSp) {
+  // A faulting load or pop leaves its register (and sp) as it was; a
+  // faulting push or call has already lowered sp. rip stays on the
+  // faulting instruction either way.
+  struct Case {
+    const char* name;
+    isa::Instr in;
+    u64 sp;
+    u64 want_sp;
+    u64 want_info;
+  };
+  using isa::Op;
+  const u64 sp_ro = kRoPage + 64;
+  const u64 sp_nr = kNoReadPage + 64;
+  const std::vector<Case> cases = {
+      {"loadg", {Op::kLoadG, 4, 0, static_cast<i64>(kNoReadPage)}, 0x100000,
+       0x100000, kNoReadPage},
+      {"loadr base = dst", {Op::kLoadR, 4, 4, 0}, 0x100000, 0x100000,
+       kNoReadPage + 8},
+      {"pop", {Op::kPop, 4}, sp_nr, sp_nr, sp_nr},
+      {"pop r15", {Op::kPop, kSpReg}, sp_nr, sp_nr, sp_nr},
+      {"ret", {Op::kRet}, sp_nr, sp_nr, sp_nr},
+      {"push", {Op::kPush, 4}, sp_ro, sp_ro - 8, sp_ro - 8},
+      {"push r15", {Op::kPush, kSpReg}, sp_ro, sp_ro - 8, sp_ro - 8},
+      {"call", {Op::kCall, 0, 0, 0}, sp_ro, sp_ro - 8, sp_ro - 8},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    isa::Assembler a;
+    a.emit(c.in);
+    Machine m = machine_running(*a.finish());
+    m.cpu().sp() = c.sp;
+    m.cpu().regs[4] = kNoReadPage + 8;  // loadr r4, [r4]: not readable
+    const auto before = m.cpu().regs;
+    const StepResult res = m.step();
+    EXPECT_EQ(res.kind, StepKind::kMemFault);
+    EXPECT_EQ(res.info, c.want_info);
+    EXPECT_EQ(m.cpu().rip, 0x1000u);
+    EXPECT_EQ(m.cpu().sp(), c.want_sp);
+    for (int i = 0; i < isa::kNumRegs; ++i) {
+      if (i != kSpReg) EXPECT_EQ(m.cpu().regs[i], before[i]) << "r" << i;
+    }
+  }
+}
+
+TEST(Interp, PopAndPushOfSpOrdering) {
+  // pop r15 moves sp past the word, then loads the word into sp; push r15
+  // lowers sp first and stores the lowered value.
+  Machine m = make_machine();
+  constexpr u64 kSp = 0x100000;
+  constexpr u64 kWord = 0x234560;
+  ASSERT_TRUE(m.mem().write_u64(kSp, kWord, AccessMode::normal()).is_ok());
+  isa::Assembler a;
+  a.pop(kSpReg);
+  a.push(kSpReg);
+  a.hlt();
+  ASSERT_TRUE(m.mem().write(0x1000, *a.finish(), AccessMode::smm()).is_ok());
+  m.cpu().rip = 0x1000;
+  m.cpu().sp() = kSp;
+  ASSERT_EQ(m.step().kind, StepKind::kOk);
+  EXPECT_EQ(m.cpu().sp(), kWord);
+  ASSERT_EQ(m.step().kind, StepKind::kOk);
+  EXPECT_EQ(m.cpu().sp(), kWord - 8);
+  EXPECT_EQ(*m.mem().read_u64(kWord - 8, AccessMode::normal()), kWord - 8);
 }
 
 // ---- SMM ----------------------------------------------------------------------
