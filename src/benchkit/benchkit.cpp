@@ -1,14 +1,25 @@
 #include "benchkit/benchkit.hpp"
 
-#include <cmath>
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <functional>
+#include <variant>
 
+#include "attacks/rootkits.hpp"
+#include "baselines/karma_sim.hpp"
+#include "baselines/kpatch_sim.hpp"
+#include "baselines/kup_sim.hpp"
 #include "common/parallel.hpp"
+#include "common/rng.hpp"
+#include "common/stats.hpp"
+#include "crypto/sha256.hpp"
+#include "crypto/simple_hash.hpp"
 #include "cve/synth.hpp"
 #include "fleet/fleet.hpp"
 #include "fleetscale/fleetscale.hpp"
+#include "obs/trace.hpp"
 #include "testbed/testbed.hpp"
 
 namespace kshot::benchkit {
@@ -68,8 +79,6 @@ class Json {
     out_ += "]";
     fresh_ = false;
   }
-  void open_row() { open_obj(); }
-  void close_row() { close_obj(); }
   void field(const std::string& key, const std::string& str_value) {
     field_raw(key, "\"" + str_value + "\"");
   }
@@ -77,11 +86,6 @@ class Json {
     sep();
     pad();
     out_ += "\"" + key + "\": " + raw;
-  }
-  void field(const std::string& key, double v) { field_raw(key, fmt(v)); }
-  void field(const std::string& key, u64 v) { field_raw(key, fmt(v)); }
-  void field(const std::string& key, bool v) {
-    field_raw(key, v ? "true" : "false");
   }
   std::string finish() { return out_ + "\n"; }
 
@@ -102,12 +106,266 @@ class Json {
   bool fresh_ = true;
 };
 
-// ---- Scenario definitions -------------------------------------------------
+// ---- Rows -----------------------------------------------------------------
 
+/// One row of a bench document: a name plus typed leaves in emission order.
+/// `gated` leaves go to the modeled document, `wall` leaves to its sidecar;
+/// a row without leaves of one kind is left out of that document. Cost
+/// leaves are multiplied by BenchOptions::cost_scale; counts, flags and
+/// plain ratios are not.
+struct Row {
+  struct Leaf {
+    std::string key;
+    std::variant<u64, double, bool> v;
+    bool cost = false;
+  };
+  explicit Row(std::string n) : name(std::move(n)) {}
+
+  std::string name;
+  std::vector<Leaf> gated, wall;
+
+  Row& count(std::string k, u64 v) { return add(gated, std::move(k), v); }
+  Row& cost(std::string k, u64 v) { return add(gated, std::move(k), v, true); }
+  Row& cost(std::string k, double v) {
+    return add(gated, std::move(k), v, true);
+  }
+  Row& real(std::string k, double v) { return add(gated, std::move(k), v); }
+  Row& flag(std::string k, bool v) { return add(gated, std::move(k), v); }
+  Row& wall_us(std::string k, double v) { return add(wall, std::move(k), v); }
+  Row& wall_count(std::string k, u64 v) { return add(wall, std::move(k), v); }
+
+  Row& add(std::vector<Leaf>& to, std::string k,
+           std::variant<u64, double, bool> v, bool cost = false) {
+    to.push_back({std::move(k), v, cost});
+    return *this;
+  }
+};
+
+using Rows = std::vector<Row>;
+/// One unit of work for the row pool: boots what it needs and returns its
+/// rows, or the Status of the first check it failed.
+using RowFn = std::function<Result<Rows>()>;
+
+std::string leaf_text(const Row::Leaf& l, double cs) {
+  if (const bool* b = std::get_if<bool>(&l.v)) return *b ? "true" : "false";
+  if (const u64* u = std::get_if<u64>(&l.v)) {
+    return fmt(l.cost ? scaled(*u, cs) : *u);
+  }
+  double d = std::get<double>(l.v);
+  return fmt(l.cost ? d * cs : d);
+}
+
+/// Emits the gated document of `bench` (wall = false) or its sidecar.
+std::string emit(const std::string& bench, const BenchOptions& o,
+                 const Rows& rows, bool wall) {
+  Json j;
+  j.open_obj();
+  j.field("bench", wall ? bench + "-wall" : bench);
+  char seed[32];
+  std::snprintf(seed, sizeof(seed), "0x%llx",
+                static_cast<unsigned long long>(o.seed));
+  j.field("seed", std::string(seed));
+  j.field_raw("quick", o.quick ? "true" : "false");
+  j.open_arr("rows");
+  for (const Row& r : rows) {
+    const auto& leaves = wall ? r.wall : r.gated;
+    if (leaves.empty()) continue;
+    j.open_obj();
+    j.field("name", r.name);
+    for (const auto& l : leaves) {
+      j.field_raw(l.key, leaf_text(l, wall ? 1.0 : o.cost_scale));
+    }
+    j.close_obj();
+  }
+  j.close_arr();
+  j.close_obj();
+  return j.finish();
+}
+
+// ---- Shared helpers ---------------------------------------------------------
+
+using Clock = std::chrono::steady_clock;
+
+double us_since(Clock::time_point t0) {
+  return std::chrono::duration<double, std::micro>(Clock::now() - t0).count();
+}
+
+std::string why(const core::PatchReport& r) {
+  return core::smm_status_name(r.smm_status);
+}
+std::string why(const baselines::BaselineReport& r) { return r.detail; }
+
+/// The Status of a run that must apply: its error, or kInternal when the
+/// patcher refused it.
+template <class Report>
+Status applied(const Result<Report>& rep, const std::string& what) {
+  if (!rep) return rep.status();
+  if (rep->success) return Status::ok();
+  return Status{Errc::kInternal, what + " did not apply: " + why(*rep)};
+}
+
+Status check(bool ok, const std::string& what) {
+  return ok ? Status::ok() : Status{Errc::kInternal, "bench check: " + what};
+}
+
+testbed::TestbedOptions seeded(u64 seed, int workload_threads = 0) {
+  testbed::TestbedOptions o;
+  o.seed = seed;
+  o.workload_threads = workload_threads;
+  return o;
+}
+
+/// A deployment whose layout fits a `bytes` patch.
+testbed::TestbedOptions sized(size_t bytes, u64 seed) {
+  testbed::TestbedOptions o = seeded(seed);
+  o.layout = testbed::layout_for_patch_bytes(bytes);
+  return o;
+}
+
+// ---- table3: patch-size sweep ---------------------------------------------
+
+/// Quick: the CI sweep. Full: the paper's Table II/III sizes, 40 B to 10 MB.
 std::vector<size_t> sweep_sizes(bool quick) {
   if (quick) return {64, 1024, 4096};
-  return {64, 400, 4096, 40960, 409600};
+  return {40, 400, 4096, 40960, 409600, size_t{10} << 20};
 }
+
+Result<Rows> sweep_row(size_t size, u64 seed) {
+  cve::CveCase c = testbed::make_size_sweep_case(size);
+  auto tb = testbed::Testbed::boot(c, sized(size, seed));
+  if (!tb) return tb.status();
+  testbed::Testbed& t = **tb;
+  auto rep = t.kshot().live_patch(c.id);
+  KSHOT_RETURN_IF_ERROR(applied(rep, c.id));
+  Row r{"sweep-" + std::to_string(size)};
+  r.count("target_bytes", size)
+      .count("code_bytes", rep->stats.code_bytes)
+      .count("package_bytes", rep->stats.package_bytes)
+      .count("functions", rep->stats.functions)
+      .cost("downtime_cycles", rep->downtime_cycles)
+      .cost("modeled_total_us", rep->smm.modeled_total_us)
+      .count("smi_count", t.machine().smi_count())
+      // The TOCTOU-hardening share of the downtime.
+      .cost("detection_overhead",
+            t.kshot().handler().detection_overhead_cycles());
+  r.wall_us("decrypt_us", rep->smm.decrypt_us)
+      .wall_us("verify_us", rep->smm.verify_us)
+      .wall_us("apply_us", rep->smm.apply_us)
+      .wall_us("total_us", rep->smm.total_us)
+      .wall_us("fetch_us", rep->sgx.fetch_us)
+      .wall_us("preprocess_us", rep->sgx.preprocess_us)
+      .wall_us("passing_us", rep->sgx.passing_us);
+  return Rows{r};
+}
+
+/// Splice-vs-trampoline leg: the same splice-eligible case applied twice on
+/// identical deployments — once through the default mem_X + trampoline
+/// path, once with LifecycleOptions::allow_splice so the enclave lays the
+/// body out in place. Both downtimes are modeled, so the in-place write's
+/// cheaper per-byte cost shows up as a deterministic reduction.
+Result<Rows> splice_row(size_t size, u64 seed) {
+  cve::CveCase c = testbed::make_splice_sweep_case(size);
+  u64 code_bytes = 0, spliced = 0;
+  auto leg = [&](bool splice) -> Result<u64> {
+    auto tb = testbed::Testbed::boot(c, sized(size, seed));
+    if (!tb) return tb.status();
+    core::LifecycleOptions lo;
+    lo.allow_splice = splice;
+    auto rep = (*tb)->kshot().live_patch(c.id, lo);
+    KSHOT_RETURN_IF_ERROR(applied(rep, "splice leg " + c.id));
+    auto inv = (*tb)->kshot().query_applied();
+    if (!inv) return inv.status();
+    KSHOT_RETURN_IF_ERROR(
+        check(inv->units.size() == 1, "splice leg: one applied unit"));
+    code_bytes = inv->units[0].code_bytes;
+    if (splice) {
+      spliced = inv->units[0].spliced;
+      KSHOT_RETURN_IF_ERROR(
+          check(spliced > 0, "splice leg installs in place: " + c.id));
+    }
+    return rep->downtime_cycles;
+  };
+  auto tramp = leg(false);
+  if (!tramp) return tramp.status();
+  auto splice = leg(true);
+  if (!splice) return splice.status();
+  Row r{"splice-" + std::to_string(size)};
+  r.count("code_bytes", code_bytes)
+      .cost("trampoline_downtime_cycles", *tramp)
+      .cost("splice_downtime_cycles", *splice)
+      // Lower is better: in-place splicing must stay cheaper than the
+      // mem_X + trampoline path for the same body.
+      .real("splice_cost_ratio",
+            static_cast<double>(*splice) / static_cast<double>(*tramp))
+      .count("spliced_members", spliced);
+  return Rows{r};
+}
+
+/// Multi-CPU rendezvous legs on a minimal payload, so the rendezvous and
+/// resume machinery dominates. The legs share one seed, so 1/4/16 CPUs
+/// differ only in topology. The ratios row (lower is better) keeps the
+/// 16-CPU downtime within a small multiple of 1 CPU through parallel SMI
+/// entry and early AP release; the serial leg records what the naive
+/// one-entry-per-CPU model would cost.
+Result<Rows> mcpu_rows(u64 seed) {
+  const std::pair<u32, bool> cfgs[] = {
+      {1, false}, {4, false}, {16, false}, {16, true}};
+  Rows rows;
+  std::vector<double> down;
+  for (auto [cpus, serial] : cfgs) {
+    cve::CveCase c = testbed::make_size_sweep_case(64);
+    testbed::TestbedOptions topts = sized(64, seed);
+    topts.cpus = cpus;
+    topts.serial_rendezvous = serial;
+    auto tb = testbed::Testbed::boot(c, std::move(topts));
+    if (!tb) return tb.status();
+    auto rep = (*tb)->kshot().live_patch(c.id);
+    KSHOT_RETURN_IF_ERROR(applied(rep, "mcpu leg"));
+    Row r{"mcpu-" + std::to_string(cpus) + (serial ? "-serial" : "")};
+    r.count("cpus", cpus)
+        .cost("downtime_cycles", rep->downtime_cycles)
+        .cost("rendezvous_cycles", rep->rendezvous_cycles)
+        .cost("handler_cycles", rep->handler_cycles)
+        .cost("resume_cycles", rep->resume_cycles);
+    rows.push_back(r);
+    down.push_back(static_cast<double>(rep->downtime_cycles));
+  }
+  Row ratios{"mcpu-ratios"};
+  ratios.cost("mcpu16_vs_1_ratio", down[2] / down[0])
+      .cost("serial16_vs_1_ratio", down[3] / down[0]);
+  rows.push_back(ratios);
+  return rows;
+}
+
+/// smm.staged_copies counts actual byte copies of staged package data; it
+/// must stay at 1 (the SMM write), everything before it being a borrowed
+/// span over the decrypted envelope.
+Result<Rows> copy_row(u64 seed) {
+  cve::CveCase c = testbed::make_size_sweep_case(4096);
+  obs::MetricsRegistry reg;
+  testbed::TestbedOptions topts = sized(4096, seed);
+  topts.metrics = &reg;
+  auto tb = testbed::Testbed::boot(c, std::move(topts));
+  if (!tb) return tb.status();
+  KSHOT_RETURN_IF_ERROR(applied((*tb)->kshot().live_patch(c.id), "copy leg"));
+  Row r{"zero-copy"};
+  r.count("copies_per_package", reg.counter("smm.staged_copies").value());
+  return Rows{r};
+}
+
+std::vector<RowFn> table3_rows(const BenchOptions& o) {
+  std::vector<RowFn> fns;
+  std::vector<size_t> sizes = sweep_sizes(o.quick);
+  for (size_t i = 0; i < sizes.size(); ++i) {
+    fns.push_back([=] { return sweep_row(sizes[i], o.seed + 7919 * (i + 1)); });
+  }
+  fns.push_back([=] { return splice_row(4096, o.seed + 104033); });
+  fns.push_back([=] { return mcpu_rows(o.seed + 31); });
+  fns.push_back([=] { return copy_row(o.seed + 7); });
+  return fns;
+}
+
+// ---- batch: batched-session matrix and campaigns --------------------------
 
 /// sim-4.4 cases with pairwise-distinct functions — combinable into one
 /// merged kernel for the batched legs.
@@ -118,238 +376,17 @@ const std::vector<std::string>& batchable_ids() {
   return kIds;
 }
 
-std::vector<u32> batch_ks(bool quick) {
-  (void)quick;
-  return {2, 5};  // K=5 backs the strictly-faster acceptance criterion
-}
-
-// ---- Table 3: patch-size sweep -------------------------------------------
-
-struct T3Row {
-  size_t target_bytes = 0;
-  Status st = Status::ok();
-  // Modeled (golden-compared).
-  u64 code_bytes = 0, package_bytes = 0, functions = 0;
-  u64 downtime_cycles = 0, smis = 0;
-  u64 detection_cycles = 0;  // TOCTOU-hardening share of the downtime
-  double modeled_total_us = 0;
-  // Wall (sidecar only).
-  double decrypt_us = 0, verify_us = 0, apply_us = 0, total_us = 0;
-  double fetch_us = 0, preprocess_us = 0, passing_us = 0;
-};
-
-T3Row run_t3_row(size_t size, u64 seed) {
-  T3Row row;
-  row.target_bytes = size;
-  cve::CveCase c = testbed::make_size_sweep_case(size);
-  testbed::TestbedOptions topts;
-  topts.layout = testbed::layout_for_patch_bytes(size);
-  topts.seed = seed;
-  auto tb = testbed::Testbed::boot(c, std::move(topts));
-  if (!tb) {
-    row.st = tb.status();
-    return row;
-  }
-  testbed::Testbed& t = **tb;
-  auto rep = t.kshot().live_patch(c.id);
-  if (!rep) {
-    row.st = rep.status();
-    return row;
-  }
-  if (!rep->success) {
-    row.st = Status{Errc::kInternal,
-                    std::string("live_patch failed: ") +
-                        core::smm_status_name(rep->smm_status)};
-    return row;
-  }
-  row.code_bytes = rep->stats.code_bytes;
-  row.package_bytes = rep->stats.package_bytes;
-  row.functions = rep->stats.functions;
-  row.downtime_cycles = rep->downtime_cycles;
-  row.modeled_total_us = rep->smm.modeled_total_us;
-  row.smis = t.machine().smi_count();
-  row.detection_cycles = t.kshot().handler().detection_overhead_cycles();
-  row.decrypt_us = rep->smm.decrypt_us;
-  row.verify_us = rep->smm.verify_us;
-  row.apply_us = rep->smm.apply_us;
-  row.total_us = rep->smm.total_us;
-  row.fetch_us = rep->sgx.fetch_us;
-  row.preprocess_us = rep->sgx.preprocess_us;
-  row.passing_us = rep->sgx.passing_us;
-  return row;
-}
-
-/// Splice-vs-trampoline leg (gated table3 row): the same splice-eligible
-/// case applied twice on identical deployments — once through the default
-/// mem_X + trampoline path, once with LifecycleOptions::allow_splice so the
-/// enclave lays the body out in place. Both downtime figures are modeled
-/// (virtual cycles), so the row is golden-comparable and the in-place
-/// write's cheaper per-byte cost shows up as a deterministic reduction.
-struct T3SpliceRow {
-  Status st = Status::ok();
-  u64 code_bytes = 0;
-  u64 tramp_downtime_cycles = 0;
-  u64 splice_downtime_cycles = 0;
-  u64 spliced = 0;  // members installed in place (must be > 0)
-};
-
-T3SpliceRow run_t3_splice_row(size_t size, u64 seed) {
-  T3SpliceRow row;
-  cve::CveCase c = testbed::make_splice_sweep_case(size);
-  auto leg = [&](bool splice) -> Result<u64> {
-    testbed::TestbedOptions topts;
-    topts.layout = testbed::layout_for_patch_bytes(size);
-    topts.seed = seed;
-    auto tb = testbed::Testbed::boot(c, std::move(topts));
-    if (!tb) return tb.status();
-    core::LifecycleOptions lo;
-    lo.allow_splice = splice;
-    auto rep = (*tb)->kshot().live_patch(c.id, lo);
-    if (!rep) return rep.status();
-    if (!rep->success) {
-      return Status{Errc::kInternal,
-                    std::string("splice-leg apply failed: ") +
-                        core::smm_status_name(rep->smm_status)};
-    }
-    auto inv = (*tb)->kshot().query_applied();
-    if (!inv) return inv.status();
-    if (inv->units.size() != 1) {
-      return Status{Errc::kInternal, "splice leg: expected one applied unit"};
-    }
-    row.code_bytes = inv->units[0].code_bytes;
-    if (splice) {
-      row.spliced = inv->units[0].spliced;
-      if (row.spliced == 0) {
-        return Status{Errc::kInternal,
-                      "splice leg installed no in-place members: " + c.id};
-      }
-    }
-    return rep->downtime_cycles;
-  };
-  auto tramp = leg(false);
-  if (!tramp) {
-    row.st = tramp.status();
-    return row;
-  }
-  row.tramp_downtime_cycles = *tramp;
-  auto spliced = leg(true);
-  if (!spliced) {
-    row.st = spliced.status();
-    return row;
-  }
-  row.splice_downtime_cycles = *spliced;
-  return row;
-}
-
-// ---- Multi-CPU rendezvous legs (gated table3 rows) ------------------------
-// Minimal payload, so the rendezvous/resume machinery dominates: the gated
-// ratio proves parallel SMI entry + early AP release keep the 16-CPU
-// downtime within a small multiple of 1-CPU, while the serial row records
-// what the naive one-entry-per-CPU model would cost.
-
-struct T3McpuRow {
-  Status st = Status::ok();
-  u32 cpus = 1;
-  bool serial = false;
-  u64 downtime_cycles = 0;
-  u64 rendezvous_cycles = 0, handler_cycles = 0, resume_cycles = 0;
-};
-
-T3McpuRow run_t3_mcpu_row(u32 cpus, bool serial, u64 seed) {
-  T3McpuRow row;
-  row.cpus = cpus;
-  row.serial = serial;
-  const size_t size = 64;
-  cve::CveCase c = testbed::make_size_sweep_case(size);
-  testbed::TestbedOptions topts;
-  topts.layout = testbed::layout_for_patch_bytes(size);
-  topts.seed = seed;
-  topts.cpus = cpus;
-  topts.serial_rendezvous = serial;
-  auto tb = testbed::Testbed::boot(c, std::move(topts));
-  if (!tb) {
-    row.st = tb.status();
-    return row;
-  }
-  auto rep = (*tb)->kshot().live_patch(c.id);
-  if (!rep || !rep->success) {
-    row.st = !rep ? rep.status()
-                  : Status{Errc::kInternal, "mcpu-leg apply failed"};
-    return row;
-  }
-  row.downtime_cycles = rep->downtime_cycles;
-  row.rendezvous_cycles = rep->rendezvous_cycles;
-  row.handler_cycles = rep->handler_cycles;
-  row.resume_cycles = rep->resume_cycles;
-  return row;
-}
-
-// ---- Zero-copy staging leg (gated table3 row) -----------------------------
-// smm.staged_copies counts actual byte copies of staged package data. Gated:
-// copies_per_package must stay at 1 (the SMM write); everything before it is
-// a borrowed span over the decrypted envelope.
-
-struct T3CopyRow {
-  Status st = Status::ok();
-  u64 copies = 0;
-};
-
-T3CopyRow run_t3_copy_row(u64 seed) {
-  T3CopyRow row;
-  const size_t size = 4096;
-  cve::CveCase c = testbed::make_size_sweep_case(size);
-  obs::MetricsRegistry reg;
-  testbed::TestbedOptions topts;
-  topts.layout = testbed::layout_for_patch_bytes(size);
-  topts.seed = seed;
-  topts.metrics = &reg;
-  auto tb = testbed::Testbed::boot(c, std::move(topts));
-  if (!tb) {
-    row.st = tb.status();
-    return row;
-  }
-  auto rep = (*tb)->kshot().live_patch(c.id);
-  if (!rep) {
-    row.st = rep.status();
-  } else if (!rep->success) {
-    row.st = Status{Errc::kInternal, "copy-leg apply failed"};
-  } else {
-    row.copies = reg.counter("smm.staged_copies").value();
-  }
-  return row;
-}
-
-// ---- Table 4: batched-session matrix -------------------------------------
-
-struct T4BatchRow {
-  u32 k = 0;
-  Status st = Status::ok();
-  u64 seq_downtime_cycles = 0, batch_downtime_cycles = 0;
-  u64 seq_smis = 0, batch_smis = 0;
-  u64 installed = 0;
-  double modeled_batch_us = 0;
-};
-
-T4BatchRow run_t4_batch_row(u32 k, u64 seed) {
-  T4BatchRow row;
-  row.k = k;
+/// K CVEs as one batched session vs K sequential sessions on identical
+/// deployments of the merged kernel.
+Result<Rows> batch_row(u32 k, u64 seed) {
   std::vector<std::string> ids(batchable_ids().begin(),
                                batchable_ids().begin() + k);
   auto batch = cve::combine_cases(ids);
-  if (!batch) {
-    row.st = batch.status();
-    return row;
-  }
+  if (!batch) return batch.status();
   auto parts = cve::batch_part_cases(ids);
-  if (!parts) {
-    row.st = parts.status();
-    return row;
-  }
-
-  auto boot = [&](u64 s) -> Result<std::unique_ptr<testbed::Testbed>> {
-    testbed::TestbedOptions topts;
-    topts.seed = s;
-    auto tb = testbed::Testbed::boot(batch->merged, std::move(topts));
+  if (!parts) return parts.status();
+  auto boot = [&]() -> Result<std::unique_ptr<testbed::Testbed>> {
+    auto tb = testbed::Testbed::boot(batch->merged, seeded(seed));
     if (!tb) return tb.status();
     for (const auto& p : *parts) {
       (*tb)->server().add_patch({p.id, p.kernel, p.pre_source,
@@ -357,60 +394,68 @@ T4BatchRow run_t4_batch_row(u32 k, u64 seed) {
     }
     return tb;
   };
-
-  // Batched leg: one seal->stage->apply session for all K packages.
-  auto tb_batch = boot(seed);
-  if (!tb_batch) {
-    row.st = tb_batch.status();
-    return row;
-  }
+  auto tb_batch = boot();
+  if (!tb_batch) return tb_batch.status();
   auto rep = (*tb_batch)->kshot().live_patch_batch(ids);
-  if (!rep || !rep->success) {
-    row.st = !rep ? rep.status()
-                  : Status{Errc::kInternal,
-                           std::string("batch apply failed: ") +
-                               core::smm_status_name(rep->smm_status)};
-    return row;
-  }
-  row.batch_downtime_cycles = rep->downtime_cycles;
-  row.batch_smis = (*tb_batch)->machine().smi_count();
-  row.installed = (*tb_batch)->kshot().handler().installed().size();
-  row.modeled_batch_us = rep->smm.modeled_total_us;
-
-  // Sequential leg: K independent sessions on an identical deployment.
-  auto tb_seq = boot(seed);
-  if (!tb_seq) {
-    row.st = tb_seq.status();
-    return row;
-  }
+  KSHOT_RETURN_IF_ERROR(applied(rep, "batch"));
+  auto tb_seq = boot();
+  if (!tb_seq) return tb_seq.status();
+  u64 seq_downtime = 0;
   for (const auto& id : ids) {
     auto r = (*tb_seq)->kshot().live_patch(id);
-    if (!r || !r->success) {
-      row.st = Status{Errc::kInternal, "sequential apply failed: " + id};
-      return row;
-    }
-    row.seq_downtime_cycles += r->downtime_cycles;
+    KSHOT_RETURN_IF_ERROR(applied(r, "sequential " + id));
+    seq_downtime += r->downtime_cycles;
   }
-  row.seq_smis = (*tb_seq)->machine().smi_count();
-  return row;
+  Row r{"batch-k" + std::to_string(k)};
+  r.count("k", k)
+      .cost("seq_downtime_cycles", seq_downtime)
+      .cost("batch_downtime_cycles", rep->downtime_cycles)
+      .count("seq_smis", (*tb_seq)->machine().smi_count())
+      .count("batch_smis", (*tb_batch)->machine().smi_count())
+      .count("installed", (*tb_batch)->kshot().handler().installed().size())
+      .cost("modeled_batch_us", rep->smm.modeled_total_us)
+      // A cost ratio (lower is better), so the gate's increase-is-regression
+      // rule applies directly.
+      .real("batch_cost_ratio", static_cast<double>(rep->downtime_cycles) /
+                                    static_cast<double>(seq_downtime));
+  return Rows{r};
 }
 
-struct T4AdversaryRow {
-  Status st = Status::ok();
-  u64 targets = 0, quarantined = 0, recovered = 0;
-  u64 total_detections = 0;
-  /// Modeled escalating backoff charged to quarantine recovery rounds
-  /// across the fleet (microseconds).
-  double recovery_cost_us = 0;
-};
+/// Batched fleet rollout. Internal widths are fixed constants: the fleet
+/// report is byte-identical across its own jobs level, and the makespan is
+/// evaluated at fixed *virtual* widths, so the bench --jobs flag never leaks
+/// in.
+Result<Rows> fleet_row(bool quick, u64 seed) {
+  fleet::FleetOptions fo;
+  fo.batch_cve_ids = {batchable_ids()[0], batchable_ids()[1],
+                      batchable_ids()[2]};
+  fo.targets = quick ? 4 : 8;
+  fo.jobs = 2;
+  fo.prep_jobs = 2;
+  fo.base_seed = seed;
+  fleet::FleetController fc(fo);
+  auto rep = fc.run_campaign();
+  if (!rep) return rep.status();
+  Row r{"fleet-batched"};
+  r.count("targets", rep->targets)
+      .count("applied_deficit", rep->targets - rep->applied)
+      .count("waves", rep->waves_run)
+      .cost("downtime_p50_us", rep->downtime_us.p50)
+      .cost("e2e_p50_us", rep->e2e_us.p50)
+      .cost("makespan_w1_us", fleet::modeled_makespan_us(*rep, 1))
+      .cost("makespan_w4_us", fleet::modeled_makespan_us(*rep, 4))
+      // Exact hit/miss counts can shift with build interleaving, so they
+      // are sidecar-only; the golden document keeps just hit > 0.
+      .flag("prep_cache_hit", fc.server().prep_hits() > 0);
+  r.wall_count("prep_hits", fc.server().prep_hits())
+      .wall_count("prep_misses", fc.server().prep_misses());
+  return Rows{r};
+}
 
-/// Small fleet campaign under a deterministic per-target async adversary;
-/// quantifies what quarantine recovery costs the rollout. Wave aborts are
-/// disabled so the row is a pure function of the schedules, and the fleet's
-/// internal jobs width is a fixed constant (the report is byte-identical
-/// across it anyway).
-T4AdversaryRow run_t4_adversary_row(bool quick, u64 seed) {
-  T4AdversaryRow row;
+/// Small fleet campaign under a deterministic per-target async adversary:
+/// what quarantine recovery costs the rollout. Wave aborts are off so the
+/// row is a pure function of the schedules.
+Result<Rows> adversary_row(bool quick, u64 seed) {
   fleet::FleetOptions fo;
   fo.targets = quick ? 4 : 8;
   fo.jobs = 2;
@@ -423,79 +468,25 @@ T4AdversaryRow run_t4_adversary_row(bool quick, u64 seed) {
   fo.retry_policy = core::RetryPolicy::none();
   fleet::FleetController fc(fo);
   auto rep = fc.run_campaign();
-  if (!rep) {
-    row.st = rep.status();
-    return row;
-  }
-  row.targets = rep->targets;
-  row.quarantined = rep->quarantined;
-  row.recovered = rep->recovered;
-  row.total_detections = rep->total_detections;
-  for (const auto& r : rep->results) {
-    for (u32 round = 0; round < r.quarantine_rounds; ++round) {
-      row.recovery_cost_us +=
-          fleet::RolloutPlan::kQuarantineBackoffUs * (1u << round);
+  if (!rep) return rep.status();
+  double recovery_us = 0;
+  for (const auto& t : rep->results) {
+    for (u32 round = 0; round < t.quarantine_rounds; ++round) {
+      recovery_us += fleet::RolloutPlan::kQuarantineBackoffUs * (1u << round);
     }
   }
-  return row;
+  Row r{"fleet-adversary"};
+  r.count("targets", rep->targets)
+      .count("quarantined", rep->quarantined)
+      .count("recovered", rep->recovered)
+      .count("total_detections", rep->total_detections)
+      .cost("quarantine_recovery_cost", recovery_us);
+  return Rows{r};
 }
 
-struct T4FleetRow {
-  Status st = Status::ok();
-  u64 targets = 0, applied = 0, waves = 0;
-  double downtime_p50_us = 0, e2e_p50_us = 0;
-  double makespan_w1_us = 0, makespan_w4_us = 0;
-  u64 prep_hits = 0, prep_misses = 0;  // sidecar; boolean is golden
-};
-
-T4FleetRow run_t4_fleet_row(bool quick, u64 seed) {
-  T4FleetRow row;
-  fleet::FleetOptions fo;
-  fo.batch_cve_ids = {batchable_ids()[0], batchable_ids()[1],
-                      batchable_ids()[2]};
-  fo.targets = quick ? 4 : 8;
-  // Internal widths are fixed constants: the fleet report is byte-identical
-  // across its own jobs level, and the makespan is evaluated at fixed
-  // *virtual* widths below, so the bench --jobs flag never leaks in.
-  fo.jobs = 2;
-  fo.prep_jobs = 2;
-  fo.base_seed = seed;
-  fleet::FleetController fc(fo);
-  auto rep = fc.run_campaign();
-  if (!rep) {
-    row.st = rep.status();
-    return row;
-  }
-  row.targets = rep->targets;
-  row.applied = rep->applied;
-  row.waves = rep->waves_run;
-  row.downtime_p50_us = rep->downtime_us.p50;
-  row.e2e_p50_us = rep->e2e_us.p50;
-  row.makespan_w1_us = fleet::modeled_makespan_us(*rep, 1);
-  row.makespan_w4_us = fleet::modeled_makespan_us(*rep, 4);
-  row.prep_hits = fc.server().prep_hits();
-  row.prep_misses = fc.server().prep_misses();
-  return row;
-}
-
-struct T4ScaleRow {
-  Status st = Status::ok();
-  u64 targets = 0, applied = 0, waves = 0;
-  double makespan_us = 0;
-  /// Emitted as a *miss* ratio (lower is better) so the gate's
-  /// increase-is-regression rule applies directly; the hit ratio lives in
-  /// the wall sidecar.
-  double relay_miss_ratio = 0;
-  double relay_hit_ratio = 0;
-  double downtime_p99_us = 0;
-  u64 origin_fetches = 0;
-};
-
-/// Planet-scale modeled rollout: prices the sharded coordinator + relay
-/// tier end to end. Internal shards/jobs are fixed constants — the report
-/// is byte-identical across both, so the bench --jobs flag never leaks in.
-T4ScaleRow run_t4_scale_row(bool quick, u64 seed) {
-  T4ScaleRow row;
+/// Planet-scale modeled rollout: the sharded coordinator and relay tier end
+/// to end, at fixed internal shards/jobs.
+Result<Rows> scale_row(bool quick, u64 seed) {
   fleetscale::FleetScaleOptions so;
   so.targets = quick ? 50'000 : 250'000;
   so.shards = 4;
@@ -506,329 +497,515 @@ T4ScaleRow run_t4_scale_row(bool quick, u64 seed) {
   so.base_seed = seed;
   fleetscale::FleetCoordinator fc(std::move(so));
   auto rep = fc.run();
-  if (!rep) {
-    row.st = rep.status();
-    return row;
-  }
-  row.targets = rep->targets;
-  row.applied = rep->applied;
-  row.waves = rep->waves.size();
-  row.makespan_us = rep->modeled_makespan_us;
-  row.relay_miss_ratio =
-      rep->relay.pulls() == 0
-          ? 0
-          : static_cast<double>(rep->relay.misses) / rep->relay.pulls();
-  row.relay_hit_ratio = rep->relay.hit_rate();
-  row.downtime_p99_us = rep->downtime_us.p99;
-  row.origin_fetches = rep->origin_fetches;
-  return row;
+  if (!rep) return rep.status();
+  Row r{"fleet-scale"};
+  r.count("targets", rep->targets)
+      .count("applied_deficit", rep->targets - rep->applied)
+      .count("waves", rep->waves.size())
+      .cost("makespan_us", rep->modeled_makespan_us)
+      // A miss ratio, so lower is better; the hit ratio goes to the sidecar.
+      .cost("relay_miss_ratio",
+            rep->relay.pulls() == 0 ? 0.0
+                                    : static_cast<double>(rep->relay.misses) /
+                                          rep->relay.pulls())
+      .cost("downtime_p99_us", rep->downtime_us.p99);
+  r.wall_us("relay_hit_ratio", rep->relay.hit_rate())
+      .wall_count("origin_fetches", rep->origin_fetches);
+  return Rows{r};
 }
 
-struct T4SynthRow {
-  Status st = Status::ok();
-  u64 cases = 0, failed = 0;
-  u64 live_downtime_cycles = 0;
-  u64 live_code_bytes = 0;
-  double live_modeled_us = 0;
-};
-
-/// Auto-CVE synthesis row (DESIGN.md §14): a fixed-size campaign in which
-/// every synthesized case must pass the probe-contract, differential, and
-/// diff-confinement oracles (`oracle_failures` is gated at 0), plus one
-/// live-patched synthesized case pricing the end-to-end pipeline on
-/// generated input. The campaign's internal jobs width is a fixed constant;
-/// its report is byte-identical across it anyway.
-T4SynthRow run_t4_synth_row(bool quick, u64 seed) {
-  T4SynthRow row;
+/// Auto-CVE synthesis (DESIGN.md §14): every synthesized case must pass the
+/// oracle stack (`oracle_failures` is gated at 0), plus one live-patched
+/// synthesized case pricing the pipeline on generated input.
+Result<Rows> synth_row(bool quick, u64 seed) {
   cve::CampaignOptions co;
   co.seed = seed ^ 0x5D17;
   co.cases = quick ? 12 : 24;
   co.jobs = 2;
   auto rep = cve::run_campaign(co);
-  if (!rep) {
-    row.st = rep.status();
-    return row;
-  }
-  row.cases = rep->cases;
-  row.failed = rep->failed;
-
+  if (!rep) return rep.status();
   auto sc = cve::make_case(cve::BugClass::kOobWrite,
                            cve::synth_case_seed(co.seed, 0));
-  if (!sc) {
-    row.st = sc.status();
-    return row;
-  }
-  auto tb = testbed::Testbed::boot(sc->cve, {.seed = seed});
-  if (!tb) {
-    row.st = tb.status();
-    return row;
-  }
+  if (!sc) return sc.status();
+  auto tb = testbed::Testbed::boot(sc->cve, seeded(seed));
+  if (!tb) return tb.status();
   auto patched = (*tb)->kshot().live_patch(sc->cve.id);
-  if (!patched) {
-    row.st = patched.status();
-    return row;
-  }
-  if (!patched->success) {
-    row.st = Status{Errc::kInternal, "synth live patch failed"};
-    return row;
-  }
-  row.live_downtime_cycles = patched->downtime_cycles;
-  row.live_code_bytes = patched->stats.code_bytes;
-  row.live_modeled_us = patched->smm.modeled_total_us;
-  return row;
+  KSHOT_RETURN_IF_ERROR(applied(patched, "synth live patch"));
+  Row r{"synth-campaign"};
+  r.count("cases", rep->cases)
+      .count("oracle_failures", rep->failed)
+      .count("live_code_bytes", patched->stats.code_bytes)
+      .cost("live_downtime_cycles", patched->downtime_cycles)
+      .cost("live_modeled_us", patched->smm.modeled_total_us);
+  return Rows{r};
 }
 
-void meta_header(const char* bench, const BenchOptions& o, Json& j) {
-  j.open_obj();
-  j.field("bench", std::string(bench));
-  char seed[32];
-  std::snprintf(seed, sizeof(seed), "0x%llx",
-                static_cast<unsigned long long>(o.seed));
-  j.field("seed", std::string(seed));
-  j.field("quick", o.quick);
+std::vector<RowFn> batch_rows(const BenchOptions& o) {
+  std::vector<RowFn> fns;
+  const u32 ks[] = {2, 5};  // K=5 backs the strictly-faster criterion
+  for (u32 i = 0; i < 2; ++i) {
+    fns.push_back([=] { return batch_row(ks[i], o.seed + 104729 * (i + 1)); });
+  }
+  fns.push_back([=] { return fleet_row(o.quick, o.seed); });
+  fns.push_back([=] { return adversary_row(o.quick, o.seed); });
+  fns.push_back([=] { return scale_row(o.quick, o.seed); });
+  fns.push_back([=] { return synth_row(o.quick, o.seed); });
+  return fns;
+}
+
+// ---- paper: the evaluation's tables, figures and ablations (§VI) ----------
+
+/// Table I / RQ1: the exploit fires on the vulnerable kernel, KShot patches
+/// it live, the exploit is dead afterwards and benign behaviour is
+/// unchanged. Any of the four failing fails the run.
+Result<Rows> table1_row(const cve::CveCase& c, u64 seed) {
+  auto tb = testbed::Testbed::boot(c, seeded(seed));
+  if (!tb) return tb.status();
+  testbed::Testbed& t = **tb;
+  auto fired = t.run_exploit();
+  if (!fired) return fired.status();
+  auto benign = t.run_benign();
+  if (!benign) return benign.status();
+  auto rep = t.kshot().live_patch(c.id);
+  KSHOT_RETURN_IF_ERROR(applied(rep, c.id));
+  auto dead = t.run_exploit();
+  if (!dead) return dead.status();
+  auto after = t.run_benign();
+  if (!after) return after.status();
+  const bool exploit_dead = !dead->oops;
+  const bool benign_same = !after->oops && after->value == benign->value;
+  KSHOT_RETURN_IF_ERROR(check(fired->oops && exploit_dead && benign_same,
+                              "Table I " + c.id + " (fired " +
+                                  std::to_string(fired->oops) + ", dead " +
+                                  std::to_string(exploit_dead) + ", benign " +
+                                  std::to_string(benign_same) + ")"));
+  Row r{"t1-" + c.id};
+  r.count("functions", rep->stats.functions)
+      .count("code_bytes", rep->stats.code_bytes)
+      .cost("downtime_cycles", rep->downtime_cycles)
+      .cost("modeled_us", rep->smm.modeled_total_us)
+      .count("exploit_fired", fired->oops)
+      .count("exploit_dead", exploit_dead)
+      .count("benign_same", benign_same);
+  return Rows{r};
+}
+
+/// Figures 4 and 5: one figure CVE patched `reps` times (rolled back in
+/// between). The modeled SMM phases come from the first run's "smm" spans;
+/// the SGX and SMM wall phases are medians over all runs.
+Result<Rows> figure_row(const std::string& id, u64 seed, int reps) {
+  obs::TraceRecorder trace;
+  testbed::TestbedOptions topts = seeded(seed);
+  topts.trace = &trace;
+  auto tb = testbed::Testbed::boot(cve::find_case(id), std::move(topts));
+  if (!tb) return tb.status();
+  testbed::Testbed& t = **tb;
+  const char* phases[] = {"keygen", "decrypt", "verify", "apply"};
+  u64 phase_cycles[4] = {};
+  std::vector<double> wall[7];
+  Row r{"fig-" + id};
+  for (int i = 0; i < reps; ++i) {
+    auto rep = t.kshot().live_patch(id);
+    KSHOT_RETURN_IF_ERROR(applied(rep, id));
+    if (i == 0) {
+      for (const obs::TraceEvent& e : trace.snapshot()) {
+        for (int p = 0; p < 4; ++p) {
+          if (e.component == "smm" && e.name == phases[p]) {
+            phase_cycles[p] += e.virt_cycles();
+          }
+        }
+      }
+      r.count("code_bytes", rep->stats.code_bytes);
+      for (int p = 0; p < 4; ++p) {
+        r.cost(std::string(phases[p]) + "_cycles", phase_cycles[p]);
+      }
+      r.cost("switch_cycles", rep->rendezvous_cycles + rep->resume_cycles)
+          .cost("downtime_cycles", rep->downtime_cycles);
+    }
+    const double w[7] = {rep->sgx.fetch_us,    rep->sgx.preprocess_us,
+                         rep->sgx.passing_us,  rep->smm.keygen_us,
+                         rep->smm.decrypt_us,  rep->smm.verify_us,
+                         rep->smm.apply_us};
+    for (int k = 0; k < 7; ++k) wall[k].push_back(w[k]);
+    KSHOT_RETURN_IF_ERROR(applied(t.kshot().rollback(), "rollback " + id));
+    t.kshot().enclave().reset_mem_x_cursor();
+  }
+  const char* keys[7] = {"fetch_us",  "preprocess_us", "passing_us",
+                         "keygen_us", "decrypt_us",    "verify_us",
+                         "apply_us"};
+  for (int k = 0; k < 7; ++k) r.wall_us(keys[k], summarize(wall[k]).p50);
+  return Rows{r};
+}
+
+/// Table IV's measured column: does a kernel-resident reversion rootkit
+/// undo the patch? KShot must survive it (introspection repairs the
+/// trampoline) and the OS-trusting kpatch must not.
+Result<Rows> rootkit_row(bool kshot, u64 seed) {
+  const auto& c = cve::find_case("CVE-2014-0196");
+  auto tb = testbed::Testbed::boot(c, seeded(seed));
+  if (!tb) return tb.status();
+  testbed::Testbed& t = **tb;
+  t.kernel().insmod(
+      std::make_shared<attacks::ReversionRootkit>(t.pre_image()));
+  if (kshot) {
+    KSHOT_RETURN_IF_ERROR(applied(t.kshot().live_patch(c.id), "KShot"));
+  } else {
+    auto set = t.server().build_patchset(c.id, t.kernel().os_info());
+    if (!set) return set.status();
+    baselines::KpatchSim kpatch(t.kernel(), t.scheduler());
+    KSHOT_RETURN_IF_ERROR(applied(kpatch.apply(*set), "kpatch"));
+  }
+  t.scheduler().run(5);
+  // Periodic introspection is part of a KShot deployment.
+  if (kshot) KSHOT_RETURN_IF_ERROR(t.kshot().introspect().status());
+  auto exploit = t.run_exploit();
+  if (!exploit) return exploit.status();
+  const bool dead = !exploit->oops;
+  const char* breach =
+      kshot ? "the rootkit reverted KShot" : "kpatch survived the rootkit";
+  KSHOT_RETURN_IF_ERROR(check(dead == kshot, breach));
+  Row r{kshot ? "t4-rootkit-kshot" : "t4-rootkit-kpatch"};
+  r.count("exploit_dead", dead);
+  return Rows{r};
+}
+
+Row comparison_row(const char* name, testbed::Testbed& t, u64 cycles,
+                   u64 tcb_bytes, u64 memory_bytes) {
+  Row r{std::string("t5-") + name};
+  r.cost("downtime_cycles", cycles)
+      .cost("downtime_us", t.machine().cost_model().to_us(cycles))
+      .count("tcb_bytes", tcb_bytes)
+      .count("memory_bytes", memory_bytes);
+  return r;
+}
+
+/// Table V: KUP (whole-kernel replacement with checkpoint/restore), KARMA
+/// (instruction-level, in place), kpatch (function-level, OS-trusted) and
+/// KShot, each on its own deployment. KARMA gets a same-size fix (the
+/// splice case), the only kind it can apply.
+Result<Rows> table5_row(int system, u64 seed) {
+  const char* names[] = {"kup", "karma", "kpatch", "kshot"};
+  const std::string id = "CVE-2014-0196";
+  const cve::CveCase c = system == 1 ? testbed::make_splice_sweep_case(256)
+                                     : cve::find_case(id);
+  auto tb = testbed::Testbed::boot(c, seeded(seed, system == 0 ? 8 : 0));
+  if (!tb) return tb.status();
+  testbed::Testbed& t = **tb;
+  if (system == 3) {
+    auto rep = t.kshot().live_patch(id);
+    KSHOT_RETURN_IF_ERROR(applied(rep, "KShot"));
+    return Rows{comparison_row(names[3], t, rep->downtime_cycles,
+                               t.kshot().tcb_bytes(),
+                               t.kernel().layout().reserved_total())};
+  }
+  auto baseline = [&]() -> Result<baselines::BaselineReport> {
+    if (system == 0) {
+      t.scheduler().run(200);
+      auto post = t.server().build_post_image(id, t.compile_options());
+      if (!post) return post.status();
+      return baselines::KupSim(t.kernel(), t.scheduler()).apply(id, *post);
+    }
+    auto set = t.server().build_patchset(c.id, t.kernel().os_info());
+    if (!set) return set.status();
+    if (system == 1) {
+      return baselines::KarmaSim(t.kernel(), t.scheduler()).apply(*set);
+    }
+    return baselines::KpatchSim(t.kernel(), t.scheduler()).apply(*set);
+  };
+  auto rep = baseline();
+  KSHOT_RETURN_IF_ERROR(applied(rep, names[system]));
+  return Rows{comparison_row(names[system], t, rep->downtime_cycles,
+                             rep->tcb_bytes, rep->memory_overhead_bytes)};
+}
+
+/// §VI-C3: an 8-thread Sysbench-style syscall workload with `patches` live
+/// patches (each rolled back) interleaved, charged at the paper's duty
+/// cycle of one patch per 300 ms. The pause and its share are modeled and
+/// gated; the SGX preparation runs beside the workload on the host, so it
+/// and the combined share go to the sidecar. An oops or a modeled share of
+/// 3 % or more fails the run.
+Result<Rows> sysbench_row(bool quick, u64 seed) {
+  const auto& c = cve::find_case("CVE-2014-0196");
+  auto tb = testbed::Testbed::boot(c, seeded(seed, 8));
+  if (!tb) return tb.status();
+  testbed::Testbed& t = **tb;
+  const u64 c0 = t.machine().cycles();
+  t.scheduler().run(quick ? 2'000 : 20'000, 64);
+  const u64 base_cycles = t.machine().cycles() - c0;
+  const u64 base_syscalls = t.scheduler().stats().syscalls_completed;
+  const u64 patches = quick ? 20 : 1000;
+  double prep_us = 0, pause_us = 0;
+  for (u64 i = 0; i < patches; ++i) {
+    t.scheduler().run(20, 64);  // the workload runs between patches
+    auto rep = t.kshot().live_patch(c.id);
+    KSHOT_RETURN_IF_ERROR(applied(rep, "sysbench patch"));
+    prep_us += rep->sgx.total_us() / static_cast<double>(patches);
+    pause_us += rep->smm.modeled_total_us / static_cast<double>(patches);
+    KSHOT_RETURN_IF_ERROR(applied(t.kshot().rollback(), "sysbench rollback"));
+    t.kshot().enclave().reset_mem_x_cursor();
+  }
+  const double window_us = 300'000;
+  const double pause_pct = 100 * pause_us / (window_us + pause_us);
+  const u64 oopses = t.scheduler().stats().oopses;
+  KSHOT_RETURN_IF_ERROR(check(oopses == 0, "sysbench workload oopsed"));
+  KSHOT_RETURN_IF_ERROR(check(pause_pct < 3, "sysbench overhead >= 3%"));
+  Row r{"sysbench"};
+  r.count("patches", patches)
+      .count("oopses", oopses)
+      .real("base_cycles_per_syscall", static_cast<double>(base_cycles) /
+                                           static_cast<double>(base_syscalls))
+      .cost("pause_us", pause_us)
+      .cost("pause_overhead_pct", pause_pct);
+  r.wall_us("prep_us", prep_us)
+      .wall_us("combined_overhead_pct",
+               100 * (prep_us + pause_us) / (window_us + prep_us + pause_us));
+  return Rows{r};
+}
+
+/// Ablation A2 (§IV-B): hardware state saving (KShot, nothing
+/// checkpointed) against KUP's software checkpoint as live threads grow.
+Result<Rows> checkpoint_row(int threads, u64 seed) {
+  const std::string id = "CVE-2014-0196";
+  auto boot = [&]() {
+    return testbed::Testbed::boot(cve::find_case(id), seeded(seed, threads));
+  };
+  auto tk = boot();
+  if (!tk) return tk.status();
+  (*tk)->scheduler().run(static_cast<u64>(threads) * 40);
+  auto kshot = (*tk)->kshot().live_patch(id);
+  KSHOT_RETURN_IF_ERROR(applied(kshot, "KShot"));
+  auto tu = boot();
+  if (!tu) return tu.status();
+  testbed::Testbed& t = **tu;
+  t.scheduler().run(static_cast<u64>(threads) * 40);
+  auto post = t.server().build_post_image(id, t.compile_options());
+  if (!post) return post.status();
+  auto kup = baselines::KupSim(t.kernel(), t.scheduler()).apply(id, *post);
+  KSHOT_RETURN_IF_ERROR(applied(kup, "KUP"));
+  Row r{"a2-threads-" + std::to_string(threads)};
+  r.count("threads", static_cast<u64>(threads))
+      .cost("kshot_downtime_cycles", kshot->downtime_cycles)
+      .cost("kup_downtime_cycles", kup->downtime_cycles)
+      .count("kup_memory_bytes", kup->memory_overhead_bytes);
+  return Rows{r};
+}
+
+/// Ablation A3, sizes both paths handle: what chunked staging (one SMI and
+/// one MAC per chunk) costs against single-shot staging.
+Result<Rows> chunked_row(size_t size, u32 chunk, u64 seed) {
+  cve::CveCase c = testbed::make_size_sweep_case(size);
+  Row r{"a3-" + std::to_string(size)};
+  for (bool chunked : {false, true}) {
+    auto tb = testbed::Testbed::boot(c, sized(size, seed));
+    if (!tb) return tb.status();
+    const auto t0 = Clock::now();
+    auto rep = chunked ? (*tb)->kshot().live_patch_chunked(c.id, chunk)
+                       : (*tb)->kshot().live_patch(c.id);
+    const double wall = us_since(t0);
+    KSHOT_RETURN_IF_ERROR(applied(rep, r.name));
+    const std::string leg = chunked ? "chunked_" : "single_";
+    r.count(leg + "smis", (*tb)->machine().smi_count())
+        .cost(leg + "downtime_cycles", rep->downtime_cycles);
+    r.wall_us(leg + "wall_us", wall);
+  }
+  return Rows{r};
+}
+
+/// Ablation A3, the paper's large-patch claim: a package larger than the
+/// whole mem_W window, which single-shot staging must refuse and chunked
+/// staging must deliver.
+Result<Rows> over_mem_w_row(size_t size, size_t window, u32 chunk, u64 seed) {
+  cve::CveCase c = testbed::make_size_sweep_case(size);
+  testbed::TestbedOptions topts = sized(size, seed);
+  topts.layout.mem_w_size = window - topts.layout.mem_rw_size;
+  auto ts = testbed::Testbed::boot(c, topts);
+  if (!ts) return ts.status();
+  auto single = (*ts)->kshot().live_patch(c.id);
+  const bool single_delivered = single && single->success;
+  auto tc = testbed::Testbed::boot(c, topts);
+  if (!tc) return tc.status();
+  const auto t0 = Clock::now();
+  auto chunked = (*tc)->kshot().live_patch_chunked(c.id, chunk);
+  const double wall = us_since(t0);
+  KSHOT_RETURN_IF_ERROR(
+      check(!single_delivered, "single-shot staged a patch over mem_W"));
+  KSHOT_RETURN_IF_ERROR(applied(chunked, "chunked patch over mem_W"));
+  Row r{"a3-over-mem-w"};
+  r.count("target_bytes", size)
+      .count("package_bytes", chunked->stats.package_bytes)
+      .count("staging_window_bytes", window)
+      .count("single_delivered", single_delivered)
+      .count("chunked_delivered", 1)
+      .count("chunked_smis", (*tc)->machine().smi_count())
+      .cost("chunked_downtime_cycles", chunked->downtime_cycles);
+  r.wall_us("chunked_wall_us", wall);
+  return Rows{r};
+}
+
+/// Fault campaign cell: `runs` seeded live patches of CVE-2014-0196 through
+/// a channel that injects `type` at `rate`. Every run must end applied (and
+/// is then rolled back) or leave kernel text and data byte-identical to
+/// the pre-patch snapshot; anything else fails the run.
+Result<Rows> fault_row(netsim::FaultType type, double rate, int runs,
+                       u64 seed) {
+  const std::string id = "CVE-2014-0196";
+  testbed::TestbedOptions topts;
+  topts.fault_plan = netsim::FaultPlan{};
+  auto tb = testbed::Testbed::boot(cve::find_case(id), std::move(topts));
+  if (!tb) return tb.status();
+  testbed::Testbed& t = **tb;
+  const auto& lay = t.kernel().layout();
+  auto snapshot = [&] {
+    Bytes s(t.kernel().image().text.size() + lay.data_max);
+    MutByteSpan all(s.data(), s.size());
+    const size_t text = t.kernel().image().text.size();
+    auto a = t.machine().mem().read(lay.text_base, all.first(text),
+                                    machine::AccessMode::smm());
+    auto b = t.machine().mem().read(lay.data_base, all.subspan(text),
+                                    machine::AccessMode::smm());
+    return a.is_ok() && b.is_ok() ? s : Bytes{};
+  };
+  const Bytes before = snapshot();
+  u64 failures = 0, attempts = 0, aborts = 0;
+  double backoff_us = 0;
+  char name[48];
+  std::snprintf(name, sizeof(name), "fault-%s-%.2f",
+                netsim::fault_type_name(type), rate);
+  for (int i = 0; i < runs; ++i) {
+    const u64 run_seed = seed + 1000003ull * static_cast<u64>(i);
+    t.fault_injector()->reset(netsim::FaultPlan::uniform(type, rate),
+                              run_seed);
+    auto rep = t.kshot().live_patch(id);
+    if (rep) {
+      attempts += rep->resilience.fetch_attempts +
+                  rep->resilience.apply_attempts;
+      aborts += rep->resilience.session_aborts;
+      backoff_us += rep->resilience.backoff_us;
+    }
+    if (rep && rep->success) {
+      t.fault_injector()->reset(netsim::FaultPlan{}, run_seed);
+      KSHOT_RETURN_IF_ERROR(applied(t.kshot().rollback(), name));
+    } else {
+      ++failures;
+    }
+    KSHOT_RETURN_IF_ERROR(
+        check(!before.empty() && snapshot() == before,
+              std::string(name) + " left the kernel changed"));
+  }
+  Row r{name};
+  r.count("runs", static_cast<u64>(runs))
+      .count("failures", failures)
+      .count("attempts", attempts)
+      .count("session_aborts", aborts)
+      .cost("backoff_us", backoff_us);
+  return Rows{r};
+}
+
+/// Ablation A1 (§VI-C2 remark): SHA-256 against the paper's suggested SDBM
+/// and two other cheap hashes, as median microseconds per hash of one
+/// payload (MB/s = bytes / µs). Host time only, so sidecar only.
+Result<Rows> hash_row(size_t size, int reps) {
+  const Bytes data = Rng(size * 31 + 7).next_bytes(size);
+  volatile u64 sink = 0;
+  auto median_us = [&](u64 (*hash)(ByteSpan)) {
+    std::vector<double> us;
+    for (int i = 0; i < reps; ++i) {
+      const auto t0 = Clock::now();
+      sink = sink + hash(data);
+      us.push_back(us_since(t0));
+    }
+    return summarize(std::move(us)).p50;
+  };
+  Row r{"a1-hash-" + std::to_string(size)};
+  r.wall_us("sha256_us",
+            median_us([](ByteSpan d) { return u64{crypto::sha256(d)[0]}; }))
+      .wall_us("sdbm_us", median_us(crypto::sdbm))
+      .wall_us("fnv1a_us", median_us(crypto::fnv1a))
+      .wall_us("crc32_us",
+               median_us([](ByteSpan d) { return u64{crypto::crc32(d)}; }));
+  return Rows{r};
+}
+
+std::vector<RowFn> paper_rows(const BenchOptions& o) {
+  const bool q = o.quick;
+  const u64 s = o.seed;
+  std::vector<RowFn> fns;
+  for (const cve::CveCase& c : cve::all_cases()) {
+    fns.push_back([&c, s] { return table1_row(c, s + 0x71); });
+  }
+  for (const std::string& id : cve::figure_case_ids()) {
+    fns.push_back([=] { return figure_row(id, s + 0xF16, q ? 1 : 20); });
+  }
+  fns.push_back([=] { return rootkit_row(true, s + 1); });
+  fns.push_back([=] { return rootkit_row(false, s + 2); });
+  for (int sys = 0; sys < 4; ++sys) {
+    fns.push_back([=] { return table5_row(sys, s + 5 + sys); });
+  }
+  fns.push_back([=] { return sysbench_row(q, s + 0x5B); });
+  for (int threads : q ? std::vector<int>{1, 8}
+                       : std::vector<int>{1, 2, 4, 8, 16, 32}) {
+    fns.push_back([=] { return checkpoint_row(threads, s + 0xAB1); });
+  }
+  // Quick keeps A3 small: a 16 KB pair and a 64 KB patch through a 32 KB
+  // staging window. Full: the paper-scale 64 KB–4 MB pairs and an 8 MB
+  // patch through 4 MB.
+  for (size_t size : q ? std::vector<size_t>{16 << 10}
+                       : std::vector<size_t>{64 << 10, 1 << 20, 4 << 20}) {
+    const u32 chunk = q ? 8 << 10 : 512 << 10;
+    fns.push_back([=] { return chunked_row(size, chunk, s); });
+  }
+  fns.push_back([=] {
+    return q ? over_mem_w_row(64 << 10, 32 << 10, 16 << 10, s)
+             : over_mem_w_row(8 << 20, 4 << 20, 1 << 20, s);
+  });
+  const netsim::FaultType types[] = {
+      netsim::FaultType::kDrop,      netsim::FaultType::kCorrupt,
+      netsim::FaultType::kTruncate,  netsim::FaultType::kDuplicate,
+      netsim::FaultType::kReorder,   netsim::FaultType::kDelay};
+  u64 cell = 0;
+  for (netsim::FaultType type : types) {
+    for (double rate : {0.1, 0.3, 0.5}) {
+      const int runs = q ? 2 : 10;
+      const u64 seed = s + 0xBE7C4 + 1000003ull * runs * cell++;
+      fns.push_back([=] { return fault_row(type, rate, runs, seed); });
+    }
+  }
+  for (size_t size : q ? std::vector<size_t>{4096}
+                       : std::vector<size_t>{40, 400, 4096, 40960, 409600}) {
+    fns.push_back([=] { return hash_row(size, size > (64 << 10) ? 20 : 200); });
+  }
+  return fns;
 }
 
 }  // namespace
 
 Result<BenchResults> run_bench(const BenchOptions& opts) {
-  const double cs = opts.cost_scale;
-  BenchResults res;
+  const std::pair<std::string, std::vector<RowFn>> plans[] = {
+      {"table3", table3_rows(opts)},
+      {"batch", batch_rows(opts)},
+      {"paper", paper_rows(opts)}};
+  std::vector<const RowFn*> fns;
+  for (const auto& [bench, rows] : plans) {
+    for (const RowFn& f : rows) fns.push_back(&f);
+  }
+  std::vector<Result<Rows>> out(fns.size(), Rows{});
+  parallel_for(static_cast<u32>(fns.size()), opts.jobs,
+               [&](u32 i) { out[i] = (*fns[i])(); });
 
-  // ---- Table 3 ------------------------------------------------------------
-  std::vector<size_t> sizes = sweep_sizes(opts.quick);
-  std::vector<T3Row> t3(sizes.size());
-  T3SpliceRow splice_row;
-  const size_t splice_bytes = 4096;
-  // Multi-CPU legs share one seed so 1/4/16 differ only in topology.
-  const std::vector<std::pair<u32, bool>> mcpu_cfgs = {
-      {1, false}, {4, false}, {16, false}, {16, true}};
-  std::vector<T3McpuRow> mcpu(mcpu_cfgs.size());
-  T3CopyRow copy_row;
-  // Extra thunks: splice leg, the mcpu legs, and the zero-copy leg.
-  const u32 extra = 2 + static_cast<u32>(mcpu_cfgs.size());
-  parallel_for(static_cast<u32>(sizes.size()) + extra, opts.jobs, [&](u32 i) {
-    if (i < sizes.size()) {
-      t3[i] = run_t3_row(sizes[i], opts.seed + 7919 * (i + 1));
-    } else if (i == sizes.size()) {
-      splice_row = run_t3_splice_row(splice_bytes, opts.seed + 104033);
-    } else if (i == sizes.size() + 1) {
-      copy_row = run_t3_copy_row(opts.seed + 7);
-    } else {
-      size_t m = i - sizes.size() - 2;
-      mcpu[m] = run_t3_mcpu_row(mcpu_cfgs[m].first, mcpu_cfgs[m].second,
-                                opts.seed + 31);
+  BenchResults docs;
+  size_t next = 0;
+  for (const auto& [bench, fns_of_doc] : plans) {
+    Rows rows;
+    for (size_t k = 0; k < fns_of_doc.size(); ++k, ++next) {
+      if (!out[next]) return out[next].status();
+      rows.insert(rows.end(), out[next]->begin(), out[next]->end());
     }
-  });
-  for (const T3Row& r : t3) {
-    if (!r.st.is_ok()) return r.st;
+    docs.push_back({"BENCH_" + bench + ".json",
+                    emit(bench, opts, rows, false), true});
+    docs.push_back({"BENCH_" + bench + "_wall.json",
+                    emit(bench, opts, rows, true), false});
   }
-  if (!splice_row.st.is_ok()) return splice_row.st;
-  if (!copy_row.st.is_ok()) return copy_row.st;
-  for (const T3McpuRow& r : mcpu) {
-    if (!r.st.is_ok()) return r.st;
-  }
-
-  {
-    Json j;
-    meta_header("table3", opts, j);
-    j.open_arr("rows");
-    for (const T3Row& r : t3) {
-      j.open_row();
-      j.field("name", "sweep-" + std::to_string(r.target_bytes));
-      j.field("target_bytes", static_cast<u64>(r.target_bytes));
-      j.field("code_bytes", r.code_bytes);
-      j.field("package_bytes", r.package_bytes);
-      j.field("functions", r.functions);
-      j.field("downtime_cycles", scaled(r.downtime_cycles, cs));
-      j.field("modeled_total_us", r.modeled_total_us * cs);
-      j.field("smi_count", r.smis);
-      j.field("detection_overhead", scaled(r.detection_cycles, cs));
-      j.close_row();
-    }
-    j.open_row();
-    j.field("name", "splice-" + std::to_string(splice_bytes));
-    j.field("code_bytes", splice_row.code_bytes);
-    j.field("trampoline_downtime_cycles",
-            scaled(splice_row.tramp_downtime_cycles, cs));
-    j.field("splice_downtime_cycles",
-            scaled(splice_row.splice_downtime_cycles, cs));
-    // Gated ratio (lower is better): in-place splicing must stay cheaper
-    // than the mem_X + trampoline path for the same body.
-    j.field("splice_cost_ratio",
-            static_cast<double>(splice_row.splice_downtime_cycles) /
-                static_cast<double>(splice_row.tramp_downtime_cycles));
-    j.field("spliced_members", splice_row.spliced);
-    j.close_row();
-    for (const T3McpuRow& r : mcpu) {
-      j.open_row();
-      j.field("name", std::string("mcpu-") + std::to_string(r.cpus) +
-                          (r.serial ? "-serial" : ""));
-      j.field("cpus", static_cast<u64>(r.cpus));
-      j.field("downtime_cycles", scaled(r.downtime_cycles, cs));
-      j.field("rendezvous_cycles", scaled(r.rendezvous_cycles, cs));
-      j.field("handler_cycles", scaled(r.handler_cycles, cs));
-      j.field("resume_cycles", scaled(r.resume_cycles, cs));
-      j.close_row();
-    }
-    // Gated ratios (lower is better). mcpu[0]=1 cpu, [2]=16 parallel,
-    // [3]=16 serial: parallel rendezvous + early AP release must keep the
-    // 16-CPU downtime within a small multiple of the 1-CPU baseline, while
-    // the serial model's ratio documents what was recovered.
-    j.open_row();
-    j.field("name", std::string("mcpu-ratios"));
-    j.field("mcpu16_vs_1_ratio",
-            cs * static_cast<double>(mcpu[2].downtime_cycles) /
-                static_cast<double>(mcpu[0].downtime_cycles));
-    j.field("serial16_vs_1_ratio",
-            cs * static_cast<double>(mcpu[3].downtime_cycles) /
-                static_cast<double>(mcpu[0].downtime_cycles));
-    j.close_row();
-    // Gated copy accounting: staged package bytes are copied exactly once
-    // (the SMM write).
-    j.open_row();
-    j.field("name", std::string("zero-copy"));
-    j.field("copies_per_package", copy_row.copies);
-    j.close_row();
-    j.close_arr();
-    j.close_obj();
-    res.table3_json = j.finish();
-  }
-  {
-    Json j;
-    meta_header("table3-wall", opts, j);
-    j.open_arr("rows");
-    for (const T3Row& r : t3) {
-      j.open_row();
-      j.field("name", "sweep-" + std::to_string(r.target_bytes));
-      j.field("decrypt_us", r.decrypt_us);
-      j.field("verify_us", r.verify_us);
-      j.field("apply_us", r.apply_us);
-      j.field("total_us", r.total_us);
-      j.field("fetch_us", r.fetch_us);
-      j.field("preprocess_us", r.preprocess_us);
-      j.field("passing_us", r.passing_us);
-      j.close_row();
-    }
-    j.close_arr();
-    j.close_obj();
-    res.table3_wall_json = j.finish();
-  }
-
-  // ---- Table 4 ------------------------------------------------------------
-  std::vector<u32> ks = batch_ks(opts.quick);
-  std::vector<T4BatchRow> t4(ks.size());
-  T4FleetRow fleet_row;
-  T4AdversaryRow adv_row;
-  T4ScaleRow scale_row;
-  T4SynthRow synth_row;
-  // One thunk per row (the fleet/synth rows are indices ks.size() ..
-  // ks.size()+3).
-  parallel_for(static_cast<u32>(ks.size()) + 4, opts.jobs, [&](u32 i) {
-    if (i < ks.size()) {
-      t4[i] = run_t4_batch_row(ks[i], opts.seed + 104729 * (i + 1));
-    } else if (i == ks.size()) {
-      fleet_row = run_t4_fleet_row(opts.quick, opts.seed);
-    } else if (i == ks.size() + 1) {
-      adv_row = run_t4_adversary_row(opts.quick, opts.seed);
-    } else if (i == ks.size() + 2) {
-      scale_row = run_t4_scale_row(opts.quick, opts.seed);
-    } else {
-      synth_row = run_t4_synth_row(opts.quick, opts.seed);
-    }
-  });
-  for (const T4BatchRow& r : t4) {
-    if (!r.st.is_ok()) return r.st;
-  }
-  if (!fleet_row.st.is_ok()) return fleet_row.st;
-  if (!adv_row.st.is_ok()) return adv_row.st;
-  if (!scale_row.st.is_ok()) return scale_row.st;
-  if (!synth_row.st.is_ok()) return synth_row.st;
-
-  {
-    Json j;
-    meta_header("table4", opts, j);
-    j.open_arr("rows");
-    for (const T4BatchRow& r : t4) {
-      j.open_row();
-      j.field("name", "batch-k" + std::to_string(r.k));
-      j.field("k", static_cast<u64>(r.k));
-      j.field("seq_downtime_cycles", scaled(r.seq_downtime_cycles, cs));
-      j.field("batch_downtime_cycles", scaled(r.batch_downtime_cycles, cs));
-      j.field("seq_smis", r.seq_smis);
-      j.field("batch_smis", r.batch_smis);
-      j.field("installed", r.installed);
-      j.field("modeled_batch_us", r.modeled_batch_us * cs);
-      // Emitted as a cost ratio (lower is better) so the gate's
-      // increase-is-regression rule applies directly.
-      j.field("batch_cost_ratio",
-              static_cast<double>(r.batch_downtime_cycles) /
-                  static_cast<double>(r.seq_downtime_cycles));
-      j.close_row();
-    }
-    j.open_row();
-    j.field("name", std::string("fleet-batched"));
-    j.field("targets", fleet_row.targets);
-    j.field("applied_deficit", fleet_row.targets - fleet_row.applied);
-    j.field("waves", fleet_row.waves);
-    j.field("downtime_p50_us", fleet_row.downtime_p50_us * cs);
-    j.field("e2e_p50_us", fleet_row.e2e_p50_us * cs);
-    j.field("makespan_w1_us", fleet_row.makespan_w1_us * cs);
-    j.field("makespan_w4_us", fleet_row.makespan_w4_us * cs);
-    j.field("prep_cache_hit", fleet_row.prep_hits > 0);
-    j.close_row();
-    j.open_row();
-    j.field("name", std::string("fleet-adversary"));
-    j.field("targets", adv_row.targets);
-    j.field("quarantined", adv_row.quarantined);
-    j.field("recovered", adv_row.recovered);
-    j.field("total_detections", adv_row.total_detections);
-    j.field("quarantine_recovery_cost", adv_row.recovery_cost_us * cs);
-    j.close_row();
-    j.open_row();
-    j.field("name", std::string("fleet-scale"));
-    j.field("targets", scale_row.targets);
-    j.field("applied_deficit", scale_row.targets - scale_row.applied);
-    j.field("waves", scale_row.waves);
-    j.field("makespan_us", scale_row.makespan_us * cs);
-    j.field("relay_miss_ratio", scale_row.relay_miss_ratio * cs);
-    j.field("downtime_p99_us", scale_row.downtime_p99_us * cs);
-    j.close_row();
-    j.open_row();
-    j.field("name", std::string("synth-campaign"));
-    j.field("cases", synth_row.cases);
-    // Gated at 0: any synthesized case failing its oracle stack regresses.
-    j.field("oracle_failures", synth_row.failed);
-    j.field("live_code_bytes", synth_row.live_code_bytes);
-    j.field("live_downtime_cycles", scaled(synth_row.live_downtime_cycles, cs));
-    j.field("live_modeled_us", synth_row.live_modeled_us * cs);
-    j.close_row();
-    j.close_arr();
-    j.close_obj();
-    res.table4_json = j.finish();
-  }
-  {
-    Json j;
-    meta_header("table4-wall", opts, j);
-    j.open_arr("rows");
-    j.open_row();
-    j.field("name", std::string("fleet-batched"));
-    // Exact hit/miss counts can shift with build interleaving, so they are
-    // sidecar-only; the golden document keeps just the hit>0 boolean.
-    j.field("prep_hits", fleet_row.prep_hits);
-    j.field("prep_misses", fleet_row.prep_misses);
-    j.close_row();
-    j.open_row();
-    j.field("name", std::string("fleet-scale"));
-    // Hit ratio improves over time; the gate only flags increases, so it
-    // stays out of the golden document (the gated miss ratio covers it).
-    j.field("relay_hit_ratio", scale_row.relay_hit_ratio);
-    j.field("origin_fetches", scale_row.origin_fetches);
-    j.close_row();
-    j.close_arr();
-    j.close_obj();
-    res.table4_wall_json = j.finish();
-  }
-  return res;
+  return docs;
 }
 
 // ---- Gate -----------------------------------------------------------------
@@ -975,6 +1152,39 @@ class JsonParser {
   std::map<std::string, double>& out_;
 };
 
+/// The leaf walk behind both gates: every baseline leaf absent from
+/// `current`, or above its baseline by more than `tolerance` (relative).
+/// The hard gate files them as missing keys and regressions; the soft gate
+/// files both as warnings, a missing key with current 0.
+Result<GateReport> compare(const std::string& baseline_json,
+                           const std::string& current_json, double tolerance,
+                           bool soft) {
+  auto base = flatten_json(baseline_json);
+  if (!base) return base.status();
+  auto cur = flatten_json(current_json);
+  if (!cur) return cur.status();
+
+  GateReport report;
+  for (const auto& [key, bval] : *base) {
+    auto it = cur->find(key);
+    if (it == cur->end()) {
+      if (soft) {
+        report.warnings.push_back({key, bval, 0.0});
+      } else {
+        report.missing_keys.push_back(key);
+      }
+      continue;
+    }
+    double limit = bval >= 0 ? bval * (1.0 + tolerance) + 1e-9
+                             : bval * (1.0 - tolerance) + 1e-9;
+    if (it->second > limit) {
+      (soft ? report.warnings : report.regressions)
+          .push_back({key, bval, it->second});
+    }
+  }
+  return report;
+}
+
 }  // namespace
 
 Result<std::map<std::string, double>> flatten_json(const std::string& json) {
@@ -1018,51 +1228,15 @@ std::string GateReport::to_string() const {
 Result<GateReport> gate_compare(const std::string& baseline_json,
                                 const std::string& current_json,
                                 double tolerance) {
-  auto base = flatten_json(baseline_json);
-  if (!base) return base.status();
-  auto cur = flatten_json(current_json);
-  if (!cur) return cur.status();
-
-  GateReport report;
-  for (const auto& [key, bval] : *base) {
-    auto it = cur->find(key);
-    if (it == cur->end()) {
-      report.missing_keys.push_back(key);
-      continue;
-    }
-    double limit = bval >= 0 ? bval * (1.0 + tolerance) + 1e-9
-                             : bval * (1.0 - tolerance) + 1e-9;
-    if (it->second > limit) {
-      report.regressions.push_back({key, bval, it->second});
-    }
-  }
-  return report;
+  return compare(baseline_json, current_json, tolerance, false);
 }
 
 Result<GateReport> wall_compare(const std::string& baseline_json,
                                 const std::string& current_json,
                                 double tolerance) {
-  auto base = flatten_json(baseline_json);
-  if (!base) return base.status();
-  auto cur = flatten_json(current_json);
-  if (!cur) return cur.status();
-
-  GateReport report;
-  for (const auto& [key, bval] : *base) {
-    auto it = cur->find(key);
-    if (it == cur->end()) {
-      // A vanished wall key is a sidecar-layout change, not a perf event;
-      // note it softly so renames don't fail anyone's build.
-      report.warnings.push_back({key, bval, 0.0});
-      continue;
-    }
-    double limit = bval >= 0 ? bval * (1.0 + tolerance) + 1e-9
-                             : bval * (1.0 - tolerance) + 1e-9;
-    if (it->second > limit) {
-      report.warnings.push_back({key, bval, it->second});
-    }
-  }
-  return report;
+  // A vanished wall key is a sidecar-layout change, not a perf event, so it
+  // only warns: renames don't fail anyone's build.
+  return compare(baseline_json, current_json, tolerance, true);
 }
 
 }  // namespace kshot::benchkit

@@ -1,19 +1,24 @@
 // Deterministic bench-regression harness behind `kshot-sim bench`.
 //
-// Two canonical JSON documents are produced per run:
+// Three documents are produced per run, each with a wall-clock sidecar:
 //
-//   BENCH_table3.json  patch-size sweep (the Table III scenario): modeled
-//                      SMM downtime by payload size, single + batched.
-//   BENCH_table4.json  batched-session matrix (the Table IV batched
-//                      variants): K-CVE sequential vs one batched SMM
-//                      session, plus batched-fleet, adversary, planet-scale,
-//                      and auto-CVE synthesis campaign rows.
+//   BENCH_table3.json  patch-size sweep (Tables II/III): modeled SMM
+//                      downtime by payload size, splice, multi-CPU and
+//                      copy-accounting legs.
+//   BENCH_batch.json   batched-session matrix: K-CVE sequential vs one
+//                      batched SMM session, plus batched-fleet, adversary,
+//                      planet-scale and auto-CVE synthesis campaign rows.
+//   BENCH_paper.json   the paper's evaluation (§VI): Table I, Figures 4/5,
+//                      Table IV's rootkit probes, Table V, the Sysbench
+//                      overhead, ablations A1–A3 and the fault campaign.
 //
 // Everything in those documents is *modeled* (virtual-clock cycles, modeled
 // microseconds, counters): for a fixed seed the bytes are identical at any
 // --jobs level, so the files can be checked in as goldens and diffed by CI.
 // Wall-clock timings are real and therefore noisy; they are emitted into
 // separate *_wall.json sidecars that are never golden-compared or gated.
+// A row whose check fails (an exploit that survives its patch, a workload
+// oops, a patch the model says must apply and did not) fails run_bench.
 //
 // gate_compare() is the regression gate: every numeric leaf of the current
 // document must stay within `tolerance` (relative) of the checked-in
@@ -34,21 +39,24 @@ namespace kshot::benchkit {
 struct BenchOptions {
   u64 seed = 0x5EED;
   u32 jobs = 1;       // row-level worker pool (never changes the bytes)
-  bool quick = false;  // CI profile: smaller sweep + fleet
+  bool quick = false;  // CI profile: smaller sweeps, fleets and campaigns
   /// Multiplier applied to every modeled number at emission time. 1.0 in
   /// real runs; tests raise it to demonstrate the gate failing.
   double cost_scale = 1.0;
 };
 
-struct BenchResults {
-  std::string table3_json;       // canonical, golden-comparable
-  std::string table4_json;       // canonical, golden-comparable
-  std::string table3_wall_json;  // wall-clock sidecar, never gated
-  std::string table4_wall_json;  // wall-clock sidecar, never gated
+struct BenchDoc {
+  std::string file;  // "BENCH_<bench>.json" or "BENCH_<bench>_wall.json"
+  std::string body;
+  bool gated = true;  // false: a wall-clock sidecar, soft-compared only
 };
 
-/// Runs the full harness. Boots one testbed per scenario row; rows are
-/// distributed over `jobs` workers and merged in row order.
+/// Every document of a run: each gated document followed by its sidecar.
+using BenchResults = std::vector<BenchDoc>;
+
+/// Runs the full harness. Every document's row tasks (each boots what it
+/// needs) share one pool of `jobs` workers and merge in task order. The
+/// first failed row check, in that order, is the run's error.
 Result<BenchResults> run_bench(const BenchOptions& opts);
 
 /// Flattens a canonical bench JSON document into "path.to[2].leaf" -> value

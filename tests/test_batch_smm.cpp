@@ -1,7 +1,7 @@
 // Batched SMM sessions (one seal->stage->apply SMI pair installing N
 // packages as N rollback units) and the content-addressed patch-prep
 // caches, plus the bench-regression goldens that gate both: the modeled
-// numbers in BENCH_table3/4.json must be byte-identical across worker
+// numbers in every gated BENCH_*.json must be byte-identical across worker
 // counts and must not regress against the checked-in baseline.
 #include <gtest/gtest.h>
 
@@ -471,6 +471,10 @@ std::string read_file(const std::string& path) {
   return os.str();
 }
 
+std::string golden(const std::string& file) {
+  return read_file(std::string(KSHOT_CORPUS_DIR) + "/bench/" + file);
+}
+
 TEST(BenchGolden, ModeledTablesByteIdenticalAcrossJobs) {
   benchkit::BenchOptions o1;
   o1.quick = true;
@@ -481,53 +485,107 @@ TEST(BenchGolden, ModeledTablesByteIdenticalAcrossJobs) {
   auto r8 = benchkit::run_bench(o8);
   ASSERT_TRUE(r1.is_ok()) << r1.status().to_string();
   ASSERT_TRUE(r8.is_ok()) << r8.status().to_string();
+  ASSERT_EQ(r1->size(), r8->size());
 
-  // Worker count must never leak into the modeled documents...
-  EXPECT_EQ(r1->table3_json, r8->table3_json);
-  EXPECT_EQ(r1->table4_json, r8->table4_json);
-
-  // ...and the checked-in goldens are exactly this seed's output.
-  EXPECT_EQ(r1->table3_json,
-            read_file(std::string(KSHOT_CORPUS_DIR) +
-                      "/bench/BENCH_table3.json"));
-  EXPECT_EQ(r1->table4_json,
-            read_file(std::string(KSHOT_CORPUS_DIR) +
-                      "/bench/BENCH_table4.json"));
+  size_t gated = 0;
+  for (size_t i = 0; i < r1->size(); ++i) {
+    const benchkit::BenchDoc& d = (*r1)[i];
+    EXPECT_EQ(d.file, (*r8)[i].file);
+    if (!d.gated) continue;
+    ++gated;
+    // Worker count must never leak into the modeled documents...
+    EXPECT_EQ(d.body, (*r8)[i].body) << d.file;
+    // ...and the checked-in goldens are exactly this seed's output.
+    EXPECT_EQ(d.body, golden(d.file)) << d.file;
+  }
+  EXPECT_EQ(gated, 3u);  // table3, batch, paper
 }
 
 TEST(BenchGate, PassesOnBaselineAndFailsOnInflatedCosts) {
-  std::string golden3 =
-      read_file(std::string(KSHOT_CORPUS_DIR) + "/bench/BENCH_table3.json");
-  std::string golden4 =
-      read_file(std::string(KSHOT_CORPUS_DIR) + "/bench/BENCH_table4.json");
-  ASSERT_FALSE(golden3.empty());
-  ASSERT_FALSE(golden4.empty());
-
-  // Baseline vs itself: clean.
-  auto self3 = benchkit::gate_compare(golden3, golden3, 0.02);
-  auto self4 = benchkit::gate_compare(golden4, golden4, 0.02);
-  ASSERT_TRUE(self3.is_ok()) << self3.status().to_string();
-  ASSERT_TRUE(self4.is_ok()) << self4.status().to_string();
-  EXPECT_TRUE(self3->ok()) << self3->to_string();
-  EXPECT_TRUE(self4->ok()) << self4->to_string();
-
-  // A 10% modeled-cost inflation must trip the 2% gate.
+  // A 10% modeled-cost inflation must trip the 2% gate on every document,
+  // while each baseline passes against itself.
   benchkit::BenchOptions inflated;
   inflated.quick = true;
   inflated.jobs = 8;
   inflated.cost_scale = 1.10;
   auto res = benchkit::run_bench(inflated);
   ASSERT_TRUE(res.is_ok()) << res.status().to_string();
-  auto gate = benchkit::gate_compare(golden3, res->table3_json, 0.02);
-  ASSERT_TRUE(gate.is_ok()) << gate.status().to_string();
-  EXPECT_FALSE(gate->ok());
-  EXPECT_FALSE(gate->regressions.empty());
+  for (const benchkit::BenchDoc& d : *res) {
+    if (!d.gated) continue;
+    const std::string base = golden(d.file);
+    ASSERT_FALSE(base.empty()) << d.file;
+    auto self = benchkit::gate_compare(base, base, 0.02);
+    ASSERT_TRUE(self.is_ok()) << self.status().to_string();
+    EXPECT_TRUE(self->ok()) << d.file << ": " << self->to_string();
+    auto gate = benchkit::gate_compare(base, d.body, 0.02);
+    ASSERT_TRUE(gate.is_ok()) << gate.status().to_string();
+    EXPECT_FALSE(gate->ok()) << d.file;
+    EXPECT_FALSE(gate->regressions.empty()) << d.file;
+  }
 
   // Missing keys are failures too, not silent passes.
-  auto missing = benchkit::gate_compare(golden3, "{}", 0.02);
+  auto missing =
+      benchkit::gate_compare(golden("BENCH_table3.json"), "{}", 0.02);
   ASSERT_TRUE(missing.is_ok());
   EXPECT_FALSE(missing->ok());
   EXPECT_FALSE(missing->missing_keys.empty());
+}
+
+/// Leaf `key` of the row named `name` in the bench document `doc`, whose
+/// flattened form is `flat`. Every row carries exactly one "name", in row
+/// order, so the k-th name belongs to rows[k].
+double leaf(const std::string& doc, const std::map<std::string, double>& flat,
+            const std::string& name, const std::string& key) {
+  const std::string tag = "\"name\": ";
+  const size_t at = doc.find(tag + "\"" + name + "\"");
+  if (at == std::string::npos) {
+    ADD_FAILURE() << "no row " << name;
+    return -1;
+  }
+  size_t k = 0;
+  for (size_t p = doc.find(tag); p < at; p = doc.find(tag, p + 1)) ++k;
+  auto it = flat.find("rows[" + std::to_string(k) + "]." + key);
+  if (it == flat.end()) {
+    ADD_FAILURE() << "no leaf " << name << "." << key;
+    return -1;
+  }
+  return it->second;
+}
+
+TEST(BenchGolden, PaperDocumentPinsTheEvaluationChecks) {
+  // The checks the paper's evaluation rests on, read back from the quick
+  // paper document (the test above pins it to this seed's output).
+  const std::string doc = golden("BENCH_paper.json");
+  auto flat = benchkit::flatten_json(doc);
+  ASSERT_TRUE(flat.is_ok()) << flat.status().to_string();
+
+  // Table I: 31 rows, every exploit dead and benign behaviour unchanged.
+  size_t t1_rows = 0;
+  for (size_t p = doc.find("\"t1-"); p != std::string::npos;
+       p = doc.find("\"t1-", p + 1)) {
+    ++t1_rows;
+  }
+  EXPECT_EQ(t1_rows, 31u);
+  ASSERT_EQ(cve::all_cases().size(), 31u);
+  for (const auto& c : cve::all_cases()) {
+    EXPECT_EQ(leaf(doc, *flat, "t1-" + c.id, "exploit_fired"), 1) << c.id;
+    EXPECT_EQ(leaf(doc, *flat, "t1-" + c.id, "exploit_dead"), 1) << c.id;
+    EXPECT_EQ(leaf(doc, *flat, "t1-" + c.id, "benign_same"), 1) << c.id;
+  }
+
+  // Table IV: the reversion rootkit reverts kpatch and not KShot.
+  EXPECT_EQ(leaf(doc, *flat, "t4-rootkit-kshot", "exploit_dead"), 1);
+  EXPECT_EQ(leaf(doc, *flat, "t4-rootkit-kpatch", "exploit_dead"), 0);
+
+  // §VI-C3: live patching under the Sysbench workload never oopses it.
+  EXPECT_GT(leaf(doc, *flat, "sysbench", "patches"), 0);
+  EXPECT_EQ(leaf(doc, *flat, "sysbench", "oopses"), 0);
+
+  // A3: a package larger than mem_W crosses it only in chunks.
+  EXPECT_GT(leaf(doc, *flat, "a3-over-mem-w", "package_bytes"),
+            leaf(doc, *flat, "a3-over-mem-w", "staging_window_bytes"));
+  EXPECT_EQ(leaf(doc, *flat, "a3-over-mem-w", "single_delivered"), 0);
+  EXPECT_EQ(leaf(doc, *flat, "a3-over-mem-w", "chunked_delivered"), 1);
 }
 
 TEST(BenchGate, WallSidecarsWarnSoftlyAndNeverFail) {
@@ -564,6 +622,25 @@ TEST(BenchGate, WallSidecarsWarnSoftlyAndNeverFail) {
   ASSERT_TRUE(hard.is_ok());
   EXPECT_FALSE(hard->ok());
   EXPECT_FALSE(hard->regressions.empty());
+}
+
+TEST(BenchGate, WallCompareWarnsOnMissingKeyAndElevenPercent) {
+  // One leaf gone and one leaf 11% over its baseline: both warn, neither
+  // fails.
+  const std::string baseline =
+      R"({"rows": [{"name": "a", "prep_us": 10.0, "wall_us": 100.0}]})";
+  const std::string current =
+      R"({"rows": [{"name": "a", "wall_us": 111.0}]})";
+  auto gate = benchkit::wall_compare(baseline, current, 0.10);
+  ASSERT_TRUE(gate.is_ok()) << gate.status().to_string();
+  ASSERT_EQ(gate->warnings.size(), 2u);
+  EXPECT_EQ(gate->warnings[0].key, "rows[0].prep_us");  // missing
+  EXPECT_EQ(gate->warnings[0].current, 0.0);
+  EXPECT_EQ(gate->warnings[1].key, "rows[0].wall_us");  // +11%
+  EXPECT_EQ(gate->warnings[1].current, 111.0);
+  EXPECT_TRUE(gate->missing_keys.empty());
+  EXPECT_TRUE(gate->regressions.empty());
+  EXPECT_TRUE(gate->ok());
 }
 
 }  // namespace

@@ -519,28 +519,17 @@ int cmd_bench(const Args& a) {
   std::string dir = a.str("out-dir").empty() ? "." : a.str("out-dir");
   std::error_code ec;
   std::filesystem::create_directories(dir, ec);
-  struct Doc {
-    const char* file;
-    const std::string* body;
-    bool gated;
-  };
-  const Doc docs[] = {
-      {"BENCH_table3.json", &res->table3_json, true},
-      {"BENCH_table4.json", &res->table4_json, true},
-      {"BENCH_table3_wall.json", &res->table3_wall_json, false},
-      {"BENCH_table4_wall.json", &res->table4_wall_json, false},
-  };
-  for (const Doc& d : docs) {
+  for (const benchkit::BenchDoc& d : *res) {
     std::string path = dir + "/" + d.file;
-    if (write_file(path, *d.body) != 0) return 1;
+    if (write_file(path, d.body) != 0) return 1;
     std::printf("bench: wrote %s (%zu bytes)%s\n", path.c_str(),
-                d.body->size(), d.gated ? "" : "  [wall sidecar, not gated]");
+                d.body.size(), d.gated ? "" : "  [wall sidecar, not gated]");
   }
 
   if (gate_dir.empty()) return 0;
   bool gate_ok = true;
   size_t wall_warnings = 0;
-  for (const Doc& d : docs) {
+  for (const benchkit::BenchDoc& d : *res) {
     std::string base_path = gate_dir + "/" + d.file;
     std::ifstream in(base_path, std::ios::binary);
     if (!in) {
@@ -551,27 +540,20 @@ int cmd_bench(const Args& a) {
     }
     std::ostringstream buf;
     buf << in.rdbuf();
-    if (d.gated) {
-      auto gate = benchkit::gate_compare(buf.str(), *d.body, gate_tol);
-      if (!gate.is_ok()) {
-        std::fprintf(stderr, "bench gate: %s\n",
-                     gate.status().to_string().c_str());
-        return 1;
-      }
-      std::printf("%s: %s", d.file, gate->to_string().c_str());
-      gate_ok = gate_ok && gate->ok();
-    } else {
-      // Soft gate: wall time is real and noisy, so a >10% regression only
-      // warns (distinct message, exit stays 0).
-      auto gate = benchkit::wall_compare(buf.str(), *d.body);
-      if (!gate.is_ok()) {
-        std::fprintf(stderr, "bench wall gate: %s\n",
-                     gate.status().to_string().c_str());
-        continue;  // a broken sidecar never fails the run
-      }
-      std::printf("%s: %s", d.file, gate->to_string().c_str());
-      wall_warnings += gate->warnings.size();
+    // The wall sidecars get the soft gate: wall time is real and noisy, so
+    // a >10% regression only warns (distinct message, exit stays 0), and a
+    // broken sidecar never fails the run.
+    auto gate = d.gated ? benchkit::gate_compare(buf.str(), d.body, gate_tol)
+                        : benchkit::wall_compare(buf.str(), d.body);
+    if (!gate.is_ok()) {
+      std::fprintf(stderr, "bench %sgate: %s\n", d.gated ? "" : "wall ",
+                   gate.status().to_string().c_str());
+      if (d.gated) return 1;
+      continue;
     }
+    std::printf("%s: %s", d.file.c_str(), gate->to_string().c_str());
+    gate_ok = gate_ok && gate->ok();
+    wall_warnings += gate->warnings.size();
   }
   if (wall_warnings > 0) {
     std::fprintf(stderr,
