@@ -1,6 +1,7 @@
 // Non-cryptographic hashes. The paper (§VI-C2) notes patch verification time
 // is dominated by SHA-2 and "could be reduced by employing a simpler hashing
-// algorithm such as SDBM" — these back the bench_ablation_hash experiment.
+// algorithm such as SDBM" — these back the `a1-hash-*` rows of
+// `kshot-sim bench` (host time only, so they land in BENCH_paper_wall.json).
 #pragma once
 
 #include "common/types.hpp"

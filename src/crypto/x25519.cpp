@@ -36,7 +36,9 @@ Fe fe_sub(const Fe& a, const Fe& b) {
   return r;
 }
 
-void fe_carry(Fe& r, u128 t[5]) {
+// `inline` lets GCC -O2 fold this into fe_mul and fe_sq, so the columns
+// stay in registers instead of going through memory.
+inline void fe_carry(Fe& r, u128 t[5]) {
   u64 c;
   c = static_cast<u64>(t[0] >> 51); t[1] += c; r.v[0] = static_cast<u64>(t[0]) & kMask51;
   c = static_cast<u64>(t[1] >> 51); t[2] += c; r.v[1] = static_cast<u64>(t[1]) & kMask51;
@@ -47,25 +49,62 @@ void fe_carry(Fe& r, u128 t[5]) {
   c = r.v[0] >> 51; r.v[0] &= kMask51; r.v[1] += c;
 }
 
+// Every column t[k] below is the exact integer sum of a[i]*b[j] over
+// i + j == k plus 19 * a[i]*b[j] over i + j == k + 5, written out in full.
+// Every input limb is below 2^53 (DESIGN.md §15), so the pre-scaled b[j]*19
+// (< 2^58) and the doubled and ×38 limbs of fe_sq (< 2^59) fit in a u64.
 Fe fe_mul(const Fe& a, const Fe& b) {
-  u128 t[5] = {};
-  for (int i = 0; i < 5; ++i) {
-    for (int j = 0; j < 5; ++j) {
-      u128 prod = static_cast<u128>(a.v[i]) * b.v[j];
-      int k = i + j;
-      if (k >= 5) {
-        k -= 5;
-        prod *= 19;
-      }
-      t[k] += prod;
-    }
-  }
+  const u64 a0 = a.v[0], a1 = a.v[1], a2 = a.v[2], a3 = a.v[3], a4 = a.v[4];
+  const u64 b0 = b.v[0], b1 = b.v[1], b2 = b.v[2], b3 = b.v[3], b4 = b.v[4];
+  const u64 b1_19 = b1 * 19, b2_19 = b2 * 19, b3_19 = b3 * 19, b4_19 = b4 * 19;
+  u128 t[5];
+  t[0] = static_cast<u128>(a0) * b0 + static_cast<u128>(a1) * b4_19 +
+         static_cast<u128>(a2) * b3_19 + static_cast<u128>(a3) * b2_19 +
+         static_cast<u128>(a4) * b1_19;
+  t[1] = static_cast<u128>(a0) * b1 + static_cast<u128>(a1) * b0 +
+         static_cast<u128>(a2) * b4_19 + static_cast<u128>(a3) * b3_19 +
+         static_cast<u128>(a4) * b2_19;
+  t[2] = static_cast<u128>(a0) * b2 + static_cast<u128>(a1) * b1 +
+         static_cast<u128>(a2) * b0 + static_cast<u128>(a3) * b4_19 +
+         static_cast<u128>(a4) * b3_19;
+  t[3] = static_cast<u128>(a0) * b3 + static_cast<u128>(a1) * b2 +
+         static_cast<u128>(a2) * b1 + static_cast<u128>(a3) * b0 +
+         static_cast<u128>(a4) * b4_19;
+  t[4] = static_cast<u128>(a0) * b4 + static_cast<u128>(a1) * b3 +
+         static_cast<u128>(a2) * b2 + static_cast<u128>(a3) * b1 +
+         static_cast<u128>(a4) * b0;
   Fe r;
   fe_carry(r, t);
   return r;
 }
 
-Fe fe_sq(const Fe& a) { return fe_mul(a, a); }
+// a * a in 15 products: the cross terms a[i]*a[j] (i != j) appear twice in
+// fe_mul(a, a), so one of each pair is taken with a doubled limb.
+Fe fe_sq(const Fe& a) {
+  const u64 a0 = a.v[0], a1 = a.v[1], a2 = a.v[2], a3 = a.v[3], a4 = a.v[4];
+  const u64 a0_2 = a0 * 2, a1_2 = a1 * 2;
+  const u64 a2_38 = a2 * 38, a3_19 = a3 * 19, a4_19 = a4 * 19, a4_38 = a4 * 38;
+  u128 t[5];
+  t[0] = static_cast<u128>(a0) * a0 + static_cast<u128>(a1) * a4_38 +
+         static_cast<u128>(a3) * a2_38;
+  t[1] = static_cast<u128>(a0_2) * a1 + static_cast<u128>(a2) * a4_38 +
+         static_cast<u128>(a3) * a3_19;
+  t[2] = static_cast<u128>(a0_2) * a2 + static_cast<u128>(a1) * a1 +
+         static_cast<u128>(a3) * a4_38;
+  t[3] = static_cast<u128>(a0_2) * a3 + static_cast<u128>(a1_2) * a2 +
+         static_cast<u128>(a4) * a4_19;
+  t[4] = static_cast<u128>(a0_2) * a4 + static_cast<u128>(a1_2) * a3 +
+         static_cast<u128>(a2) * a2;
+  Fe r;
+  fe_carry(r, t);
+  return r;
+}
+
+// n successive squarings: a^(2^n).
+Fe fe_sq_n(Fe a, int n) {
+  for (int i = 0; i < n; ++i) a = fe_sq(a);
+  return a;
+}
 
 Fe fe_mul_small(const Fe& a, u64 s) {
   u128 t[5];
@@ -77,36 +116,18 @@ Fe fe_mul_small(const Fe& a, u64 s) {
 
 // a^(p-2) mod p via the standard addition chain.
 Fe fe_invert(const Fe& z) {
-  Fe z2 = fe_sq(z);                       // 2
-  Fe z8 = fe_sq(fe_sq(z2));               // 8
-  Fe z9 = fe_mul(z8, z);                  // 9
-  Fe z11 = fe_mul(z9, z2);                // 11
-  Fe z22 = fe_sq(z11);                    // 22
-  Fe z_5_0 = fe_mul(z22, z9);             // 2^5 - 2^0
-  Fe t = z_5_0;
-  for (int i = 0; i < 5; ++i) t = fe_sq(t);
-  Fe z_10_0 = fe_mul(t, z_5_0);           // 2^10 - 2^0
-  t = z_10_0;
-  for (int i = 0; i < 10; ++i) t = fe_sq(t);
-  Fe z_20_0 = fe_mul(t, z_10_0);          // 2^20 - 2^0
-  t = z_20_0;
-  for (int i = 0; i < 20; ++i) t = fe_sq(t);
-  Fe z_40_0 = fe_mul(t, z_20_0);          // 2^40 - 2^0
-  t = z_40_0;
-  for (int i = 0; i < 10; ++i) t = fe_sq(t);
-  Fe z_50_0 = fe_mul(t, z_10_0);          // 2^50 - 2^0
-  t = z_50_0;
-  for (int i = 0; i < 50; ++i) t = fe_sq(t);
-  Fe z_100_0 = fe_mul(t, z_50_0);         // 2^100 - 2^0
-  t = z_100_0;
-  for (int i = 0; i < 100; ++i) t = fe_sq(t);
-  Fe z_200_0 = fe_mul(t, z_100_0);        // 2^200 - 2^0
-  t = z_200_0;
-  for (int i = 0; i < 50; ++i) t = fe_sq(t);
-  Fe z_250_0 = fe_mul(t, z_50_0);         // 2^250 - 2^0
-  t = z_250_0;
-  for (int i = 0; i < 5; ++i) t = fe_sq(t);
-  return fe_mul(t, z11);                  // 2^255 - 21 = p - 2
+  Fe z2 = fe_sq(z);                                      // 2
+  Fe z9 = fe_mul(fe_sq_n(z2, 2), z);                     // 9
+  Fe z11 = fe_mul(z9, z2);                               // 11
+  Fe z_5_0 = fe_mul(fe_sq(z11), z9);                     // 2^5 - 2^0
+  Fe z_10_0 = fe_mul(fe_sq_n(z_5_0, 5), z_5_0);          // 2^10 - 2^0
+  Fe z_20_0 = fe_mul(fe_sq_n(z_10_0, 10), z_10_0);       // 2^20 - 2^0
+  Fe z_40_0 = fe_mul(fe_sq_n(z_20_0, 20), z_20_0);       // 2^40 - 2^0
+  Fe z_50_0 = fe_mul(fe_sq_n(z_40_0, 10), z_10_0);       // 2^50 - 2^0
+  Fe z_100_0 = fe_mul(fe_sq_n(z_50_0, 50), z_50_0);      // 2^100 - 2^0
+  Fe z_200_0 = fe_mul(fe_sq_n(z_100_0, 100), z_100_0);   // 2^200 - 2^0
+  Fe z_250_0 = fe_mul(fe_sq_n(z_200_0, 50), z_50_0);     // 2^250 - 2^0
+  return fe_mul(fe_sq_n(z_250_0, 5), z11);               // 2^255 - 21 = p - 2
 }
 
 Fe fe_from_bytes(const X25519Key& s) {
@@ -147,9 +168,10 @@ X25519Key fe_to_bytes(const Fe& a) {
     c = t.v[i] >> 51;
     t.v[i] &= kMask51;
   }
-  if (c != 0) {
-    h = t;  // bit 255 was set and is dropped by the masking above
-  }
+  // c is 0 or 1 (every limb of h is below 2^51); select t without a branch.
+  // When taken, bit 255 was set and is dropped by the masking above.
+  const u64 take_t = 0 - c;
+  for (int i = 0; i < 5; ++i) h.v[i] ^= take_t & (h.v[i] ^ t.v[i]);
   u64 w[4];
   w[0] = h.v[0] | (h.v[1] << 51);
   w[1] = (h.v[1] >> 13) | (h.v[2] << 38);

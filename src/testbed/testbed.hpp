@@ -39,10 +39,10 @@ struct TestbedOptions {
   u64 watchdog_interval_cycles = 0;
   /// When set, the enclave<->server channel is a FaultInjector built from
   /// this plan (seeded with `fault_seed`) instead of a clean Channel.
-  std::optional<netsim::FaultPlan> fault_plan;
+  std::optional<netsim::FaultPlan> fault_plan{};
   u64 fault_seed = 0xFA017;
   /// Retry policy installed on the booted Kshot (default: Kshot's default).
-  std::optional<core::RetryPolicy> retry_policy;
+  std::optional<core::RetryPolicy> retry_policy{};
   /// When non-null, this testbed joins an existing fleet-wide patch server
   /// instead of booting its own: the target's SGX platform is registered as
   /// an accepted verifier, the CVE's patch sources are announced (idempotent

@@ -189,41 +189,39 @@ INSTANTIATE_TEST_SUITE_P(Sizes, ChaChaRoundTrip,
 
 // ---- X25519 (RFC 7748) -------------------------------------------------------
 
+X25519Key key_from_hex(const std::string& hex) {
+  auto bytes = from_hex(hex);
+  X25519Key k{};
+  std::copy(bytes->begin(), bytes->end(), k.begin());
+  return k;
+}
+
 TEST(X25519, Rfc7748Vector1) {
-  auto scalar = from_hex(
-      "a546e36bf0527c9d3b16154b82465edd62144c0ac1fc5a18506a2244ba449ac4");
-  auto point = from_hex(
-      "e6db6867583030db3594c1a424b15f7c726624ec26b3353b10a903a6d0ab1c4c");
-  X25519Key s{}, p{};
-  std::copy(scalar->begin(), scalar->end(), s.begin());
-  std::copy(point->begin(), point->end(), p.begin());
-  X25519Key out = x25519(s, p);
+  X25519Key out = x25519(
+      key_from_hex(
+          "a546e36bf0527c9d3b16154b82465edd62144c0ac1fc5a18506a2244ba449ac4"),
+      key_from_hex(
+          "e6db6867583030db3594c1a424b15f7c726624ec26b3353b10a903a6d0ab1c4c"));
   EXPECT_EQ(to_hex(ByteSpan(out.data(), 32)),
             "c3da55379de9c6908e94ea4df28d084f32eccf03491c71f754b4075577a28552");
 }
 
 TEST(X25519, Rfc7748Vector2) {
-  auto scalar = from_hex(
-      "4b66e9d4d1b4673c5ad22691957d6af5c11b6421e0ea01d42ca4169e7918ba0d");
-  auto point = from_hex(
-      "e5210f12786811d3f4b7959d0538ae2c31dbe7106fc03c3efc4cd549c715a493");
-  X25519Key s{}, p{};
-  std::copy(scalar->begin(), scalar->end(), s.begin());
-  std::copy(point->begin(), point->end(), p.begin());
-  X25519Key out = x25519(s, p);
+  X25519Key out = x25519(
+      key_from_hex(
+          "4b66e9d4d1b4673c5ad22691957d6af5c11b6421e0ea01d42ca4169e7918ba0d"),
+      key_from_hex(
+          "e5210f12786811d3f4b7959d0538ae2c31dbe7106fc03c3efc4cd549c715a493"));
   EXPECT_EQ(to_hex(ByteSpan(out.data(), 32)),
             "95cbde9476e8907d7aade45cb4b873f88b595a68799fa152e6f8f7647aac7957");
 }
 
 TEST(X25519, Rfc7748DiffieHellman) {
   // Alice/Bob keys from RFC 7748 §6.1.
-  auto a_priv_h = from_hex(
+  const X25519Key a_priv = key_from_hex(
       "77076d0a7318a57d3c16c17251b26645df4c2f87ebc0992ab177fba51db92c2a");
-  auto b_priv_h = from_hex(
+  const X25519Key b_priv = key_from_hex(
       "5dab087e624a8a4b79e17f8b83800ee66f3bb1292618b6fd1c2f8b27ff88e0eb");
-  X25519Key a_priv{}, b_priv{};
-  std::copy(a_priv_h->begin(), a_priv_h->end(), a_priv.begin());
-  std::copy(b_priv_h->begin(), b_priv_h->end(), b_priv.begin());
 
   X25519Key a_pub = x25519_base(a_priv);
   X25519Key b_pub = x25519_base(b_priv);
@@ -237,6 +235,70 @@ TEST(X25519, Rfc7748DiffieHellman) {
   EXPECT_EQ(shared_a, shared_b);
   EXPECT_EQ(to_hex(ByteSpan(shared_a.data(), 32)),
             "4a5d9d5ba4ce2de1728e3bf480350f25e07e21c947d19e3376f09b3c1e161742");
+}
+
+// RFC 7748 §5.2: k = u = 9, then k, u = x25519(k, u), k. The 1,000,000
+// iteration vector is left out for its run time.
+TEST(X25519, Rfc7748Iterated) {
+  X25519Key k = {9}, u = {9};
+  for (int i = 1; i <= 1000; ++i) {
+    X25519Key next = x25519(k, u);
+    u = k;
+    k = next;
+    if (i == 1) {
+      EXPECT_EQ(to_hex(ByteSpan(k.data(), 32)),
+                "422c8e7a6227d7bca1350b3e2bb7279f7897b87bb6854b783c60e80311ae3079");
+    }
+  }
+  EXPECT_EQ(to_hex(ByteSpan(k.data(), 32)),
+            "684cf59ba83309552800ef566f2f4d3c1c3887c49360e3875f2eb94d99532c51");
+}
+
+// RFC 7748 §5: bit 255 of u is ignored, and a u in [p, 2^255) is taken
+// mod p = 2^255 - 19.
+TEST(X25519, NonCanonicalUMatchesReducedForm) {
+  const X25519Key scalar = key_from_hex(
+      "a546e36bf0527c9d3b16154b82465edd62144c0ac1fc5a18506a2244ba449ac4");
+  const X25519Key nine = {9};
+  // p + 9, little-endian.
+  const X25519Key p_plus_9 = key_from_hex(
+      "f6ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff7f");
+  X25519Key nine_top = nine;
+  nine_top[31] |= 0x80;
+  EXPECT_EQ(x25519(scalar, p_plus_9), x25519(scalar, nine));
+  EXPECT_EQ(x25519(scalar, nine_top), x25519(scalar, nine));
+
+  Rng rng(41);
+  for (int i = 0; i < 8; ++i) {
+    X25519Key s{}, u{};
+    rng.fill(MutByteSpan(s.data(), s.size()));
+    rng.fill(MutByteSpan(u.data(), u.size()));
+    u[31] &= 0x7f;
+    X25519Key u_top = u;
+    u_top[31] |= 0x80;
+    EXPECT_EQ(x25519(s, u_top), x25519(s, u)) << "case " << i;
+  }
+}
+
+// u = 0 and u = 1 (and their non-canonical forms p and p + 1) are points of
+// small order: every clamped scalar is a multiple of 8 and maps them to the
+// point at infinity, whose u-coordinate encodes as all zeros.
+TEST(X25519, LowOrderPointsGiveZero) {
+  const X25519Key zero{};
+  const X25519Key one = {1};
+  const X25519Key p = key_from_hex(
+      "edffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff7f");
+  const X25519Key p_plus_1 = key_from_hex(
+      "eeffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff7f");
+  Rng rng(43);
+  for (int i = 0; i < 4; ++i) {
+    X25519Key s{};
+    rng.fill(MutByteSpan(s.data(), s.size()));
+    EXPECT_EQ(x25519(s, zero), zero) << "u = 0, case " << i;
+    EXPECT_EQ(x25519(s, one), zero) << "u = 1, case " << i;
+    EXPECT_EQ(x25519(s, p), zero) << "u = p, case " << i;
+    EXPECT_EQ(x25519(s, p_plus_1), zero) << "u = p + 1, case " << i;
+  }
 }
 
 TEST(X25519, GeneratedPairsAgree) {
