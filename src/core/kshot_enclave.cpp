@@ -300,6 +300,10 @@ Result<Bytes> KshotEnclave::do_finish_fetch(ByteSpan input) {
 
   crypto::X25519Key shared =
       crypto::dh_shared(server_session_.private_key, resp->server_pub);
+  if (crypto::dh_shared_is_zero(shared)) {
+    return Status{Errc::kIntegrityFailure,
+                  "server public key is a low-order point"};
+  }
   crypto::Key256 session = crypto::derive_key(
       ByteSpan(shared.data(), shared.size()), "server-enclave");
 
@@ -473,6 +477,10 @@ Result<Bytes> KshotEnclave::seal_blob_for(ByteSpan smm_pub_bytes,
   crypto::DhKeyPair smm_session = crypto::dh_generate(rng_);
   crypto::X25519Key shared =
       crypto::dh_shared(smm_session.private_key, smm_pub);
+  if (crypto::dh_shared_is_zero(shared)) {
+    return Status{Errc::kInvalidArgument,
+                  "SMM public key is a low-order point"};
+  }
   crypto::Key256 key = crypto::derive_key(
       ByteSpan(shared.data(), shared.size()), "sgx-smm");
   crypto::Nonce96 nonce{};
@@ -621,6 +629,10 @@ Result<Bytes> KshotEnclave::do_begin_seal_chunked(ByteSpan input) {
 
   crypto::DhKeyPair session = crypto::dh_generate(rng_);
   crypto::X25519Key shared = crypto::dh_shared(session.private_key, smm_pub);
+  if (crypto::dh_shared_is_zero(shared)) {
+    return Status{Errc::kInvalidArgument,
+                  "SMM public key is a low-order point"};
+  }
   chunk_key_ = crypto::derive_key(ByteSpan(shared.data(), shared.size()),
                                   "sgx-smm-stream");
   chunk_plain_bytes_ = *max_plain - 8;  // room for the {index,total} header

@@ -78,21 +78,34 @@ void SmmPatchHandler::record_detection(machine::Machine& m, DetectionClass cls,
   detections_.add(cls, status, session_epoch_, std::move(detail));
 }
 
-bool SmmPatchHandler::seen_recent_wire(const crypto::Digest256& h) const {
+bool SmmPatchHandler::seen_recent_wire(const crypto::Digest256& mac) const {
   for (const auto& w : recent_wires_) {
-    if (crypto::digest_equal(w, h)) return true;
+    if (crypto::digest_equal(w, mac)) return true;
   }
   return false;
 }
 
-void SmmPatchHandler::remember_wire(const crypto::Digest256& h) {
+void SmmPatchHandler::remember_wire(const crypto::Digest256& mac) {
   if (recent_wires_.size() < kRecentWires) {
-    recent_wires_.push_back(h);
+    recent_wires_.push_back(mac);
     recent_wires_next_ = recent_wires_.size() % kRecentWires;
     return;
   }
-  recent_wires_[recent_wires_next_] = h;
+  recent_wires_[recent_wires_next_] = mac;
   recent_wires_next_ = (recent_wires_next_ + 1) % kRecentWires;
+}
+
+std::optional<crypto::Key256> SmmPatchHandler::session_key(
+    machine::Machine& m, const MailboxSnapshot& snap, const char* label) {
+  crypto::X25519Key shared =
+      crypto::dh_shared(session_keys_->private_key, snap.enclave_pub);
+  if (crypto::dh_shared_is_zero(shared)) {
+    session_keys_.reset();
+    record_detection(m, DetectionClass::kMailboxFlip, SmmStatus::kMacFailure,
+                     "enclave public key is a low-order point");
+    return std::nullopt;
+  }
+  return crypto::derive_key(ByteSpan(shared.data(), shared.size()), label);
 }
 
 double SmmPatchHandler::phase_span(machine::Machine& m, const char* name,
@@ -318,7 +331,6 @@ SmmStatus SmmPatchHandler::fetch_staged(machine::Machine& m, Mailbox& mbox,
                                         const StagedText& text,
                                         StagedBytes& out) {
   const auto mode = machine::AccessMode::smm();
-  const auto& cost = m.cost_model();
   u64 staged = snap.staged_size;
   if (staged == 0) {
     // The helper never issues a staging command without staging first, so
@@ -334,20 +346,15 @@ SmmStatus SmmPatchHandler::fetch_staged(machine::Machine& m, Mailbox& mbox,
   }
 
   // ---- Data fetching (Table III "Data Decryption" opens here) -------------
-  // The staged bytes are fetched exactly once into SMRAM and their hash is
-  // pinned; everything downstream (freshness classification, decrypt)
-  // operates on this copy. A concurrent writer racing the SMI can no longer
-  // swap bytes between validation and use.
+  // The staged bytes are fetched exactly once into SMRAM; everything
+  // downstream (freshness classification, decrypt) operates on this copy.
+  // A concurrent writer racing the SMI can no longer swap bytes between
+  // validation and use.
   out.t0 = Clock::now();
   out.c0 = m.cycles();
   auto fetched = m.mem().read_bytes(layout_.mem_w_base(), staged, mode);
   if (!fetched) return SmmStatus::kBadPackage;
   out.bytes = std::make_shared<Bytes>(std::move(*fetched));
-  out.pin = crypto::sha256(*out.bytes);
-  const u64 pin_cycles =
-      parallel_bytes_cost(m, cost.pin_hash_cycles_per_byte, staged);
-  m.charge_cycles(pin_cycles);
-  detection_overhead_cycles_ += pin_cycles;
 
   // The mid-SMI race window: a second core / DMA engine writing while this
   // core is in SMM.
@@ -362,13 +369,6 @@ SmmStatus SmmPatchHandler::fetch_staged(machine::Machine& m, Mailbox& mbox,
       auto again = m.mem().read_bytes(layout_.mem_w_base(), staged, mode);
       if (again) *out.bytes = std::move(*again);
     }
-  } else if (!crypto::digest_equal(crypto::sha256(*out.bytes), out.pin)) {
-    // Defense-in-depth: the SMRAM copy cannot change, so this never fires
-    // unless the single-fetch invariant itself regresses.
-    record_detection(m, DetectionClass::kMemWRewrite, SmmStatus::kMacFailure,
-                     text.pin_mismatch);
-    session_keys_.reset();
-    return SmmStatus::kMacFailure;
   }
   out.size = staged;
   if (auto box = crypto::SealedBoxView::deserialize(
@@ -396,31 +396,26 @@ SmmStatus SmmPatchHandler::decrypt_staged(
   StagedBytes staged;
   SmmStatus st = fetch_staged(
       m, mbox, snap,
-      {"staged size is zero under a live session", "staged size exceeds mem_W",
-       "staged-bytes pin mismatch"},
+      {"staged size is zero under a live session", "staged size exceeds mem_W"},
       staged);
   if (st != SmmStatus::kOk) return st;
 
-  // Freshness: a wire this handler has staged before can only reappear via
-  // an attacker replaying a stale sealed envelope.
-  bool replayed = seen_recent_wire(staged.pin);
-  remember_wire(staged.pin);
-
-  crypto::X25519Key shared =
-      crypto::dh_shared(session_keys_->private_key, snap.enclave_pub);
-  crypto::Key256 key = crypto::derive_key(
-      ByteSpan(shared.data(), shared.size()), "sgx-smm");
+  auto key = session_key(m, snap, "sgx-smm");
+  if (!key) return SmmStatus::kMacFailure;
   if (!staged.box) {
     // Undecodable staging is indistinguishable from tampering; burn the
-    // session either way.
+    // session either way. It has no MAC, so the replay ring never sees it.
     session_keys_.reset();
-    record_detection(m, replayed ? DetectionClass::kReplay
-                                 : DetectionClass::kMemWRewrite,
-                     SmmStatus::kMacFailure,
+    record_detection(m, DetectionClass::kMemWRewrite, SmmStatus::kMacFailure,
                      "staged bytes do not decode as a sealed envelope");
     return SmmStatus::kMacFailure;
   }
-  auto plain = open_staged(m, key, staged);
+  // Freshness: the MAC tags the whole envelope under a single-use session
+  // key, so a MAC this handler has staged before can only reappear via an
+  // attacker replaying a stale sealed envelope.
+  bool replayed = seen_recent_wire(staged.box->mac);
+  remember_wire(staged.box->mac);
+  auto plain = open_staged(m, *key, staged);
   if (!plain) {
     // MAC failure: tampered mem_W or a replayed blob from an old session.
     session_keys_.reset();
@@ -665,10 +660,8 @@ SmmStatus SmmPatchHandler::stage_chunk(machine::Machine& m, Mailbox& mbox,
   // stream state is already clear: only reset_stream() drops a stream key.
   if (!stream_key_.has_value()) {
     if (!session_keys_.has_value()) return SmmStatus::kNoSession;
-    crypto::X25519Key shared =
-        crypto::dh_shared(session_keys_->private_key, snap.enclave_pub);
-    stream_key_ = crypto::derive_key(ByteSpan(shared.data(), shared.size()),
-                                     "sgx-smm-stream");
+    stream_key_ = session_key(m, snap, "sgx-smm-stream");
+    if (!stream_key_) return SmmStatus::kMacFailure;
     session_keys_.reset();
   }
 
@@ -676,7 +669,7 @@ SmmStatus SmmPatchHandler::stage_chunk(machine::Machine& m, Mailbox& mbox,
   SmmStatus st = fetch_staged(
       m, mbox, snap,
       {"chunk staged size is zero under a live stream",
-       "chunk staged size exceeds mem_W", "chunk pin mismatch"},
+       "chunk staged size exceeds mem_W"},
       chunk);
   if (st != SmmStatus::kOk) return abort_stream(st);
   if (!chunk.box) {
@@ -907,7 +900,6 @@ SmmStatus SmmPatchHandler::apply_parsed(
     inst.paddr = p.paddr;
     inst.ftrace_off = p.ftrace_off;
     inst.code_size = static_cast<u32>(p.code.size());
-    inst.memx_hash = crypto::sha256(p.code);
     // SMRAM-kept authoritative body (§V-D): borrowed from the shared
     // decrypted envelope, which the record keeps alive.
     inst.retain = retain;
@@ -1145,11 +1137,11 @@ void SmmPatchHandler::introspect(machine::Machine& m) {
   for (const auto& p : installed_) {
     if (p.spliced) {
       // Spliced body lives in kernel text: no trampoline or mem_X footprint
-      // to check, just the body itself against the SMRAM copy's hash.
+      // to check, just the body itself against the SMRAM copy.
       auto cur = m.mem().read_bytes(p.taddr, p.code_size, mode);
       if (!cur) {
         ++rep.unreadable;
-      } else if (!crypto::digest_equal(crypto::sha256(*cur), p.memx_hash)) {
+      } else if (!std::ranges::equal(*cur, p.code())) {
         ++rep.trampolines_reverted;
         repair(p.taddr, p.code());
       }
@@ -1175,14 +1167,11 @@ void SmmPatchHandler::introspect(machine::Machine& m) {
     auto body = m.mem().read_bytes(p.paddr, p.code_size, mode);
     if (!body) {
       ++rep.unreadable;
-    } else {
-      auto h = crypto::sha256(*body);
-      if (!crypto::digest_equal(h, p.memx_hash)) {
-        ++rep.memx_tampered;
-        // Repair from the authoritative copy kept in SMRAM, so the patched
-        // version persists (§V-D "Malicious Patch Reversion").
-        repair(p.paddr, p.code());
-      }
+    } else if (!std::ranges::equal(*body, p.code())) {
+      ++rep.memx_tampered;
+      // Repair from the authoritative copy kept in SMRAM, so the patched
+      // version persists (§V-D "Malicious Patch Reversion").
+      repair(p.paddr, p.code());
     }
   }
 

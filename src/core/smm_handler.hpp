@@ -14,7 +14,7 @@
 //                  under this one SMI (all-or-nothing, one rollback unit
 //                  per package)
 //   kRollback      write back the newest rollback unit's revert records
-//   kIntrospect    re-check trampolines, mem_X hash and reserved-region page
+//   kIntrospect    re-check trampolines, mem_X bodies and reserved-region page
 //                  attributes; repair anything a rootkit reverted
 #pragma once
 
@@ -45,7 +45,7 @@ struct SmmPatchTimings {
   double decrypt_ns = 0;      // mem_W read + DH shared secret + ChaCha20/MAC
   double verify_ns = 0;       // package SHA-256 digest + per-function CRCs
   double apply_ns = 0;        // var edits + mem_X copies + trampolines
-  u64 modeled_cycles = 0;     // phase charges (excl. SMI/RSM, pinning)
+  u64 modeled_cycles = 0;     // phase charges (excl. SMI/RSM, detection)
   size_t package_bytes = 0;
   size_t code_bytes = 0;
   u32 functions = 0;
@@ -60,12 +60,11 @@ struct InstalledPatch {
   u16 ftrace_off = 0;
   u32 code_size = 0;
   std::array<u8, 5> trampoline{};      // the jmp we wrote
-  crypto::Digest256 memx_hash{};       // hash of the body (mem_X, or the
-                                       // spliced-in text for splice entries)
-  /// SMRAM-kept authoritative body bytes for repair (§V-D). `code_ref`
-  /// borrows from `retain` — the decrypted session envelope (or completed
-  /// chunk stream), shared by every record that envelope produced — so the
-  /// record never dangles: the bytes live as long as the record does.
+  /// SMRAM-kept authoritative body bytes (§V-D): introspection compares the
+  /// mem_X body (or the spliced-in text) with them and repairs from them.
+  /// `code_ref` borrows from `retain` — the decrypted session envelope (or
+  /// completed chunk stream), shared by every record that envelope produced
+  /// — so the record never dangles: the bytes live as long as it does.
   std::shared_ptr<const Bytes> retain;
   ByteSpan code_ref;
   [[nodiscard]] ByteSpan code() const { return code_ref; }
@@ -100,7 +99,7 @@ struct AppliedUnit {
 struct IntrospectionReport {
   u32 patches_checked = 0;
   u32 trampolines_reverted = 0;  // found tampered, repaired
-  u32 memx_tampered = 0;         // mem_X body hash mismatches, repaired
+  u32 memx_tampered = 0;         // mem_X body mismatches, repaired
   u32 attrs_restored = 0;        // reserved-region page attributes fixed
   u32 text_bytes_restored = 0;   // kernel-text guard repairs (see below)
   u32 unreadable = 0;            // reads that failed: repair skipped and the
@@ -149,7 +148,7 @@ class SmmPatchHandler {
   }
 
   /// Fuzz-harness self-test seam: re-opens the pre-hardening double fetch —
-  /// after validating the mailbox snapshot and pinning the staged bytes,
+  /// after validating the mailbox snapshot and fetching the staged bytes,
   /// the handler re-reads staged_size and mem_W from attacker-writable
   /// memory and uses *those* (the classic TOCTOU window). The
   /// attacker_schedule surface enables this to prove its prevented-or-
@@ -220,10 +219,10 @@ class SmmPatchHandler {
   [[nodiscard]] u64 session_epoch() const { return session_epoch_; }
 
   /// Total modeled cycles charged to TOCTOU hardening (mailbox snapshot +
-  /// freshness checks per SMI, staged-bytes hash pinning per fetch) since
-  /// construction. This is the honest price of detection: it is already
-  /// inside every downtime number, and benchkit reports it separately as
-  /// `detection_overhead` so the gate notices if it grows.
+  /// freshness checks, once per SMI) since construction. This is the honest
+  /// price of detection: it is already inside every downtime number, and
+  /// benchkit reports it separately as `detection_overhead` so the gate
+  /// notices if it grows.
   [[nodiscard]] u64 detection_overhead_cycles() const {
     return detection_overhead_cycles_;
   }
@@ -260,7 +259,6 @@ class SmmPatchHandler {
   struct StagedBytes {
     std::shared_ptr<Bytes> bytes;  // the SMRAM copy, opened in place
     u64 size = 0;                  // bytes fetched (and decrypt-charged)
-    crypto::Digest256 pin{};       // hash taken right after the fetch
     std::optional<crypto::SealedBoxView> box;  // empty: does not decode
     u64 c0 = 0;                    // the decrypt span opens at the fetch
     std::chrono::steady_clock::time_point t0;
@@ -269,13 +267,11 @@ class SmmPatchHandler {
   struct StagedText {
     const char* zero_size;
     const char* too_big;
-    const char* pin_mismatch;
   };
   /// The staged-fetch leg of every staging SMI: size checks on `snap`, one
-  /// mem_W fetch into SMRAM, the pinned hash and its charge, the concurrent-
-  /// writer window, the pin re-check (a mismatch burns the session key) and
-  /// the envelope decode. Nothing is re-read from attacker-writable memory
-  /// unless the legacy double-fetch seam is on.
+  /// mem_W fetch into SMRAM, the concurrent-writer window and the envelope
+  /// decode. Nothing is re-read from attacker-writable memory unless the
+  /// legacy double-fetch seam is on.
   SmmStatus fetch_staged(machine::Machine& m, Mailbox& mbox,
                          const MailboxSnapshot& snap, const StagedText& text,
                          StagedBytes& out);
@@ -295,9 +291,16 @@ class SmmPatchHandler {
   /// Records one classified tamper detection (counter, report, trace).
   void record_detection(machine::Machine& m, DetectionClass cls,
                         SmmStatus status, std::string detail);
-  /// Replay ring: sealed-wire hashes recently staged at this handler.
-  [[nodiscard]] bool seen_recent_wire(const crypto::Digest256& h) const;
-  void remember_wire(const crypto::Digest256& h);
+  /// Replay ring: the MACs of sealed envelopes recently staged here.
+  [[nodiscard]] bool seen_recent_wire(const crypto::Digest256& mac) const;
+  void remember_wire(const crypto::Digest256& mac);
+  /// The `label` key shared with the enclave: this session's private key
+  /// with snap.enclave_pub. That is a mem_RW field, so a low-order point
+  /// there (an all-zero secret the OS knows, RFC 7748 §6.1) burns the
+  /// session, records a mailbox flip and yields nullopt.
+  std::optional<crypto::Key256> session_key(machine::Machine& m,
+                                            const MailboxSnapshot& snap,
+                                            const char* label);
 
   /// Discards the chunk-stream accumulation state.
   void reset_stream();
@@ -332,9 +335,9 @@ class SmmPatchHandler {
                          SmmTxn& txn);
 
   /// Per-byte work the rendezvoused CPUs share during the SMI window
-  /// (package verify hashing, staged-bytes pinning): the byte cost divides
-  /// across cpus plus a per-AP merge charge. At one CPU this is exactly
-  /// bytes_cost() — the legacy model, untouched.
+  /// (package verify hashing): the byte cost divides across cpus plus a
+  /// per-AP merge charge. At one CPU this is exactly bytes_cost() — the
+  /// legacy model, untouched.
   [[nodiscard]] u64 parallel_bytes_cost(const machine::Machine& m,
                                         double per_byte, size_t bytes) const;
 
@@ -412,9 +415,9 @@ class SmmPatchHandler {
   ConcurrentWriter concurrent_writer_;
   u64 detection_overhead_cycles_ = 0;  // hardening cycles, see accessor
 
-  // Detection state (SMRAM-resident). The replay ring holds hashes of the
-  // last kRecentWires sealed wires staged here, so a MAC failure over a
-  // previously-seen wire classifies as kReplay instead of kMemWRewrite.
+  // Detection state (SMRAM-resident). The replay ring holds the MACs of the
+  // last kRecentWires sealed envelopes staged here, so a MAC failure over a
+  // previously-seen envelope classifies as kReplay instead of kMemWRewrite.
   static constexpr size_t kRecentWires = 8;
   std::vector<crypto::Digest256> recent_wires_;
   size_t recent_wires_next_ = 0;

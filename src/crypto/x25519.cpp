@@ -252,4 +252,10 @@ X25519Key dh_shared(const X25519Key& private_key,
   return x25519(private_key, peer_public);
 }
 
+bool dh_shared_is_zero(const X25519Key& shared) {
+  u8 acc = 0;  // no early exit: the time taken does not depend on the secret
+  for (u8 b : shared) acc |= b;
+  return acc == 0;
+}
+
 }  // namespace kshot::crypto

@@ -31,4 +31,10 @@ DhKeyPair dh_generate(Rng& rng);
 /// Computes the shared secret (other party's public * own private).
 X25519Key dh_shared(const X25519Key& private_key, const X25519Key& peer_public);
 
+/// RFC 7748 §6.1: true when a shared secret is all zeros, which is what
+/// every private key yields with a low-order peer point (u = 0, 1, p, ...).
+/// Whoever supplied such a point knows the secret, so a party whose peer key
+/// crosses a trust boundary must refuse it.
+[[nodiscard]] bool dh_shared_is_zero(const X25519Key& shared);
+
 }  // namespace kshot::crypto

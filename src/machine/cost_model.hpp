@@ -34,11 +34,10 @@ struct CostModel {
   // write (roughly the copy half of the trampoline path's apply charge).
   double splice_cycles_per_byte = 0.45;
 
-  // TOCTOU hardening charged against downtime: one mailbox snapshot per
-  // SMI, pinning the staged bytes' hash into SMRAM, and the freshness /
-  // classification checks that turn tampering into a DetectionReport.
+  // TOCTOU hardening charged against downtime, once per SMI: the mailbox
+  // snapshot and the freshness / classification checks that turn
+  // tampering into a DetectionReport.
   u64 snapshot_cycles = 900;
-  double pin_hash_cycles_per_byte = 0.50;
   u64 detect_fixed_cycles = 1'200;
 
   // Multi-CPU SMM rendezvous (SmmPack-style honest accounting): the BSP

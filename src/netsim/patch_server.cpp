@@ -280,6 +280,10 @@ Result<Bytes> PatchServer::handle_request(ByteSpan request_wire) {
   }
   crypto::X25519Key shared =
       crypto::dh_shared(server_keys.private_key, req.client_pub);
+  if (crypto::dh_shared_is_zero(shared)) {
+    return reject({Errc::kPermissionDenied,
+                   "client public key is a low-order point"});
+  }
   crypto::Key256 session = crypto::derive_key(
       ByteSpan(shared.data(), shared.size()), "server-enclave");
 

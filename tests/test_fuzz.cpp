@@ -230,7 +230,9 @@ TEST(FuzzCorpus, SeedWiresAreWellFormed) {
       EXPECT_TRUE(patchtool::is_batch_wire(bytes)) << name;
       auto pkgs = patchtool::parse_batch(bytes);
       EXPECT_TRUE(pkgs.is_ok()) << name << ": " << pkgs.status().to_string();
-      if (pkgs.is_ok()) EXPECT_EQ(pkgs->size(), 2u) << name;
+      if (pkgs.is_ok()) {
+        EXPECT_EQ(pkgs->size(), 2u) << name;
+      }
       continue;
     }
     auto parsed = patchtool::parse_patchset(bytes);

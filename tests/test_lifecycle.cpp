@@ -380,6 +380,48 @@ TEST(Lifecycle, SpliceAppliesInPlaceAndRevertsExactly) {
   EXPECT_TRUE(exploit_fires(t, c));
 }
 
+TEST(Lifecycle, TamperedSpliceIsRepairedFromSmramCopy) {
+  // A spliced body lives in kernel text, where a rootkit can rewrite it.
+  // Introspection compares it with the SMRAM copy its record keeps, writes
+  // that copy back, and counts and reports the repair.
+  auto c = testbed::make_splice_sweep_case(256);
+  auto tb = testbed::Testbed::boot(c, {.seed = 0x59CE});
+  ASSERT_TRUE(tb.is_ok()) << tb.status().to_string();
+  testbed::Testbed& t = **tb;
+  core::LifecycleOptions lo;
+  lo.allow_splice = true;
+  auto rep = t.kshot().live_patch(c.id, lo);
+  ASSERT_TRUE(rep.is_ok()) << rep.status().to_string();
+  ASSERT_TRUE(rep->success);
+
+  const auto& installed = t.kshot().handler().installed();
+  ASSERT_EQ(installed.size(), 1u);
+  const core::InstalledPatch& p = installed[0];
+  ASSERT_TRUE(p.spliced);
+  const Bytes body(p.code().begin(), p.code().end());
+  ASSERT_EQ(read_region(t, p.taddr, p.code_size), body);
+
+  // Kernel-privileged tamper: flip one byte in the middle of the body.
+  const u64 victim = p.taddr + p.code_size / 2;
+  const auto mode = machine::AccessMode::normal();
+  auto flipped = t.machine().mem().read_bytes(victim, 1, mode);
+  ASSERT_TRUE(flipped.is_ok());
+  (*flipped)[0] ^= 0xFF;
+  ASSERT_TRUE(t.machine().mem().write(victim, *flipped, mode).is_ok());
+  ASSERT_NE(read_region(t, p.taddr, p.code_size), body);
+  (void)t.kshot().take_detections();
+  const u64 repairs_before = t.kshot().handler().introspect_repairs();
+
+  auto ir = t.kshot().introspect();
+  ASSERT_TRUE(ir.is_ok()) << ir.status().to_string();
+  EXPECT_EQ(ir->trampolines_reverted, 1u);
+  EXPECT_EQ(read_region(t, p.taddr, p.code_size), body);
+  EXPECT_EQ(t.kshot().handler().introspect_repairs(), repairs_before + 1);
+  EXPECT_TRUE(t.kshot().take_detections().has(
+      core::DetectionClass::kIntrospectionRepair));
+  EXPECT_FALSE(exploit_fires(t, c));
+}
+
 TEST(Lifecycle, GrowingFixNeverSplices) {
   // The usual fix shape (bug() -> return -ERR) always grows the body past
   // the old footprint, so allow_splice must fall back to the trampoline

@@ -932,7 +932,9 @@ TEST(Interp, FaultingMemoryOpsPinRegistersAndSp) {
     EXPECT_EQ(m.cpu().rip, 0x1000u);
     EXPECT_EQ(m.cpu().sp(), c.want_sp);
     for (int i = 0; i < isa::kNumRegs; ++i) {
-      if (i != kSpReg) EXPECT_EQ(m.cpu().regs[i], before[i]) << "r" << i;
+      if (i != kSpReg) {
+        EXPECT_EQ(m.cpu().regs[i], before[i]) << "r" << i;
+      }
     }
   }
 }

@@ -295,19 +295,18 @@ TEST(PipelineTrace, SmiSpansSumToModeledDowntime) {
     EXPECT_DOUBLE_EQ(cost.to_us(smi_cycles),
                      run->report.smm.modeled_total_us);
 
-    // Identity 2: the four phase spans sum to the handler's modeled work
-    // plus the staged-bytes hash pinning (charged inside each decrypt
-    // span), and adding the per-SMI switch overhead and the per-SMI
-    // detection charge (mailbox snapshot + freshness checks, charged before
-    // any phase span opens) reconstructs the full downtime. Hardening is
-    // not free, and every cycle of it must be accounted for here.
+    // Identity 2: the four phase spans sum to exactly the handler's modeled
+    // work, the whole detection charge is the per-SMI one (mailbox snapshot
+    // + freshness checks, charged before any phase span opens), and adding
+    // it and the per-SMI switch overhead to the phases reconstructs the
+    // full downtime. Hardening is not free, and every cycle of it must be
+    // accounted for here.
     const auto& t = run->tb->kshot().handler().last_timings();
     const u64 per_smi_detect =
         cost.snapshot_cycles + cost.detect_fixed_cycles;
-    const u64 pin_cycles =
-        run->tb->kshot().handler().detection_overhead_cycles() -
-        smi_spans * per_smi_detect;
-    EXPECT_EQ(phase_cycles, t.modeled_cycles + pin_cycles);
+    EXPECT_EQ(run->tb->kshot().handler().detection_overhead_cycles(),
+              smi_spans * per_smi_detect);
+    EXPECT_EQ(phase_cycles, t.modeled_cycles);
     EXPECT_EQ(phase_cycles + smi_spans * (cost.smi_entry_cycles +
                                           cost.rsm_cycles + per_smi_detect),
               smi_cycles);

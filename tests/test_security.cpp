@@ -610,6 +610,107 @@ TEST(MaliciousPackage, FailedApplyDoesNotDisturbPriorRollbackUnit) {
       << "rollback did not restore the pre-apply snapshot";
 }
 
+// ---- Replay ring keyed on the envelope's MAC ---------------------------------
+
+// The class of the one detection recorded since the last take.
+core::DetectionClass only_detection(SmmRig& rig) {
+  auto det = rig.handler.take_detections();
+  EXPECT_EQ(det.events.size(), 1u) << det.to_string();
+  return det.events.size() == 1 ? det.events[0].cls
+                                : core::DetectionClass::kNone;
+}
+
+Bytes valid_package(const kernel::MemoryLayout& lay) {
+  patchtool::PatchSet set;
+  set.id = "RING";
+  set.kernel_version = "sim-4.4";
+  set.patches.push_back(make_entry("fn", lay.text_base, lay.mem_x_base()));
+  return patchtool::serialize_patchset(set, patchtool::PatchOp::kPatch);
+}
+
+TEST(ReplayRing, VerbatimRestageOfConsumedEnvelopeIsReplay) {
+  SmmRig rig({});
+  const SmmRig::Staging s = rig.seal(valid_package(rig.lay));
+  ASSERT_EQ(rig.stage(s), core::SmmStatus::kOk);
+  ASSERT_FALSE(rig.handler.take_detections().any());
+
+  rig.begin_session();
+  EXPECT_EQ(rig.stage(s), core::SmmStatus::kMacFailure);
+  EXPECT_EQ(only_detection(rig), core::DetectionClass::kReplay);
+  EXPECT_EQ(rig.handler.patches_applied(), 1u);
+}
+
+TEST(ReplayRing, FreshEnvelopeWithFlippedCiphertextIsMemWRewrite) {
+  SmmRig rig({});
+  SmmRig::Staging s = rig.seal(valid_package(rig.lay));
+  // First ciphertext byte (past nonce and length); the MAC is left intact.
+  s.sealed[sizeof(crypto::Nonce96) + 4] ^= 0x01;
+  EXPECT_EQ(rig.stage(s), core::SmmStatus::kMacFailure);
+  EXPECT_EQ(only_detection(rig), core::DetectionClass::kMemWRewrite);
+  EXPECT_EQ(rig.handler.patches_applied(), 0u);
+}
+
+TEST(ReplayRing, UndecodableStagingIsMemWRewrite) {
+  SmmRig rig({});
+  SmmRig::Staging s = rig.seal(valid_package(rig.lay));
+  s.sealed.resize(8);  // shorter than a nonce, a length and a MAC
+  EXPECT_EQ(rig.stage(s), core::SmmStatus::kMacFailure);
+  EXPECT_EQ(only_detection(rig), core::DetectionClass::kMemWRewrite);
+  EXPECT_EQ(rig.handler.patches_applied(), 0u);
+}
+
+// ---- Low-order DH keys (RFC 7748 §6.1) ---------------------------------------
+
+TEST(LowOrderKey, ZeroEnclavePubIsRefusedKernelUnchanged) {
+  // enclave_pub is a mem_RW field. With u = 0 there, X25519 gives the SMM an
+  // all-zero secret whatever its private key, so the OS knows the "sgx-smm"
+  // key and can seal a package of its own choosing. The handler must refuse
+  // the session before it decrypts anything.
+  auto t = boot();
+  const auto& lay = t->kernel().layout();
+  const auto mode = machine::AccessMode::normal();
+  core::Mailbox mbox(t->machine().mem(), lay.mem_rw_base(), mode);
+  ASSERT_TRUE(mbox.write_command(core::SmmCommand::kBeginSession).is_ok());
+  t->machine().trigger_smi();
+
+  // The OS-chosen package: a trampoline from the start of kernel text into
+  // a body of its own in mem_X.
+  patchtool::PatchSet set;
+  set.id = "EVIL";
+  set.kernel_version = t->kernel().os_info().version;
+  set.patches.push_back(make_entry("evil", lay.text_base, lay.mem_x_base()));
+  const crypto::X25519Key zeros{};
+  const crypto::Key256 key = crypto::derive_key(
+      ByteSpan(zeros.data(), zeros.size()), "sgx-smm");
+  const Bytes wire =
+      patchtool::serialize_patchset(set, patchtool::PatchOp::kPatch);
+  const Bytes sealed = crypto::seal(key, crypto::Nonce96{}, wire).serialize();
+
+  auto region = [&](u64 base, size_t len) {
+    auto b = t->machine().mem().read_bytes(base, len,
+                                           machine::AccessMode::smm());
+    EXPECT_TRUE(b.is_ok());
+    return b.is_ok() ? *b : Bytes{};
+  };
+  const size_t text_len = t->kernel().image().text.size();
+  const Bytes text_before = region(lay.text_base, text_len);
+  const Bytes memx_before = region(lay.mem_x_base(), lay.mem_x_size);
+
+  ASSERT_TRUE(t->machine().mem().write(lay.mem_w_base(), sealed, mode).is_ok());
+  ASSERT_TRUE(mbox.write_enclave_pub(zeros).is_ok());
+  ASSERT_TRUE(mbox.write_staged_size(sealed.size()).is_ok());
+  ASSERT_TRUE(mbox.write_command(core::SmmCommand::kApplyPatch).is_ok());
+  t->machine().trigger_smi();
+
+  EXPECT_EQ(*mbox.read_status(), core::SmmStatus::kMacFailure);
+  EXPECT_EQ(t->kshot().handler().patches_applied(), 0u);
+  EXPECT_TRUE(t->kshot().handler().detections().has(
+      core::DetectionClass::kMailboxFlip))
+      << t->kshot().handler().detections().to_string();
+  EXPECT_EQ(region(lay.text_base, text_len), text_before);
+  EXPECT_EQ(region(lay.mem_x_base(), lay.mem_x_size), memx_before);
+}
+
 // ---- SMRAM lock ----------------------------------------------------------------
 
 TEST(SmramLock, KernelCannotReplaceHandler) {

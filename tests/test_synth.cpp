@@ -77,7 +77,9 @@ TEST(SynthProperty, KnobNormalizationReconcilesInteractions) {
         EXPECT_FALSE(k.inline_flaw);
         EXPECT_FALSE(k.add_global_fix);
       }
-      if (k.inline_flaw) EXPECT_TRUE(k.guard_in_helper);
+      if (k.inline_flaw) {
+        EXPECT_TRUE(k.guard_in_helper);
+      }
       EXPECT_GE(k.limit, 8u);
       EXPECT_LE(k.limit, 8192u);
     }
