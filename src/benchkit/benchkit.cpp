@@ -431,7 +431,6 @@ Result<Rows> fleet_row(bool quick, u64 seed) {
                       batchable_ids()[2]};
   fo.targets = quick ? 4 : 8;
   fo.jobs = 2;
-  fo.prep_jobs = 2;
   fo.base_seed = seed;
   fleet::FleetController fc(fo);
   auto rep = fc.run_campaign();
@@ -443,12 +442,7 @@ Result<Rows> fleet_row(bool quick, u64 seed) {
       .cost("downtime_p50_us", rep->downtime_us.p50)
       .cost("e2e_p50_us", rep->e2e_us.p50)
       .cost("makespan_w1_us", fleet::modeled_makespan_us(*rep, 1))
-      .cost("makespan_w4_us", fleet::modeled_makespan_us(*rep, 4))
-      // Exact hit/miss counts can shift with build interleaving, so they
-      // are sidecar-only; the golden document keeps just hit > 0.
-      .flag("prep_cache_hit", fc.server().prep_hits() > 0);
-  r.wall_count("prep_hits", fc.server().prep_hits())
-      .wall_count("prep_misses", fc.server().prep_misses());
+      .cost("makespan_w4_us", fleet::modeled_makespan_us(*rep, 4));
   return Rows{r};
 }
 

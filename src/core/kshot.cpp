@@ -135,7 +135,6 @@ Status Kshot::install(u64 watchdog_interval_cycles) {
   geom.mem_x_size = lay.mem_x_size;
   geom.mem_w_size = lay.mem_w_size;
   KSHOT_RETURN_IF_ERROR(enclave_->initialize(geom));
-  enclave_->set_metrics(&metrics());
 
   installed_ = true;
   // Re-apply any trace routing configured before install so the freshly

@@ -183,16 +183,6 @@ void KshotEnclave::reset_mem_x_cursor() {
   }
 }
 
-void KshotEnclave::set_metrics(obs::MetricsRegistry* metrics) {
-  if (metrics == nullptr) {
-    c_prep_hits_ = nullptr;
-    c_prep_misses_ = nullptr;
-    return;
-  }
-  c_prep_hits_ = &metrics->counter("enclave.prep_hits");
-  c_prep_misses_ = &metrics->counter("enclave.prep_misses");
-}
-
 // ---- ECALL dispatch --------------------------------------------------------
 
 Result<Bytes> KshotEnclave::handle_ecall(int fn, ByteSpan input) {
@@ -400,18 +390,13 @@ Result<Bytes> KshotEnclave::do_preprocess() {
     }
   }
 
-  // 2. Branch replacement: rewrite every external rel32 for the new home.
-  //    Intra-patch-set references resolve to the callee's mem_X body. The
-  //    rewrite is memoized content-addressed: the key covers the original
-  //    code, its layout address, and every resolved target, so the cached
-  //    body is valid exactly when the transformation inputs repeat (e.g. a
-  //    re-preprocess of the same package at the same mem_X layout).
+  // 2. Branch replacement: rewrite every external rel32 for the new home,
+  //    in place. Intra-patch-set references resolve to the callee's mem_X
+  //    body.
   for (auto& p : set.patches) {
     // A spliced body runs from the old function's address, so rel32 fixups
     // are computed against taddr, not a mem_X slot.
     const u64 reloc_base = p.splice ? p.taddr : p.paddr;
-    std::vector<u64> targets;
-    targets.reserve(p.relocs.size());
     for (const auto& rel : p.relocs) {
       u64 target;
       if (rel.patch_index >= 0) {
@@ -428,28 +413,8 @@ Result<Bytes> KshotEnclave::do_preprocess() {
       if (rel.offset + 4 > p.code.size()) {
         return Status{Errc::kIntegrityFailure, "reloc outside code"};
       }
-      targets.push_back(target);
-    }
-
-    ByteWriter keybuf;
-    keybuf.put_bytes(p.code);
-    keybuf.put_u64(reloc_base);
-    for (size_t k = 0; k < p.relocs.size(); ++k) {
-      keybuf.put_u32(p.relocs[k].offset);
-      keybuf.put_u64(targets[k]);
-    }
-    u64 key = crypto::fnv1a(keybuf.bytes());
-    auto hit = prep_cache_.find(key);
-    if (hit != prep_cache_.end()) {
-      p.code = hit->second;
-      if (c_prep_hits_) c_prep_hits_->inc();
-    } else {
-      for (size_t k = 0; k < p.relocs.size(); ++k) {
-        isa::retarget_rel32(MutByteSpan(p.code), p.relocs[k].offset,
-                            reloc_base, targets[k]);
-      }
-      prep_cache_.emplace(key, p.code);
-      if (c_prep_misses_) c_prep_misses_->inc();
+      isa::retarget_rel32(MutByteSpan(p.code), rel.offset, reloc_base,
+                          target);
     }
     p.relocs.clear();  // fixups are baked into the code now
   }

@@ -16,8 +16,6 @@
 #include <functional>
 #include <map>
 
-#include "obs/metrics.hpp"
-
 #include "common/arena.hpp"
 #include "core/mailbox.hpp"
 #include "kernel/kernel.hpp"
@@ -138,10 +136,6 @@ class KshotEnclave final : public sgx::Enclave {
   /// package lands right after the previous one.
   Status set_mem_x_map(const std::vector<FreeExtent>& free_extents);
 
-  /// Mirrors the preprocessing-cache counters into `metrics` as
-  /// "enclave.prep_hits"/"enclave.prep_misses". Null disables mirroring.
-  void set_metrics(obs::MetricsRegistry* metrics);
-
   /// Emits one "enclave" span per ecall into `trace` (null disables).
   /// `vclock` supplies the machine's modeled cycle counter — the enclave has
   /// no machine reference of its own — so enclave spans share the same
@@ -204,13 +198,6 @@ class KshotEnclave final : public sgx::Enclave {
 
   // Batch accumulator (conceptually EPC-resident, like server_session_).
   std::vector<Bytes> batch_pkgs_;
-
-  // Content-addressed cache of reloc-retargeted function bodies: keyed over
-  // (original code, layout address, resolved targets), so a repeated
-  // preprocessing of the same package at the same mem_X layout is a hit.
-  std::map<u64, Bytes> prep_cache_;
-  obs::Counter* c_prep_hits_ = nullptr;
-  obs::Counter* c_prep_misses_ = nullptr;
 
   // Streaming-seal state.
   bool chunking_ = false;

@@ -138,9 +138,9 @@ struct CampaignOptions {
   /// Optional extra per-case probe through a live deployment (the caller
   /// supplies a testbed live_patch driver; cve cannot depend on testbed).
   /// Runs on the first `live_cases` indices.
-  std::function<Status(const SynthCase&)> live_probe;
+  std::function<Status(const SynthCase&)> live_probe = {};
   u32 live_cases = 0;
-  SynthOptions synth;  // seam passthrough for selftests
+  SynthOptions synth = {};  // seam passthrough for selftests
 };
 
 struct CampaignReport {

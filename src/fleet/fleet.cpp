@@ -88,7 +88,6 @@ Status FleetController::boot_fleet() {
   }
   server_ = std::make_unique<netsim::PatchServer>(
       nullptr, opts_.base_seed ^ 0xF1EE7, &metrics_);
-  server_->set_prep_jobs(opts_.prep_jobs);
   // Batched mode: announce each per-CVE source alongside the merged case
   // (which Testbed::boot registers); the parts share the merged kernel, so
   // their pre images all land on the same server-side build-cache entries.

@@ -98,9 +98,6 @@ struct FleetOptions {
   std::vector<std::string> batch_cve_ids;
   u32 targets = 4;
   u32 jobs = 1;  // worker threads (bounded concurrency), >= 1
-  /// Worker threads for the shared server's patch preparation (bindiff +
-  /// matcher fan-out into the content-addressed prep cache).
-  u32 prep_jobs = 1;
   u64 base_seed = 0x5EED;
   RolloutPlan rollout;
   /// Channel fault plan applied to every target (clean when unset).

@@ -25,12 +25,20 @@ const Symbol* KernelImage::symbol_at(u64 addr) const {
   return nullptr;
 }
 
+Result<ByteSpan> KernelImage::function_span(const Symbol& sym) const {
+  if (sym.addr < text_base || sym.addr - text_base > text.size() ||
+      sym.size > text.size() - (sym.addr - text_base)) {
+    return {Errc::kOutOfRange, "symbol '" + sym.name + "' lies outside text"};
+  }
+  return ByteSpan(text).subspan(sym.addr - text_base, sym.size);
+}
+
 Result<Bytes> KernelImage::function_bytes(const std::string& name) const {
   const Symbol* s = find_symbol(name);
   if (!s) return {Errc::kNotFound, "symbol '" + name + "' not in image"};
-  size_t off = s->addr - text_base;
-  return Bytes(text.begin() + static_cast<std::ptrdiff_t>(off),
-               text.begin() + static_cast<std::ptrdiff_t>(off + s->size));
+  auto body = function_span(*s);
+  if (!body) return body.status();
+  return to_bytes(*body);
 }
 
 Bytes KernelImage::data_image() const {

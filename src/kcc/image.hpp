@@ -43,6 +43,10 @@ class KernelImage {
   /// The symbol containing `addr`, if any.
   [[nodiscard]] const Symbol* symbol_at(u64 addr) const;
 
+  /// View of the linked bytes of `sym` inside `text`; fails if they do not
+  /// lie inside it.
+  [[nodiscard]] Result<ByteSpan> function_span(const Symbol& sym) const;
+
   /// Copy of the linked bytes of one function.
   [[nodiscard]] Result<Bytes> function_bytes(const std::string& name) const;
 

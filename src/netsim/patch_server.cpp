@@ -44,13 +44,6 @@ PatchServer::PatchServer(const sgx::SgxRuntime* attestation_verifier,
   c_image_hits_ = &metrics_->counter("server.image_hits");
   c_image_misses_ = &metrics_->counter("server.image_misses");
   c_rejected_ = &metrics_->counter("server.rejected");
-  prep_cache_.set_counters(&metrics_->counter("server.prep_hits"),
-                           &metrics_->counter("server.prep_misses"));
-}
-
-void PatchServer::set_prep_jobs(u32 jobs) {
-  std::lock_guard<std::mutex> lock(mu_);
-  prep_jobs_ = std::max<u32>(1, jobs);
 }
 
 void PatchServer::add_verifier(const sgx::SgxRuntime* verifier) {
@@ -209,11 +202,6 @@ Result<patchtool::PatchSet> PatchServer::build_patchset(
     bopts.id = id;
     auto changed = patchtool::source_changed_functions(*pre_mod, *post_mod);
     bopts.source_changed.assign(changed.begin(), changed.end());
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      bopts.jobs = prep_jobs_;
-    }
-    bopts.prep_cache = &prep_cache_;
 
     return patchtool::build_patchset(*pre, *post, bopts);
   };

@@ -113,17 +113,6 @@ class PatchServer {
   /// stale under concurrency — read it after the fleet quiesces).
   [[nodiscard]] BuildCacheStats cache_stats() const;
 
-  /// Worker-pool width for the bindiff/matcher stage of patch-set builds.
-  /// The built patch set is identical for any value (deterministic merge).
-  void set_prep_jobs(u32 jobs);
-
-  /// Function-normalization prep-cache counters ("server.prep_hits" /
-  /// "server.prep_misses"). Hits accumulate whenever two builds — across
-  /// CVEs, kernel versions, or pre/post sides — share a function body and
-  /// reloc context.
-  [[nodiscard]] u64 prep_hits() const { return prep_cache_.hits(); }
-  [[nodiscard]] u64 prep_misses() const { return prep_cache_.misses(); }
-
  private:
   [[nodiscard]] kcc::CompileOptions options_for(const kernel::OsInfo& os,
                                                 const std::string& ver) const;
@@ -144,11 +133,6 @@ class PatchServer {
       patchset_cache_;
   mutable std::map<std::string, std::shared_future<Result<kcc::KernelImage>>>
       image_cache_;
-  /// Content-addressed normalization cache shared by every patch-set build
-  /// this server runs (thread-safe internally; not guarded by mu_).
-  mutable patchtool::PrepCache prep_cache_;
-  u32 prep_jobs_ = 1;
-
   // Observability. Counters live in the registry ("server.*" namespace);
   // BuildCacheStats/rejected_requests() are derived views over them.
   std::unique_ptr<obs::MetricsRegistry> owned_metrics_;

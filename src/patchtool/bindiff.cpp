@@ -2,63 +2,133 @@
 
 #include <algorithm>
 #include <map>
-#include <optional>
 #include <set>
+#include <string_view>
 
-#include "common/parallel.hpp"
 #include "isa/isa.hpp"
 #include "isa/reloc.hpp"
 
 namespace kshot::patchtool {
 
+namespace {
+
+/// The comparison key of one instruction, its position-dependent fields
+/// normalized: an internal branch keeps its function-relative target in
+/// `imm`, an external one the callee's name in `sym`, and an absolute global
+/// access the global's name (or its raw address if no global lives there).
+struct InstrKey {
+  isa::Op op = isa::Op::kNop;
+  u8 a = 0, b = 0;
+  bool internal_branch = false;
+  i64 imm = 0;
+  std::string_view sym;  // a name owned by the image, never a copy
+
+  friend bool operator==(const InstrKey&, const InstrKey&) = default;
+};
+
+/// Decodes one function body an instruction at a time, in place in the
+/// image's text.
+class BodyCursor {
+ public:
+  BodyCursor(const kcc::KernelImage& img, u64 addr, ByteSpan body)
+      : img_(img), addr_(addr), body_(body) {}
+
+  [[nodiscard]] bool at_end() const { return off_ >= body_.size(); }
+
+  /// Decodes the next instruction into `out`; false on a decode fault.
+  bool next(InstrKey& out) {
+    isa::Decoded d;
+    if (!step(d)) return false;
+    out = {d.instr.op, d.instr.a, d.instr.b, false, d.instr.imm, {}};
+    if (isa::is_rel32_branch(d.instr.op)) {
+      i64 target_off = static_cast<i64>(off_) + d.instr.imm;
+      out.imm = 0;
+      if (target_off >= 0 && target_off <= static_cast<i64>(body_.size())) {
+        out.internal_branch = true;
+        out.imm = target_off;
+      } else {
+        const kcc::Symbol* callee =
+            img_.symbol_at(addr_ + static_cast<u64>(target_off));
+        out.sym = callee ? std::string_view(callee->name) : "<unknown>";
+      }
+    } else if (d.instr.op == isa::Op::kLoadG ||
+               d.instr.op == isa::Op::kStoreG) {
+      for (const auto& g : img_.globals) {
+        if (g.addr == static_cast<u64>(d.instr.imm)) {
+          out.sym = g.name;
+          out.imm = 0;
+          break;
+        }
+      }
+    }
+    return true;
+  }
+
+  /// Decodes the rest of the body without normalizing it; the fault, if
+  /// any, as a Status.
+  Status drain() {
+    isa::Decoded d;
+    while (!at_end() && step(d)) {
+    }
+    if (fault_) return {fault_->code, fault_->message};
+    return Status::ok();
+  }
+
+ private:
+  bool step(isa::Decoded& d) {
+    fault_ = isa::decode_into(body_.data() + off_, body_.size() - off_, d);
+    if (fault_) return false;
+    off_ += d.len;
+    return true;
+  }
+
+  const kcc::KernelImage& img_;
+  u64 addr_;  // the function's entry address
+  ByteSpan body_;
+  size_t off_ = 0;
+  const isa::DecodeFault* fault_ = nullptr;
+};
+
+}  // namespace
+
 Result<bool> functions_equal(const kcc::KernelImage& pre,
                              const kcc::KernelImage& post,
-                             const std::string& name,
-                             const DiffOptions& dopts) {
+                             const std::string& name) {
   const kcc::Symbol* a = pre.find_symbol(name);
   const kcc::Symbol* b = post.find_symbol(name);
   if (a == nullptr || b == nullptr) {
     return Status{Errc::kNotFound, "function missing from an image: " + name};
   }
-  auto na = normalize_function(pre, *a, dopts.cache);
-  if (!na) return na.status();
-  auto nb = normalize_function(post, *b, dopts.cache);
-  if (!nb) return nb.status();
-  return *na == *nb;
+  auto body_a = pre.function_span(*a);
+  if (!body_a) return body_a.status();
+  auto body_b = post.function_span(*b);
+  if (!body_b) return body_b.status();
+
+  BodyCursor ca(pre, a->addr, *body_a);
+  BodyCursor cb(post, b->addr, *body_b);
+  bool differ = false;
+  while (!differ && !ca.at_end() && !cb.at_end()) {
+    InstrKey x, y;
+    if (!ca.next(x) || !cb.next(y)) break;  // the drains report the fault
+    differ = x != y;
+  }
+  const bool equal = !differ && ca.at_end() && cb.at_end();
+  KSHOT_RETURN_IF_ERROR(ca.drain());
+  KSHOT_RETURN_IF_ERROR(cb.drain());
+  return equal;
 }
 
 Result<DiffResult> diff_images(const kcc::KernelImage& pre,
-                               const kcc::KernelImage& post,
-                               const DiffOptions& dopts) {
+                               const kcc::KernelImage& post) {
   DiffResult out;
-
-  // Per-function comparisons are independent: fan out, then merge the
-  // per-index slots in image order so the result (including which error
-  // wins) is identical for any jobs value.
-  const u32 n = static_cast<u32>(post.symbols.size());
-  enum class Verdict : u8 { kUnchanged, kChanged, kAdded };
-  std::vector<Verdict> verdicts(n, Verdict::kUnchanged);
-  std::vector<std::optional<Status>> errors(n);
-  parallel_for(n, dopts.jobs, [&](u32 i) {
-    const auto& s = post.symbols[i];
+  for (const auto& s : post.symbols) {
     if (!pre.find_symbol(s.name)) {
-      verdicts[i] = Verdict::kAdded;
-      return;
+      out.added_functions.push_back(s.name);
+      continue;
     }
-    auto eq = functions_equal(pre, post, s.name, dopts);
-    if (!eq) {
-      errors[i] = eq.status();
-      return;
-    }
-    if (!*eq) verdicts[i] = Verdict::kChanged;
-  });
-  for (u32 i = 0; i < n; ++i) {
-    if (errors[i]) return *errors[i];  // lowest-index error wins
-    if (verdicts[i] == Verdict::kAdded) {
-      out.added_functions.push_back(post.symbols[i].name);
-    } else if (verdicts[i] == Verdict::kChanged) {
-      out.changed_functions.push_back(post.symbols[i].name);
-    }
+    auto eq = functions_equal(pre, post, s.name);
+    if (!eq) return eq.status();
+    if (!*eq) out.changed_functions.push_back(s.name);
   }
   for (const auto& s : pre.symbols) {
     if (!post.find_symbol(s.name)) out.removed_functions.push_back(s.name);
@@ -85,8 +155,7 @@ Result<DiffResult> diff_images(const kcc::KernelImage& pre,
 Result<PatchSet> build_patchset(const kcc::KernelImage& pre,
                                 const kcc::KernelImage& post,
                                 const BuildPatchOptions& opts) {
-  DiffOptions dopts{opts.jobs, opts.prep_cache};
-  auto diff_r = diff_images(pre, post, dopts);
+  auto diff_r = diff_images(pre, post);
   if (!diff_r) return diff_r.status();
   DiffResult& diff = *diff_r;
 

@@ -7,7 +7,6 @@
 
 #include "kcc/image.hpp"
 #include "patchtool/patch.hpp"
-#include "patchtool/prep_cache.hpp"
 
 namespace kshot::patchtool {
 
@@ -22,25 +21,18 @@ struct DiffResult {
   bool layout_compatible = true;
 };
 
-/// Knobs for the diff hot path: per-function comparisons fan out over a
-/// bounded worker pool (results are merged in image order, so the output is
-/// identical for any jobs value) and normalizations go through an optional
-/// content-addressed PrepCache.
-struct DiffOptions {
-  u32 jobs = 1;
-  PrepCache* cache = nullptr;
-};
-
 /// Structural diff of two images built with the same options.
 Result<DiffResult> diff_images(const kcc::KernelImage& pre,
-                               const kcc::KernelImage& post,
-                               const DiffOptions& dopts = {});
+                               const kcc::KernelImage& post);
 
-/// Semantic equality of one function across the two images.
+/// Semantic equality of one function across the two images. The two bodies
+/// are decoded in lockstep straight out of each image's text and compared
+/// one normalized instruction at a time, so nothing is materialized. A body
+/// that fails to decode is an error even after a difference was found (the
+/// pre body's error wins), so the bodies are always decoded to their ends.
 Result<bool> functions_equal(const kcc::KernelImage& pre,
                              const kcc::KernelImage& post,
-                             const std::string& name,
-                             const DiffOptions& dopts = {});
+                             const std::string& name);
 
 struct BuildPatchOptions {
   std::string id;  // e.g. the CVE number
@@ -48,9 +40,6 @@ struct BuildPatchOptions {
   /// classification; a binary-changed function that was not source-changed
   /// was implicated by inlining).
   std::vector<std::string> source_changed;
-  /// Worker-pool width and prep cache threaded through to diff_images.
-  u32 jobs = 1;
-  PrepCache* prep_cache = nullptr;
 };
 
 /// Produces a deployable PatchSet from the image diff: extracts post-patch

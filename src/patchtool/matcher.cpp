@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "common/parallel.hpp"
 #include "crypto/simple_hash.hpp"
 #include "isa/isa.hpp"
 #include "patchtool/callgraph.hpp"
@@ -59,34 +58,20 @@ u64 function_signature(const kcc::KernelImage& img, const std::string& name) {
 }
 
 MatchResult match_functions(const kcc::KernelImage& pre,
-                            const kcc::KernelImage& post, u32 jobs) {
+                            const kcc::KernelImage& post) {
   MatchResult result;
-
-  // Signatures are independent per function: compute them in parallel into
-  // per-index slots, then bucket sequentially in image order so the result
-  // is identical for any jobs value.
-  std::vector<u64> pre_sigs(pre.symbols.size());
-  std::vector<u64> post_sigs(post.symbols.size());
-  parallel_for(static_cast<u32>(pre.symbols.size()), jobs, [&](u32 i) {
-    pre_sigs[i] = function_signature(pre, pre.symbols[i].name);
-  });
-  parallel_for(static_cast<u32>(post.symbols.size()), jobs, [&](u32 i) {
-    post_sigs[i] = function_signature(post, post.symbols[i].name);
-  });
 
   // Bucket pre functions by signature.
   std::map<u64, std::vector<std::string>> pre_by_sig;
-  for (size_t i = 0; i < pre.symbols.size(); ++i) {
-    pre_by_sig[pre_sigs[i]].push_back(pre.symbols[i].name);
+  for (const auto& sym : pre.symbols) {
+    pre_by_sig[function_signature(pre, sym.name)].push_back(sym.name);
   }
   CallGraph pre_cg = binary_call_graph(pre);
   CallGraph post_cg = binary_call_graph(post);
 
   std::map<std::string, bool> pre_taken;
-  for (size_t pi = 0; pi < post.symbols.size(); ++pi) {
-    const auto& sym = post.symbols[pi];
-    u64 sig = post_sigs[pi];
-    auto bucket = pre_by_sig.find(sig);
+  for (const auto& sym : post.symbols) {
+    auto bucket = pre_by_sig.find(function_signature(post, sym.name));
     if (bucket == pre_by_sig.end()) {
       result.unmatched.push_back(sym.name);
       continue;

@@ -27,10 +27,8 @@ struct MatchResult {
 
 /// Aligns the functions of `post` with those of `pre` using signatures and
 /// call-graph out-degree. Designed for images built from related sources
-/// (the pre/post pair of a patch). `jobs` parallelizes the per-function
-/// signature computation; matching itself stays sequential, so the result
-/// is identical for any jobs value.
+/// (the pre/post pair of a patch).
 MatchResult match_functions(const kcc::KernelImage& pre,
-                            const kcc::KernelImage& post, u32 jobs = 1);
+                            const kcc::KernelImage& post);
 
 }  // namespace kshot::patchtool

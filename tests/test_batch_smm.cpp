@@ -1,6 +1,6 @@
 // Batched SMM sessions (one seal->stage->apply SMI pair installing N
-// packages as N rollback units) and the content-addressed patch-prep
-// caches, plus the bench-regression goldens that gate both: the modeled
+// packages as N rollback units) and repeatable patch preparation, plus the
+// bench-regression goldens that gate both: the modeled
 // numbers in every gated BENCH_*.json must be byte-identical across worker
 // counts and must not regress against the checked-in baseline.
 #include <gtest/gtest.h>
@@ -17,7 +17,6 @@
 #include "cve/suite.hpp"
 #include "kcc/compiler.hpp"
 #include "patchtool/package.hpp"
-#include "patchtool/prep_cache.hpp"
 #include "smm_rig.hpp"
 #include "testbed/testbed.hpp"
 
@@ -328,12 +327,11 @@ TEST(BatchSession, IntrospectionSweepCoversEveryTrampoline) {
   EXPECT_TRUE(sweep->clean());
 }
 
-// ---- Prep caches -------------------------------------------------------------
+// ---- Patch preparation ------------------------------------------------------
 
-TEST(PrepCache, WarmBuildByteIdenticalToColdAndHits) {
-  // Server A builds part[1] cold; server B builds part[0] first, warming
-  // the function-normalization cache (the two parts share the entire
-  // merged pre-image), then part[1]. Same bytes, nonzero hits.
+TEST(PatchPrep, WarmBuildByteIdenticalToCold) {
+  // Server A builds part[1] cold; server B builds part[0] first (the two
+  // parts share the entire merged pre-image), then part[1]. Same bytes.
   auto d = BatchDeployment::boot(2);
   ASSERT_TRUE(d.tb);
   kernel::OsInfo os = d.tb->kernel().os_info();
@@ -353,54 +351,10 @@ TEST(PrepCache, WarmBuildByteIdenticalToColdAndHits) {
 
   Bytes from_cold = build(cold, d.parts[1].id);
   Bytes warmup = build(warm, d.parts[0].id);
-  u64 hits_before = warm.prep_hits();
   Bytes from_warm = build(warm, d.parts[1].id);
 
   ASSERT_FALSE(from_cold.empty());
   EXPECT_EQ(from_cold, from_warm);
-  EXPECT_GT(warm.prep_hits(), hits_before);
-}
-
-TEST(PrepCache, SameBodyDifferentRelocContextMisses) {
-  // Two kernels whose `caller` bodies are byte-identical but whose rel32
-  // callee resolves to a differently named symbol: the stored witnesses
-  // must refuse the hit, because normalization folds in the callee name.
-  auto opts = testbed::options_for_layout(kernel::MemoryLayout{}, "sim-4.4");
-  auto make = [&](const std::string& helper) {
-    std::string src = "fn " + helper +
-                      "(a) { return a + 1; }\n"
-                      "fn caller(a) { return " +
-                      helper + "(a); }\n";
-    auto img = kcc::compile_source(src, opts);
-    EXPECT_TRUE(img.is_ok()) << img.status().to_string();
-    return std::move(*img);
-  };
-  kcc::KernelImage img_x = make("helper_x");
-  kcc::KernelImage img_y = make("helper_y");
-
-  // Identical code bytes, so the content half of the key collides...
-  auto body_x = img_x.function_bytes("caller");
-  auto body_y = img_y.function_bytes("caller");
-  ASSERT_TRUE(body_x.is_ok() && body_y.is_ok());
-  ASSERT_EQ(*body_x, *body_y);
-
-  patchtool::PrepCache cache;
-  const kcc::Symbol* sym_x = img_x.find_symbol("caller");
-  const kcc::Symbol* sym_y = img_y.find_symbol("caller");
-  ASSERT_TRUE(sym_x && sym_y);
-
-  ASSERT_TRUE(
-      patchtool::normalize_function(img_x, *sym_x, &cache).is_ok());
-  EXPECT_EQ(cache.misses(), 1u);
-  // Same image again: witness re-resolves, hit.
-  ASSERT_TRUE(
-      patchtool::normalize_function(img_x, *sym_x, &cache).is_ok());
-  EXPECT_EQ(cache.hits(), 1u);
-  // ...but the reloc-context half (callee symbol name) differs: miss.
-  ASSERT_TRUE(
-      patchtool::normalize_function(img_y, *sym_y, &cache).is_ok());
-  EXPECT_EQ(cache.misses(), 2u);
-  EXPECT_EQ(cache.hits(), 1u);
 }
 
 TEST(PrepCache, SingleFlightUnderConcurrentFetches) {
@@ -433,32 +387,67 @@ TEST(PrepCache, SingleFlightUnderConcurrentFetches) {
   EXPECT_EQ(stats.patchset_hits, static_cast<u64>(kThreads - 1));
 }
 
-TEST(PrepCache, EnclaveRetargetCacheHitsOnRepatch) {
-  obs::MetricsRegistry reg;
-  testbed::TestbedOptions topts;
-  topts.metrics = &reg;
-  auto d = BatchDeployment::boot(1, std::move(topts));
+/// The enclave's current processed package: sealed to a test-held SMM key
+/// and opened again.
+Bytes processed_package(core::KshotEnclave& enclave) {
+  Rng rng(0x5EA1);
+  crypto::DhKeyPair smm = crypto::dh_generate(rng);
+  auto sealed = enclave.seal_for_smm(smm.public_key);
+  EXPECT_TRUE(sealed.is_ok()) << sealed.status().to_string();
+  if (!sealed.is_ok()) return {};
+  crypto::X25519Key enclave_pub;
+  std::copy(sealed->begin(), sealed->begin() + 32, enclave_pub.begin());
+  crypto::X25519Key shared = crypto::dh_shared(smm.private_key, enclave_pub);
+  crypto::Key256 key =
+      crypto::derive_key(ByteSpan(shared.data(), shared.size()), "sgx-smm");
+  auto box = crypto::SealedBox::deserialize(ByteSpan(*sealed).subspan(32));
+  EXPECT_TRUE(box.is_ok()) << box.status().to_string();
+  if (!box.is_ok()) return {};
+  auto plain = crypto::open(key, *box);
+  EXPECT_TRUE(plain.is_ok()) << plain.status().to_string();
+  return plain.is_ok() ? std::move(*plain) : Bytes{};
+}
+
+/// The installed bodies as the kernel sees them (mem_X, or the text a
+/// splice overwrote), in install order.
+std::vector<Bytes> installed_bodies(testbed::Testbed& tb) {
+  std::vector<Bytes> out;
+  for (const auto& inst : tb.kshot().handler().installed()) {
+    auto body = tb.machine().mem().read_bytes(
+        inst.spliced ? inst.taddr : inst.paddr, inst.code_size,
+        machine::AccessMode::smm());
+    EXPECT_TRUE(body.is_ok()) << body.status().to_string();
+    out.push_back(body.is_ok() ? std::move(*body) : Bytes{});
+  }
+  return out;
+}
+
+TEST(PatchPrep, EnclaveRetargetIsDeterministicOnRepatch) {
+  // Re-patching the same id at the same mem_X placement retargets the same
+  // relocations again: the processed package and the installed bodies come
+  // out byte-identical.
+  auto d = BatchDeployment::boot(1);
   ASSERT_TRUE(d.tb);
   const std::string id = d.parts[0].id;
 
   auto rep = d.tb->kshot().live_patch(id);
   ASSERT_TRUE(rep.is_ok());
   ASSERT_TRUE(rep->success);
-  u64 misses_cold = reg.counter("enclave.prep_misses").value();
-  EXPECT_GT(misses_cold, 0u);
+  std::vector<Bytes> bodies = installed_bodies(*d.tb);
+  Bytes package = processed_package(d.tb->kshot().enclave());
+  ASSERT_FALSE(bodies.empty());
+  ASSERT_FALSE(package.empty());
 
   auto rb = d.tb->kshot().rollback();
   ASSERT_TRUE(rb.is_ok());
   EXPECT_EQ(rb->smm_status, SmmStatus::kOk);
 
-  // Re-patching the same id re-preprocesses the identical package at the
-  // identical placement: every retarget comes from the enclave prep cache.
   d.tb->kshot().enclave().reset_mem_x_cursor();
   auto rep2 = d.tb->kshot().live_patch(id);
   ASSERT_TRUE(rep2.is_ok());
   ASSERT_TRUE(rep2->success);
-  EXPECT_GT(reg.counter("enclave.prep_hits").value(), 0u);
-  EXPECT_EQ(reg.counter("enclave.prep_misses").value(), misses_cold);
+  EXPECT_EQ(installed_bodies(*d.tb), bodies);
+  EXPECT_EQ(processed_package(d.tb->kshot().enclave()), package);
 }
 
 // ---- Bench goldens + gate ----------------------------------------------------

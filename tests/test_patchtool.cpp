@@ -3,7 +3,11 @@
 // edits, Type classification), and the Fig. 3 package wire format.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
+
 #include "common/rng.hpp"
+#include "isa/reloc.hpp"
 #include "kcc/compiler.hpp"
 #include "kcc/parser.hpp"
 #include "patchtool/bindiff.hpp"
@@ -180,6 +184,395 @@ TEST(BinDiff, ModifiedGlobalInitDetected) {
   ASSERT_TRUE(diff.is_ok());
   ASSERT_EQ(diff->modified_globals.size(), 1u);
   EXPECT_EQ(diff->modified_globals[0].init, 50);
+}
+
+// ---- Streaming diff vs. a materializing reference ---------------------------
+
+/// The materializing normalizer functions_equal streams: one normalized
+/// record per instruction, with every name copied out of the image.
+struct RefInstr {
+  isa::Op op;
+  u8 a = 0, b = 0;
+  i64 imm = 0;
+  std::string sym;
+  i64 internal_target = 0;
+  bool is_internal_branch = false;
+
+  friend bool operator==(const RefInstr&, const RefInstr&) = default;
+};
+
+Result<std::vector<RefInstr>> reference_normalize(const kcc::KernelImage& img,
+                                                  const kcc::Symbol& sym) {
+  auto body_r = img.function_bytes(sym.name);
+  if (!body_r) return body_r.status();
+  const Bytes& body = *body_r;
+  std::vector<RefInstr> out;
+  size_t off = 0;
+  while (off < body.size()) {
+    auto d = isa::decode(ByteSpan(body).subspan(off));
+    if (!d) return d.status();
+    RefInstr n;
+    n.op = d->instr.op;
+    n.a = d->instr.a;
+    n.b = d->instr.b;
+    n.imm = d->instr.imm;
+    if (isa::is_rel32_branch(d->instr.op)) {
+      i64 target_off = static_cast<i64>(off + d->len) + d->instr.imm;
+      if (target_off >= 0 && target_off <= static_cast<i64>(body.size())) {
+        n.is_internal_branch = true;
+        n.internal_target = target_off;
+      } else {
+        const kcc::Symbol* callee =
+            img.symbol_at(sym.addr + static_cast<u64>(target_off));
+        n.sym = callee ? callee->name : "<unknown>";
+      }
+      n.imm = 0;
+    } else if (d->instr.op == isa::Op::kLoadG ||
+               d->instr.op == isa::Op::kStoreG) {
+      for (const auto& g : img.globals) {
+        if (g.addr == static_cast<u64>(d->instr.imm)) {
+          n.sym = g.name;
+          n.imm = 0;
+          break;
+        }
+      }
+    }
+    out.push_back(std::move(n));
+    off += d->len;
+  }
+  return out;
+}
+
+Result<bool> reference_equal(const kcc::KernelImage& pre,
+                             const kcc::KernelImage& post,
+                             const std::string& name) {
+  auto na = reference_normalize(pre, *pre.find_symbol(name));
+  if (!na) return na.status();
+  auto nb = reference_normalize(post, *post.find_symbol(name));
+  if (!nb) return nb.status();
+  return *na == *nb;
+}
+
+/// Checks functions_equal against the reference (verdict, or error code and
+/// message) and returns the streaming result.
+Result<bool> expect_matches_reference(const kcc::KernelImage& pre,
+                                      const kcc::KernelImage& post,
+                                      const std::string& name = "target") {
+  auto got = functions_equal(pre, post, name);
+  auto want = reference_equal(pre, post, name);
+  EXPECT_EQ(got.is_ok(), want.is_ok());
+  if (got.is_ok() && want.is_ok()) {
+    EXPECT_EQ(*got, *want);
+  } else if (!got.is_ok() && !want.is_ok()) {
+    EXPECT_EQ(got.status().to_string(), want.status().to_string());
+  }
+  return got;
+}
+
+/// A seeded kernel: `target` branches internally, calls `helper`, and
+/// reads and writes globals; `lead` sits between the helper and `target`,
+/// so resizing it moves target's call displacement.
+struct StreamSrc {
+  explicit StreamSrc(u64 seed) {
+    Rng rng(seed);
+    cmp = static_cast<i64>(rng.next_range(1, 200));
+    add = static_cast<i64>(rng.next_range(1, 1000));
+    mul = static_cast<i64>(rng.next_range(2, 9));
+    lead_pad = static_cast<u32>(rng.next_range(1, 32));
+  }
+
+  std::string render() const {
+    std::string globals = swap_globals ? "global g2 = 2; global g1 = 1;\n"
+                                       : "global g1 = 1; global g2 = 2;\n";
+    return globals + "fn " + helper + "(a) { return a * " +
+           std::to_string(mul) + "; }\nfn lead(a) { pad(" +
+           std::to_string(lead_pad) + "); return a; }\n" +
+           "fn target(a) { if (a > " + std::to_string(cmp) + ") { a = a + " +
+           std::to_string(add) + "; } " + written + " = a; return " + helper +
+           "(a) + g2; }\n";
+  }
+
+  i64 cmp = 0, add = 0, mul = 0;
+  u32 lead_pad = 0;
+  std::string helper = "helper_x";
+  std::string written = "g1";
+  bool swap_globals = false;
+};
+
+constexpr u64 kStreamSeeds = 8;
+
+Bytes target_bytes(const kcc::KernelImage& img) {
+  auto b = img.function_bytes("target");
+  EXPECT_TRUE(b.is_ok()) << b.status().to_string();
+  return b.is_ok() ? *b : Bytes{};
+}
+
+/// {offset, length} of each instruction of `target`.
+std::vector<std::pair<size_t, size_t>> target_instrs(
+    const kcc::KernelImage& img) {
+  Bytes body = target_bytes(img);
+  std::vector<std::pair<size_t, size_t>> out;
+  for (size_t off = 0; off < body.size();) {
+    auto d = isa::decode(ByteSpan(body).subspan(off));
+    EXPECT_TRUE(d.is_ok()) << d.status().to_string();
+    if (!d.is_ok()) break;
+    out.emplace_back(off, d->len);
+    off += d->len;
+  }
+  return out;
+}
+
+kcc::Symbol& target_sym(kcc::KernelImage& img) {
+  for (auto& s : img.symbols) {
+    if (s.name == "target") return s;
+  }
+  ADD_FAILURE() << "no target symbol";
+  return img.symbols.front();
+}
+
+TEST(BinDiffStream, ImmediateChanged) {
+  for (u64 seed = 1; seed <= kStreamSeeds; ++seed) {
+    StreamSrc src(seed);
+    auto pre = compile(src.render());
+    src.add += 1;
+    auto post = compile(src.render());
+    auto eq = expect_matches_reference(pre, post);
+    ASSERT_TRUE(eq.is_ok()) << eq.status().to_string();
+    EXPECT_FALSE(*eq) << "seed " << seed;
+  }
+}
+
+TEST(BinDiffStream, CalleeRenamedSameBytes) {
+  // Byte-identical bodies whose rel32 call lands on a differently named
+  // symbol: normalization folds in the callee name, so they differ.
+  for (u64 seed = 1; seed <= kStreamSeeds; ++seed) {
+    StreamSrc src(seed);
+    auto pre = compile(src.render());
+    src.helper = "helper_y";
+    auto post = compile(src.render());
+    ASSERT_EQ(target_bytes(pre), target_bytes(post));
+    auto eq = expect_matches_reference(pre, post);
+    ASSERT_TRUE(eq.is_ok()) << eq.status().to_string();
+    EXPECT_FALSE(*eq) << "seed " << seed;
+  }
+}
+
+TEST(BinDiffStream, GlobalSwapped) {
+  for (u64 seed = 1; seed <= kStreamSeeds; ++seed) {
+    // The store now hits the other global: different name, different
+    // address.
+    StreamSrc src(seed);
+    auto pre = compile(src.render());
+    src.written = "g2";
+    auto post = compile(src.render());
+    auto eq = expect_matches_reference(pre, post);
+    ASSERT_TRUE(eq.is_ok()) << eq.status().to_string();
+    EXPECT_FALSE(*eq) << "seed " << seed;
+
+    // The two globals trade addresses: every access resolves to the same
+    // name, so only the raw addresses differ.
+    src.written = "g1";
+    src.swap_globals = true;
+    auto swapped = compile(src.render());
+    ASSERT_NE(target_bytes(pre), target_bytes(swapped));
+    eq = expect_matches_reference(pre, swapped);
+    ASSERT_TRUE(eq.is_ok()) << eq.status().to_string();
+    EXPECT_TRUE(*eq) << "seed " << seed;
+  }
+}
+
+TEST(BinDiffStream, UnresolvedGlobalKeepsRawAddress) {
+  // A load from an address no global lives at compares its raw immediate.
+  for (u64 seed = 1; seed <= kStreamSeeds; ++seed) {
+    StreamSrc src(seed);
+    auto pre = compile(src.render());
+    auto post = pre;
+    pre.globals.clear();
+    post.globals.clear();
+    auto eq = expect_matches_reference(pre, post);
+    ASSERT_TRUE(eq.is_ok()) << eq.status().to_string();
+    EXPECT_TRUE(*eq);
+    src.written = "g2";
+    post = compile(src.render());
+    post.globals.clear();
+    eq = expect_matches_reference(pre, post);
+    ASSERT_TRUE(eq.is_ok()) << eq.status().to_string();
+    EXPECT_FALSE(*eq) << "seed " << seed;
+  }
+}
+
+TEST(BinDiffStream, InternalBranchTargetMoved) {
+  for (u64 seed = 1; seed <= kStreamSeeds; ++seed) {
+    StreamSrc src(seed);
+    auto pre = compile(src.render());
+    const kcc::Symbol& sym = target_sym(pre);
+    auto sites = isa::scan_rel32(target_bytes(pre));
+    ASSERT_TRUE(sites.is_ok()) << sites.status().to_string();
+    auto it = std::find_if(sites->begin(), sites->end(),
+                           [](const isa::Rel32Site& s) { return s.internal; });
+    ASSERT_NE(it, sites->end()) << "seed " << seed;
+    // Move the landing point anywhere else inside [0, size], both ends
+    // included (a branch to the end is still internal).
+    Rng rng(seed);
+    i64 to = static_cast<i64>(rng.next_below(sym.size + 1));
+    if (to == it->target_off) to = to == 0 ? 1 : to - 1;
+    for (i64 target : {to, i64{0}, static_cast<i64>(sym.size)}) {
+      if (target == it->target_off) continue;
+      auto post = pre;
+      const u64 rel_at = sym.addr - post.text_base + it->rel_off;
+      const i32 rel = static_cast<i32>(it->rel + (target - it->target_off));
+      std::memcpy(post.text.data() + rel_at, &rel, sizeof(rel));
+      auto eq = expect_matches_reference(pre, post);
+      ASSERT_TRUE(eq.is_ok()) << eq.status().to_string();
+      EXPECT_FALSE(*eq) << "seed " << seed << " target " << target;
+    }
+  }
+}
+
+TEST(BinDiffStream, BranchBoundsAreInclusive) {
+  // A branch to offset 0 or to the body's end is internal, so it compares
+  // by offset even where the symbol table around it differs.
+  for (u64 seed = 1; seed <= kStreamSeeds; ++seed) {
+    StreamSrc src(seed);
+    auto img = compile(src.render());
+    const kcc::Symbol sym = target_sym(img);
+    auto sites = isa::scan_rel32(target_bytes(img));
+    ASSERT_TRUE(sites.is_ok()) << sites.status().to_string();
+    auto it = std::find_if(sites->begin(), sites->end(),
+                           [](const isa::Rel32Site& s) { return s.internal; });
+    ASSERT_NE(it, sites->end()) << "seed " << seed;
+    auto branch_to = [&](i64 target) {
+      auto out = img;
+      const i32 rel = static_cast<i32>(it->rel + (target - it->target_off));
+      std::memcpy(out.text.data() + (sym.addr - out.text_base) + it->rel_off,
+                  &rel, sizeof(rel));
+      return out;
+    };
+
+    // At the end: a symbol starting right there differs by name.
+    auto pre = branch_to(sym.size);
+    auto post = pre;
+    pre.symbols.push_back({"tail_x", sym.addr + sym.size, 16, false});
+    post.symbols.push_back({"tail_y", sym.addr + sym.size, 16, false});
+    auto eq = expect_matches_reference(pre, post);
+    ASSERT_TRUE(eq.is_ok()) << eq.status().to_string();
+    EXPECT_TRUE(*eq) << "seed " << seed;
+
+    // At 0: a symbol listed first that covers the body differs by name.
+    pre = branch_to(0);
+    post = pre;
+    post.symbols.insert(post.symbols.begin(),
+                        {"shadow", sym.addr, sym.size, false});
+    eq = expect_matches_reference(pre, post);
+    ASSERT_TRUE(eq.is_ok()) << eq.status().to_string();
+    EXPECT_TRUE(*eq) << "seed " << seed;
+  }
+}
+
+TEST(BinDiffStream, UnresolvedCalleeIsUnknown) {
+  // A call that lands in no symbol normalizes to the name "<unknown>".
+  for (u64 seed = 1; seed <= kStreamSeeds; ++seed) {
+    StreamSrc src(seed);
+    auto img = compile(src.render());
+    auto helper = std::find_if(
+        img.symbols.begin(), img.symbols.end(),
+        [&](const kcc::Symbol& s) { return s.name == src.helper; });
+    ASSERT_NE(helper, img.symbols.end());
+    auto unresolved = img;
+    unresolved.symbols.erase(unresolved.symbols.begin() +
+                             (helper - img.symbols.begin()));
+    auto named_unknown = img;
+    named_unknown.symbols[static_cast<size_t>(helper - img.symbols.begin())]
+        .name = "<unknown>";
+
+    auto eq = expect_matches_reference(unresolved, named_unknown);
+    ASSERT_TRUE(eq.is_ok()) << eq.status().to_string();
+    EXPECT_TRUE(*eq) << "seed " << seed;
+    eq = expect_matches_reference(unresolved, img);
+    ASSERT_TRUE(eq.is_ok()) << eq.status().to_string();
+    EXPECT_FALSE(*eq) << "seed " << seed;
+  }
+}
+
+TEST(BinDiffStream, PureRelocationShiftUnchanged) {
+  for (u64 seed = 1; seed <= kStreamSeeds; ++seed) {
+    StreamSrc src(seed);
+    auto pre = compile(src.render());
+    src.lead_pad += 32;
+    auto post = compile(src.render());
+    ASSERT_NE(target_sym(pre).addr, target_sym(post).addr);
+    ASSERT_NE(target_bytes(pre), target_bytes(post));  // call rel32 moved
+    auto eq = expect_matches_reference(pre, post);
+    ASSERT_TRUE(eq.is_ok()) << eq.status().to_string();
+    EXPECT_TRUE(*eq) << "seed " << seed;
+    auto diff = diff_images(pre, post);
+    ASSERT_TRUE(diff.is_ok());
+    EXPECT_EQ(diff->changed_functions, std::vector<std::string>{"lead"});
+  }
+}
+
+TEST(BinDiffStream, BodyLengthChanged) {
+  // Dropping the last instruction leaves a common prefix of different
+  // length, in either direction.
+  for (u64 seed = 1; seed <= kStreamSeeds; ++seed) {
+    StreamSrc src(seed);
+    auto pre = compile(src.render());
+    auto post = pre;
+    target_sym(post).size = static_cast<u32>(target_instrs(pre).back().first);
+    auto eq = expect_matches_reference(pre, post);
+    ASSERT_TRUE(eq.is_ok()) << eq.status().to_string();
+    EXPECT_FALSE(*eq) << "seed " << seed;
+    eq = expect_matches_reference(post, pre);
+    ASSERT_TRUE(eq.is_ok()) << eq.status().to_string();
+    EXPECT_FALSE(*eq) << "seed " << seed;
+  }
+}
+
+TEST(BinDiffStream, DecodeErrorAfterDifferenceStillFails) {
+  // The bodies differ at the changed immediate, yet a bad opcode at the end
+  // of the post body is still an error.
+  StreamSrc src(3);
+  auto pre = compile(src.render());
+  src.add += 1;
+  auto post = compile(src.render());
+  ASSERT_FALSE(*functions_equal(pre, post, "target"));
+  const kcc::Symbol& post_sym = target_sym(post);
+  post.text[post_sym.addr - post.text_base + post_sym.size - 1] = 0xFF;
+  auto eq = expect_matches_reference(pre, post);
+  ASSERT_FALSE(eq.is_ok());
+  EXPECT_EQ(eq.status().code(), Errc::kInvalidArgument);  // unknown opcode
+}
+
+TEST(BinDiffStream, PreBodyErrorWins) {
+  // The post body fails on its first byte; the pre body only at its end,
+  // where its last multi-byte instruction is cut short. Pre's error wins.
+  StreamSrc src(4);
+  auto pre = compile(src.render());
+  auto post = pre;
+  const kcc::Symbol& post_sym = target_sym(post);
+  post.text[post_sym.addr - post.text_base] = 0xFF;
+  auto instrs = target_instrs(pre);
+  auto last_long = std::find_if(instrs.rbegin(), instrs.rend(),
+                                [](const auto& i) { return i.second > 1; });
+  ASSERT_NE(last_long, instrs.rend());
+  ASSERT_GT(last_long->first, 0u);
+  target_sym(pre).size = static_cast<u32>(last_long->first + 1);
+  auto eq = expect_matches_reference(pre, post);
+  ASSERT_FALSE(eq.is_ok());
+  EXPECT_EQ(eq.status().code(), Errc::kOutOfRange);  // truncated, from pre
+}
+
+TEST(BinDiffStream, BodyOutsideTextRejected) {
+  StreamSrc src(5);
+  auto pre = compile(src.render());
+  auto post = pre;
+  target_sym(post).size = static_cast<u32>(post.text.size());
+  auto eq = functions_equal(pre, post, "target");
+  ASSERT_FALSE(eq.is_ok());
+  EXPECT_EQ(eq.status().code(), Errc::kOutOfRange);
+  target_sym(post).addr = post.text_base - 16;
+  target_sym(post).size = 8;
+  EXPECT_FALSE(functions_equal(post, pre, "target").is_ok());
 }
 
 // ---- build_patchset -----------------------------------------------------------

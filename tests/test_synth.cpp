@@ -166,8 +166,7 @@ TEST(SynthOracle, RejectsDegenerateCampaignOptions) {
   CampaignOptions none;
   none.cases = 0;
   EXPECT_FALSE(run_campaign(none).is_ok());
-  CampaignOptions empty;
-  empty.classes.clear();
+  CampaignOptions empty{.classes = {}};
   EXPECT_FALSE(run_campaign(empty).is_ok());
 }
 

@@ -912,7 +912,6 @@ int cmd_fleet(const Args& a) {
   } else {
     return usage_error("fleet", "needs a CVE-ID, --batch or --synth-seed");
   }
-  o.prep_jobs = a.count("prep-jobs");
   o.base_seed = a.num("seed");
   o.jobs = a.count("jobs");
   o.cpus = a.count("cpus");
@@ -1074,8 +1073,6 @@ const std::vector<Command>& commands() {
           {"drop", "channel drop rate", Kind::kDouble, "R", "0"},
           {"corrupt", "channel corruption rate", Kind::kDouble, "R", "0"},
           {"batch", "batched sessions per target", Kind::kString, "A,B,C"},
-          {"prep-jobs", "server-side parallel patch prep", Kind::kU32, "N",
-           "1", 1},
           {"synth-seed", "roll out the synthesized CVE SYNTH-<TAG>-<S>",
            Kind::kU64, "S"},
           {"shards", "scale: sharded controllers", Kind::kU32, "R", "4"},
