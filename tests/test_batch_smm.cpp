@@ -357,7 +357,7 @@ TEST(PatchPrep, WarmBuildByteIdenticalToCold) {
   EXPECT_EQ(from_cold, from_warm);
 }
 
-TEST(PrepCache, SingleFlightUnderConcurrentFetches) {
+TEST(PatchSetCache, SingleFlightUnderConcurrentFetches) {
   auto d = BatchDeployment::boot(1);
   ASSERT_TRUE(d.tb);
   kernel::OsInfo os = d.tb->kernel().os_info();

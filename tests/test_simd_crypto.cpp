@@ -1,14 +1,16 @@
-// Accelerated-vs-scalar crypto differential: SHA-256 on SHA-NI and the
-// 4-lane u32x4 ChaCha20 keystream must be bit-identical to the scalar
-// references on every input shape — standard NIST/RFC vectors, every length
-// 0..257, every unaligned source offset 0..15, multi-block sizes spanning the
-// 4-lane ChaCha20 threshold, and random update() chunkings of a 1 MiB+
-// message. Every case here flips the runtime toggle itself, so one run of
-// this binary exercises both code paths — no separate CI matrix leg needed
-// to keep the scalar fallback honest.
+// Accelerated-vs-scalar crypto differential: SHA-256 on SHA-NI, the 8-block
+// AVX2 ChaCha20 keystream and the PCLMULQDQ CRC-32 fold must be
+// bit-identical to the scalar references on every input shape — standard
+// NIST/RFC vectors, every short length at every unaligned source offset
+// 0..15, sizes across the 512-byte ChaCha20 group, block counters that wrap
+// past 2^32, and random update() chunkings of a 1 MiB+ message. Every case
+// here flips the runtime toggle itself, so one run of this binary exercises
+// both code paths — no separate CI matrix leg needed to keep the scalar
+// fallback honest.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 
 #include "common/hex.hpp"
 #include "common/rng.hpp"
@@ -16,6 +18,7 @@
 #include "crypto/hmac.hpp"
 #include "crypto/sha256.hpp"
 #include "crypto/simd.hpp"
+#include "crypto/simple_hash.hpp"
 
 #if defined(__x86_64__)
 #include <cpuid.h>
@@ -143,6 +146,34 @@ bool cpuid_reports_sha_ni() {
 #endif
 }
 
+/// CPUID leaf 7 EBX bit 5 (AVX2), with OSXSAVE/AVX (leaf 1 ECX bits 27-28)
+/// and the YMM state enabled in XCR0, probed independently of the library.
+bool cpuid_reports_avx2() {
+#if defined(__x86_64__)
+  unsigned a = 0, b = 0, c = 0, d = 0;
+  if (!__get_cpuid(1, &a, &b, &c, &d)) return false;
+  if (!(c & (1u << 27)) || !(c & (1u << 28))) return false;
+  unsigned xcr0 = 0, xcr0_hi = 0;
+  __asm__("xgetbv" : "=a"(xcr0), "=d"(xcr0_hi) : "c"(0));
+  if ((xcr0 & 6u) != 6u) return false;
+  if (!__get_cpuid_count(7, 0, &a, &b, &c, &d)) return false;
+  return b & (1u << 5);
+#else
+  return false;
+#endif
+}
+
+/// CPUID leaf 1 ECX bits 1 (PCLMULQDQ) and 19 (SSE4.1).
+bool cpuid_reports_pclmul() {
+#if defined(__x86_64__)
+  unsigned a = 0, b = 0, c = 0, d = 0;
+  if (!__get_cpuid(1, &a, &b, &c, &d)) return false;
+  return (c & (1u << 1)) && (c & (1u << 19));
+#else
+  return false;
+#endif
+}
+
 TEST(SimdSha256, SelectedPathIsShaNiWhereCpuidReportsIt) {
   {
     SimdMode mode(false);
@@ -207,42 +238,88 @@ TEST(SimdChaCha20, Rfc8439SunscreenVectorPassesInBothModes) {
   }
 }
 
+/// `len` keystream bytes from the scalar block function, block counter
+/// `counter` first; the counter wraps mod 2^32 as RFC 8439's u32 does.
+Bytes reference_keystream(const Key256& key, const Nonce96& nonce,
+                          u32 counter, size_t len) {
+  Bytes ks((len + 63) / 64 * 64);
+  for (size_t b = 0; b < ks.size() / 64; ++b) {
+    chacha20_block(key, nonce, counter + static_cast<u32>(b),
+                   ks.data() + 64 * b);
+  }
+  ks.resize(len);
+  return ks;
+}
+
+Bytes xor_bytes(ByteSpan a, ByteSpan b) {
+  Bytes out(a.begin(), a.end());
+  for (size_t i = 0; i < out.size(); ++i) out[i] ^= b[i];
+  return out;
+}
+
 TEST(SimdChaCha20, EveryLengthAndOffsetMatchesScalar) {
+  // 0..1100 crosses the 512- and 1024-byte group boundaries of the 8-block
+  // kernel, with every tail length after one and two whole groups.
+  constexpr size_t kMaxLen = 1100;
   Rng rng(0xC8AC4A);
   Key256 key{};
   rng.fill(MutByteSpan(key.data(), key.size()));
   Nonce96 nonce{};
   rng.fill(MutByteSpan(nonce.data(), nonce.size()));
-  Bytes buf(16 + 257);
+  Bytes buf(16 + kMaxLen);
   rng.fill(MutByteSpan(buf.data(), buf.size()));
-  for (size_t len = 0; len <= 257; ++len) {
-    for (size_t off = 0; off < 16; ++off) {
-      Bytes a(buf.begin() + static_cast<std::ptrdiff_t>(off),
-              buf.begin() + static_cast<std::ptrdiff_t>(off + len));
-      Bytes b = a;
-      {
-        SimdMode mode(false);
-        chacha20_xor(key, nonce, 7, MutByteSpan(a.data(), a.size()));
+  const Bytes ks = reference_keystream(key, nonce, 7, kMaxLen);
+  for (bool simd : {false, true}) {
+    SimdMode mode(simd);
+    for (size_t len = 0; len <= kMaxLen; ++len) {
+      for (size_t off = 0; off < 16; ++off) {
+        ByteSpan src(buf.data() + off, len);
+        // XOR in place at the unaligned source position.
+        Bytes work = buf;
+        chacha20_xor(key, nonce, 7, MutByteSpan(work.data() + off, len));
+        ASSERT_EQ(Bytes(work.begin() + static_cast<std::ptrdiff_t>(off),
+                        work.begin() + static_cast<std::ptrdiff_t>(off + len)),
+                  xor_bytes(src, ByteSpan(ks.data(), len)))
+            << (simd ? "simd" : "scalar") << " len=" << len << " off=" << off;
       }
-      {
-        SimdMode mode(true);
-        chacha20_xor(key, nonce, 7, MutByteSpan(b.data(), b.size()));
-      }
-      ASSERT_EQ(a, b) << "len=" << len << " off=" << off;
     }
   }
 }
 
-TEST(SimdChaCha20, MultiBlockSizesAcrossTheFourLaneThreshold) {
-  // The 4-lane keystream engages at >= 256 bytes; cover sizes around every
-  // interesting boundary: below, at, odd tails past whole 4-block groups.
+TEST(SimdChaCha20, BlockCounterWrapsLikeTheScalarPath) {
+  // Starting counters 0xFFFFFFF0..0xFFFFFFFF with 1100 bytes (18 blocks):
+  // every start wraps to block 0 inside the message, inside or after the
+  // first 8-block group.
+  Rng rng(0x3A9F);
+  Key256 key{};
+  rng.fill(MutByteSpan(key.data(), key.size()));
+  Nonce96 nonce{};
+  rng.fill(MutByteSpan(nonce.data(), nonce.size()));
+  const Bytes plain = rng.next_bytes(1100);
+  for (u32 counter = 0xFFFFFFF0u; counter != 0; ++counter) {
+    const Bytes want = xor_bytes(
+        plain, reference_keystream(key, nonce, counter, plain.size()));
+    for (bool simd : {false, true}) {
+      SimdMode mode(simd);
+      Bytes got = plain;
+      chacha20_xor(key, nonce, counter, MutByteSpan(got.data(), got.size()));
+      ASSERT_EQ(got, want) << (simd ? "simd" : "scalar") << " counter=0x"
+                           << std::hex << counter;
+    }
+  }
+}
+
+TEST(SimdChaCha20, MultiBlockSizesAcrossTheEightBlockThreshold) {
+  // The 8-block kernel engages at >= 512 bytes; cover sizes around every
+  // interesting boundary: below, at, odd tails past whole 8-block groups,
+  // and a 1 MiB payload.
   Rng rng(0x4B10C5);
   Key256 key{};
   rng.fill(MutByteSpan(key.data(), key.size()));
   Nonce96 nonce{};
   rng.fill(MutByteSpan(nonce.data(), nonce.size()));
-  for (size_t len : {255u, 256u, 257u, 319u, 320u, 511u, 512u, 513u, 1024u,
-                     1087u, 4096u, 4099u}) {
+  for (size_t len : {511u, 512u, 513u, 575u, 576u, 1023u, 1024u, 1025u,
+                     1535u, 1536u, 4096u, 4099u, (1u << 20) + 3}) {
     Bytes a = rng.next_bytes(len);
     Bytes b = a;
     {
@@ -255,6 +332,90 @@ TEST(SimdChaCha20, MultiBlockSizesAcrossTheFourLaneThreshold) {
     }
     ASSERT_EQ(a, b) << "len=" << len;
   }
+}
+
+TEST(SimdChaCha20, SelectedPathIsAvx2WhereCpuidReportsIt) {
+  {
+    SimdMode mode(false);
+    EXPECT_STREQ(chacha20_path(), "scalar");
+  }
+  SimdMode mode(true);
+  if (!cpuid_reports_avx2()) {
+    EXPECT_STREQ(chacha20_path(), "scalar");
+    GTEST_SKIP() << "CPUID reports no AVX2: only the scalar ChaCha20 path "
+                    "runs on this machine";
+  }
+  EXPECT_STREQ(chacha20_path(), "avx2");
+}
+
+/// Table-driven bytewise CRC-32, independent of both library paths.
+u32 crc32_bytewise(ByteSpan data) {
+  static const std::array<u32, 256> table = [] {
+    std::array<u32, 256> t{};
+    for (u32 i = 0; i < 256; ++i) {
+      u32 c = i;
+      for (int k = 0; k < 8; ++k) c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+      t[i] = c;
+    }
+    return t;
+  }();
+  u32 c = 0xFFFFFFFFu;
+  for (u8 b : data) c = table[(c ^ b) & 0xFF] ^ (c >> 8);
+  return c ^ 0xFFFFFFFFu;
+}
+
+TEST(SimdCrc32, CheckValueInBothModes) {
+  for (bool simd : {false, true}) {
+    SimdMode mode(simd);
+    EXPECT_EQ(crc32(span_of("123456789")), 0xCBF43926u)
+        << (simd ? "simd" : "scalar");
+  }
+}
+
+TEST(SimdCrc32, EveryLengthAndOffsetMatchesBytewise) {
+  // 0..1100 covers lengths below the 64-byte fold, every 0-15 byte tail
+  // after the 16-byte folds, and several 64-byte four-lane steps.
+  constexpr size_t kMaxLen = 1100;
+  Rng rng(0xC4C32);
+  Bytes buf(16 + kMaxLen);
+  rng.fill(MutByteSpan(buf.data(), buf.size()));
+  for (bool simd : {false, true}) {
+    SimdMode mode(simd);
+    for (size_t len = 0; len <= kMaxLen; ++len) {
+      for (size_t off = 0; off < 16; ++off) {
+        ByteSpan in(buf.data() + off, len);
+        ASSERT_EQ(crc32(in), crc32_bytewise(in))
+            << (simd ? "simd" : "scalar") << " len=" << len << " off=" << off;
+      }
+    }
+  }
+}
+
+TEST(SimdCrc32, OneMebibyteMatchesBytewiseInBothModes) {
+  Rng rng(0x1B1B);
+  Bytes big = rng.next_bytes((1u << 20) + 13);
+  const u32 want = crc32_bytewise(big);
+  for (bool simd : {false, true}) {
+    SimdMode mode(simd);
+    EXPECT_EQ(crc32(ByteSpan(big).first(1u << 20)),
+              crc32_bytewise(ByteSpan(big).first(1u << 20)))
+        << (simd ? "simd" : "scalar");
+    EXPECT_EQ(crc32(big), want) << (simd ? "simd" : "scalar");
+  }
+}
+
+TEST(SimdCrc32, SelectedPathIsPclmulWhereCpuidReportsIt) {
+  {
+    SimdMode mode(false);
+    EXPECT_STREQ(crc32_path(), "scalar");
+  }
+  SimdMode mode(true);
+  if (!cpuid_reports_pclmul()) {
+    EXPECT_STREQ(crc32_path(), "scalar");
+    GTEST_SKIP() << "CPUID reports no PCLMULQDQ/SSE4.1: only the scalar "
+                    "CRC-32 path runs on this machine";
+  }
+  EXPECT_STREQ(crc32_path(), "pclmul");
 }
 
 }  // namespace
