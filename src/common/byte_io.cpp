@@ -15,6 +15,12 @@ void ByteWriter::put_u64(u64 v) {
   for (int i = 0; i < 8; ++i) put_u8(static_cast<u8>(v >> (8 * i)));
 }
 
+void ByteWriter::put_string8(std::string_view s) {
+  s = s.substr(0, 255);
+  put_u8(static_cast<u8>(s.size()));
+  put_bytes(ByteSpan(reinterpret_cast<const u8*>(s.data()), s.size()));
+}
+
 Result<u8> ByteReader::get_u8() {
   if (remaining() < 1) return {Errc::kOutOfRange, "read past end"};
   return data_[pos_++];
@@ -54,6 +60,15 @@ Result<ByteSpan> ByteReader::get_span(size_t n) {
   ByteSpan out = data_.subspan(pos_, n);
   pos_ += n;
   return out;
+}
+
+Result<std::string_view> ByteReader::get_string8() {
+  auto len = get_u8();
+  if (!len) return len.status();
+  auto bytes = get_span(*len);
+  if (!bytes) return bytes.status();
+  return std::string_view(reinterpret_cast<const char*>(bytes->data()),
+                          bytes->size());
 }
 
 Status ByteReader::skip(size_t n) {

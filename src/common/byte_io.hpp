@@ -2,6 +2,8 @@
 // format, the SMRAM save-state area, and wire protocols.
 #pragma once
 
+#include <string_view>
+
 #include "common/status.hpp"
 #include "common/types.hpp"
 
@@ -16,6 +18,8 @@ class ByteWriter {
   void put_u64(u64 v);
   void put_bytes(ByteSpan b) { buf_.insert(buf_.end(), b.begin(), b.end()); }
   void put_zeros(size_t n) { buf_.insert(buf_.end(), n, 0); }
+  /// u8 length || bytes; a string longer than 255 bytes is cut to 255.
+  void put_string8(std::string_view s);
 
   [[nodiscard]] size_t size() const { return buf_.size(); }
   [[nodiscard]] const Bytes& bytes() const { return buf_; }
@@ -42,6 +46,8 @@ class ByteReader {
   Result<Bytes> get_bytes(size_t n);
   /// Returns a view of the next n bytes and advances.
   Result<ByteSpan> get_span(size_t n);
+  /// Reads a put_string8 field as a view into the reader's span.
+  Result<std::string_view> get_string8();
   Status skip(size_t n);
 
  private:

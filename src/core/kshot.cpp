@@ -670,23 +670,16 @@ Result<AppliedInfo> Kshot::query_applied() {
   if (!magic || !nunits || *magic != kQueryMagic) {
     return Status{Errc::kIntegrityFailure, "bad query blob magic"};
   }
-  auto get_string8 = [&r]() -> Result<std::string> {
-    auto n = r.get_u8();
-    if (!n) return n.status();
-    auto b = r.get_bytes(*n);
-    if (!b) return b.status();
-    return std::string(b->begin(), b->end());
-  };
   AppliedInfo info;
   info.units.reserve(*nunits);
   for (u32 i = 0; i < *nunits; ++i) {
     AppliedInfo::Unit u;
-    auto id = get_string8();
+    auto id = r.get_string8();
     if (!id) return id.status();
-    u.id = std::move(*id);
-    auto kv = get_string8();
+    u.id = *id;
+    auto kv = r.get_string8();
     if (!kv) return kv.status();
-    u.kernel_version = std::move(*kv);
+    u.kernel_version = *kv;
     auto seq = r.get_u64();
     auto hash = r.get_u64();
     auto funcs = r.get_u32();

@@ -140,15 +140,10 @@ Status KshotEnclave::set_lifecycle(const std::vector<std::string>& depends,
     return {Errc::kInvalidArgument, "too many lifecycle ids"};
   }
   ByteWriter w;
-  auto put_string8 = [&w](const std::string& s) {
-    size_t n = std::min<size_t>(s.size(), 255);
-    w.put_u8(static_cast<u8>(n));
-    w.put_bytes(ByteSpan(reinterpret_cast<const u8*>(s.data()), n));
-  };
   w.put_u8(static_cast<u8>(depends.size()));
-  for (const auto& d : depends) put_string8(d);
+  for (const auto& d : depends) w.put_string8(d);
   w.put_u8(static_cast<u8>(supersedes.size()));
-  for (const auto& s : supersedes) put_string8(s);
+  for (const auto& s : supersedes) w.put_string8(s);
   w.put_u8(allow_splice ? 1 : 0);
   w.put_u16(static_cast<u16>(std::min<size_t>(old_sizes.size(), 65535)));
   for (const auto& e : old_sizes) {
@@ -309,8 +304,8 @@ Result<Bytes> KshotEnclave::do_finish_fetch(ByteSpan input) {
 
   // Integrity check #1 (network transmission errors / tampering): full
   // package validation before anything is kept.
-  fetch_arena_.reset();
-  auto set = patchtool::parse_patchset_view(package, fetch_arena_);
+  parse_arena_.reset();
+  auto set = patchtool::parse_patchset_view(package, parse_arena_);
   if (!set) return set.status();
 
   KSHOT_RETURN_IF_ERROR(store_package(kRawRegion, package));
@@ -330,9 +325,10 @@ Result<Bytes> KshotEnclave::do_preprocess() {
   }
   auto raw = load_package(kRawRegion);
   if (!raw) return raw.status();
-  auto set_r = patchtool::parse_patchset(*raw);
-  if (!set_r) return set_r.status();
-  patchtool::PatchSet set = std::move(*set_r);
+  parse_arena_.reset();
+  auto view = patchtool::parse_patchset_view(*raw, parse_arena_);
+  if (!view) return view.status();
+  patchtool::PatchSet set = patchtool::to_patchset(*view);
   patchtool::PatchOp op = set.patches.empty()
                               ? patchtool::PatchOp::kPatch
                               : set.patches[0].op;
@@ -509,28 +505,21 @@ Result<Bytes> KshotEnclave::do_set_lifecycle(ByteSpan input) {
     return Status{Errc::kFailedPrecondition, "enclave not initialized"};
   }
   ByteReader r(input);
-  auto get_string8 = [&r]() -> Result<std::string> {
-    auto n = r.get_u8();
-    if (!n) return n.status();
-    auto b = r.get_bytes(*n);
-    if (!b) return b.status();
-    return std::string(b->begin(), b->end());
-  };
   std::vector<std::string> depends;
   std::vector<std::string> supersedes;
   auto ndep = r.get_u8();
   if (!ndep) return Status{Errc::kOutOfRange, "truncated lifecycle wire"};
   for (u8 i = 0; i < *ndep; ++i) {
-    auto s = get_string8();
+    auto s = r.get_string8();
     if (!s) return s.status();
-    depends.push_back(std::move(*s));
+    depends.emplace_back(*s);
   }
   auto nsup = r.get_u8();
   if (!nsup) return Status{Errc::kOutOfRange, "truncated lifecycle wire"};
   for (u8 i = 0; i < *nsup; ++i) {
-    auto s = get_string8();
+    auto s = r.get_string8();
     if (!s) return s.status();
-    supersedes.push_back(std::move(*s));
+    supersedes.emplace_back(*s);
   }
   auto allow_splice = r.get_u8();
   auto nold = r.get_u16();
@@ -621,11 +610,11 @@ Result<Bytes> KshotEnclave::do_get_chunk(ByteSpan input) {
   if (!index || *index >= chunk_count_) {
     return Status{Errc::kInvalidArgument, "bad chunk index"};
   }
-  auto processed = load_package(kProcessedRegion);
-  if (!processed) return processed.status();
-
-  u64 off = static_cast<u64>(*index) * chunk_plain_bytes_;
-  u64 len = std::min<u64>(chunk_plain_bytes_, processed->size() - off);
+  auto slice = load_package(kProcessedRegion,
+                            static_cast<u64>(*index) * chunk_plain_bytes_,
+                            chunk_plain_bytes_);
+  if (!slice) return slice.status();
+  const size_t len = slice->size();
 
   // Nonce: per-chunk, derived from the index — never reused under this
   // stream's fresh key.
@@ -641,7 +630,7 @@ Result<Bytes> KshotEnclave::do_get_chunk(ByteSpan input) {
   Bytes out(kHdr + kChunkHdr + len + sizeof(crypto::Digest256));
   store_u32(out.data() + kHdr, *index);
   store_u32(out.data() + kHdr + 4, chunk_count_);
-  std::memcpy(out.data() + kHdr + kChunkHdr, processed->data() + off, len);
+  std::memcpy(out.data() + kHdr + kChunkHdr, slice->data(), len);
   KSHOT_RETURN_IF_ERROR(crypto::seal_in_place(
       chunk_key_, nonce, MutByteSpan(out.data(), out.size()),
       kChunkHdr + len));
@@ -662,7 +651,8 @@ Status KshotEnclave::store_package(u64 region, ByteSpan data) {
   return epc_write(base, w.bytes());
 }
 
-Result<Bytes> KshotEnclave::load_package(u64 region) const {
+Result<Bytes> KshotEnclave::load_package(u64 region, u64 off,
+                                         u64 len) const {
   u64 half = (epc_size() - kRegionHeader) / 2;
   u64 base = kRegionHeader + region * half;
   auto hdr = epc_read(base, 8);
@@ -671,7 +661,10 @@ Result<Bytes> KshotEnclave::load_package(u64 region) const {
   if (size == 0 || size > half - 8) {
     return Status{Errc::kInternal, "corrupt EPC package header"};
   }
-  return epc_read(base + 8, size);
+  if (off > size) {
+    return Status{Errc::kOutOfRange, "read past the stored package"};
+  }
+  return epc_read(base + 8 + off, std::min(len, size - off));
 }
 
 }  // namespace kshot::core

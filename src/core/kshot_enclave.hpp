@@ -168,7 +168,10 @@ class KshotEnclave final : public sgx::Enclave {
 
   // EPC-backed package storage.
   Status store_package(u64 region, ByteSpan data);
-  Result<Bytes> load_package(u64 region) const;
+  /// Bytes [off, off + len) of the package stored in `region`, clipped to
+  /// its end. Only that range is read out of EPC.
+  Result<Bytes> load_package(u64 region, u64 off = 0,
+                             u64 len = ~u64{0}) const;
 
   kernel::OsInfo os_;
   ReservedGeometry geom_{};
@@ -182,8 +185,10 @@ class KshotEnclave final : public sgx::Enclave {
   u64 raw_size_ = 0;
   u64 processed_size_ = 0;
 
-  // Backing store for the zero-copy fetch validation views (reset per fetch).
-  Arena fetch_arena_;
+  // Backing store for the package views that fetch and preprocess parse
+  // (reset per parse). Reusing its first chunk keeps preprocess from
+  // interleaving a fresh heap block with its payload-sized copies.
+  Arena parse_arena_;
 
   // Pending lifecycle directives (single-shot, consumed by the next
   // preprocess; conceptually EPC-resident).

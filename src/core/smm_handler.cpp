@@ -1056,14 +1056,9 @@ SmmStatus SmmPatchHandler::query_applied(machine::Machine& m, Mailbox& mbox) {
   ByteWriter w;
   w.put_u32(kQueryMagic);
   w.put_u32(static_cast<u32>(applied_units_.size()));
-  auto put_string8 = [&w](const std::string& s) {
-    size_t n = std::min<size_t>(s.size(), 255);
-    w.put_u8(static_cast<u8>(n));
-    w.put_bytes(ByteSpan(reinterpret_cast<const u8*>(s.data()), n));
-  };
   for (const auto& u : applied_units_) {
-    put_string8(u.id);
-    put_string8(u.kernel_version);
+    w.put_string8(u.id);
+    w.put_string8(u.kernel_version);
     w.put_u64(u.seq);
     w.put_u64(u.id_hash);
     w.put_u32(static_cast<u32>(u.members.size()));

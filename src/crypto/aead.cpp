@@ -36,23 +36,6 @@ Bytes SealedBox::serialize() const {
   return w.take();
 }
 
-Result<SealedBox> SealedBox::deserialize(ByteSpan wire) {
-  ByteReader r(wire);
-  SealedBox box;
-  auto nonce = r.get_bytes(box.nonce.size());
-  if (!nonce) return nonce.status();
-  std::memcpy(box.nonce.data(), nonce->data(), box.nonce.size());
-  auto len = r.get_u32();
-  if (!len) return len.status();
-  auto ct = r.get_bytes(*len);
-  if (!ct) return ct.status();
-  box.ciphertext = std::move(*ct);
-  auto mac = r.get_bytes(box.mac.size());
-  if (!mac) return mac.status();
-  std::memcpy(box.mac.data(), mac->data(), box.mac.size());
-  return box;
-}
-
 SealedBox seal(const Key256& key, const Nonce96& nonce, ByteSpan plaintext) {
   SealedBox box;
   box.nonce = nonce;
@@ -73,8 +56,8 @@ Result<SealedBoxView> SealedBoxView::deserialize(MutByteSpan wire) {
   SealedBoxView v;
   constexpr size_t kNonce = sizeof(Nonce96);
   constexpr size_t kMac = sizeof(Digest256);
-  // Framing identical to SealedBox::deserialize, reusing ByteReader for the
-  // error statuses; the ciphertext is carved out of `wire` mutably.
+  // ByteReader checks the framing and gives the error statuses; the
+  // ciphertext is carved out of `wire` mutably.
   ByteReader r(ByteSpan(wire.data(), wire.size()));
   auto nonce = r.get_span(kNonce);
   if (!nonce) return nonce.status();

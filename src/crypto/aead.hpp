@@ -16,7 +16,6 @@ struct SealedBox {
   Digest256 mac;
 
   Bytes serialize() const;
-  static Result<SealedBox> deserialize(ByteSpan wire);
 };
 
 /// Seals plaintext under (enc = key, mac = HMAC(key || "mac")).
@@ -25,17 +24,17 @@ SealedBox seal(const Key256& key, const Nonce96& nonce, ByteSpan plaintext);
 /// Opens a box; fails with kIntegrityFailure if the MAC does not verify.
 Result<Bytes> open(const Key256& key, const SealedBox& box);
 
-/// Zero-copy mirror of SealedBox: the ciphertext stays a mutable borrowed
-/// span over the serialized wire so open_in_place can decrypt without a
-/// single allocation or copy.
+/// The parsed form of a SealedBox wire: the ciphertext stays a mutable
+/// borrowed span over the serialized wire so open_in_place can decrypt
+/// without a single allocation or copy.
 struct SealedBoxView {
   Nonce96 nonce;
   MutByteSpan ciphertext;
   Digest256 mac;
 
-  /// Parses the SealedBox wire layout over a mutable buffer. Same framing
-  /// checks as SealedBox::deserialize; no bytes are copied except the fixed
-  /// nonce and mac.
+  /// Parses the SealedBox wire layout over a mutable buffer (the one
+  /// decoder of that layout); no bytes are copied except the fixed nonce
+  /// and mac.
   static Result<SealedBoxView> deserialize(MutByteSpan wire);
 };
 

@@ -183,13 +183,13 @@ Prediction predict(const kernel::MemoryLayout& lay, ByteSpan wire,
     // in order (digest beats bad-package per package; any inner rollback op
     // rejects the batch), then cross-batch validation before any applies.
     pred.is_batch = true;
-    auto pkgs = patchtool::parse_batch(wire);
+    auto pkgs = patchtool::parse_batch_view(wire);
     if (!pkgs) {
       pred.status = SmmStatus::kBadPackage;
       return pred;
     }
     std::vector<PatchSet> sets;
-    for (const Bytes& pkg : *pkgs) {
+    for (ByteSpan pkg : *pkgs) {
       auto set = patchtool::parse_patchset(pkg);
       if (!set) {
         pred.status = set.status().code() == Errc::kIntegrityFailure
@@ -726,36 +726,39 @@ Surface::Verdict PackageSurface::execute(ByteSpan encoded) {
 std::vector<Bytes> PackageSurface::shrink_candidates(ByteSpan encoded,
                                                      Rng& rng) {
   if (patchtool::is_batch_wire(encoded)) {
-    auto pkgs = patchtool::parse_batch(encoded);
-    if (!pkgs) {
+    auto spans = patchtool::parse_batch_view(encoded);
+    if (!spans) {
       // Malformed envelope: structural reduction can't preserve the oracle,
       // shrink raw bytes.
       return Surface::shrink_candidates(encoded, rng);
     }
+    // Owned copies: the candidates below re-serialize edited envelopes.
+    std::vector<Bytes> inner;
+    for (ByteSpan s : *spans) inner.emplace_back(s.begin(), s.end());
     std::vector<Bytes> out;
     auto emit = [&](Bytes w) {
       if (w.size() < encoded.size()) out.push_back(std::move(w));
     };
     // A one-package batch often reproduces as a bare package wire.
-    if (pkgs->size() == 1) emit((*pkgs)[0]);
+    if (inner.size() == 1) emit(inner[0]);
     // Drop one inner package at a time.
-    if (pkgs->size() > 1) {
-      for (size_t i = 0; i < pkgs->size(); ++i) {
+    if (inner.size() > 1) {
+      for (size_t i = 0; i < inner.size(); ++i) {
         std::vector<Bytes> rest;
-        for (size_t j = 0; j < pkgs->size(); ++j) {
-          if (j != i) rest.push_back((*pkgs)[j]);
+        for (size_t j = 0; j < inner.size(); ++j) {
+          if (j != i) rest.push_back(inner[j]);
         }
         emit(patchtool::serialize_batch(rest));
       }
     }
     // Structurally reduce one inner package, keeping the envelope.
-    for (size_t i = 0; i < pkgs->size(); ++i) {
-      auto set = patchtool::parse_patchset((*pkgs)[i]);
+    for (size_t i = 0; i < inner.size(); ++i) {
+      auto set = patchtool::parse_patchset(inner[i]);
       if (!set) continue;
       for (size_t k = 0; k < set->patches.size(); ++k) {
         PatchSet s = *set;
         s.patches.erase(s.patches.begin() + static_cast<std::ptrdiff_t>(k));
-        std::vector<Bytes> repl = *pkgs;
+        std::vector<Bytes> repl = inner;
         repl[i] = patchtool::serialize_patchset_raw(s);
         emit(patchtool::serialize_batch(repl));
       }
@@ -765,7 +768,7 @@ std::vector<Bytes> PackageSurface::shrink_candidates(ByteSpan encoded,
           p.code.clear();
           p.var_edits.clear();
         }
-        std::vector<Bytes> repl = *pkgs;
+        std::vector<Bytes> repl = inner;
         repl[i] = patchtool::serialize_patchset_raw(s);
         emit(patchtool::serialize_batch(repl));
       }
@@ -831,7 +834,7 @@ std::string PackageSurface::describe(ByteSpan encoded) const {
   std::ostringstream os;
   if (patchtool::is_batch_wire(encoded)) {
     os << "batch wire: " << encoded.size() << " total bytes";
-    auto pkgs = patchtool::parse_batch(encoded);
+    auto pkgs = patchtool::parse_batch_view(encoded);
     if (pkgs) {
       os << ", " << pkgs->size() << " inner package(s)";
     } else {

@@ -51,12 +51,9 @@ Bytes serialize_patchset(const PatchSet& set, PatchOp op);
 /// rejected at the SMM boundary.
 Bytes serialize_patchset_raw(const PatchSet& set);
 
-/// Parses and fully verifies a package (magic, version, set digest, per-
-/// function CRCs). Returns kIntegrityFailure on any mismatch. This is the
-/// owning parser: every name and code payload is copied out of the wire.
-/// The SMM handler uses parse_patchset_view; this one serves consumers that
-/// rewrite an owned PatchSet (the enclave) and the fuzz harness's
-/// independent reference model.
+/// parse_patchset_view over a local arena, copied into an owned PatchSet
+/// by to_patchset. It has no checks of its own, so it accepts and rejects
+/// exactly what the SMM handler does, with the same Status.
 Result<PatchSet> parse_patchset(ByteSpan wire);
 
 // ---- Zero-copy views ------------------------------------------------------
@@ -108,18 +105,20 @@ struct PatchSetView {
   }
 };
 
-/// Span-parsing twin of parse_patchset: identical validation and rejection
-/// behavior, but name/code stay borrowed from `wire` and the view tables
-/// live in `arena`. The returned view dangles if `wire`'s backing buffer or
-/// `arena` dies first.
+/// The package parser. Fully verifies a package (magic, version, set
+/// digest, per-function name hashes and CRCs) and returns kIntegrityFailure
+/// on any mismatch. Names and code stay borrowed from `wire`; the view
+/// tables live in `arena`, each capped at what the wire's remaining bytes
+/// can hold, so a forged count never sizes an allocation. The returned view
+/// dangles if `wire`'s backing buffer or `arena` dies first.
 Result<PatchSetView> parse_patchset_view(ByteSpan wire, Arena& arena);
+
+/// Copies a view into an owned PatchSet, for consumers that rewrite the set
+/// (the enclave's preprocess).
+PatchSet to_patchset(const PatchSetView& view);
 
 /// The set digest stored in (and checked against) the set header.
 crypto::Digest256 package_digest(ByteSpan wire_after_digest);
-
-/// Parsed op of a serialized package without full validation (the SMM
-/// handler dispatches on this before verifying).
-Result<PatchOp> peek_op(ByteSpan wire);
 
 // ---- Batch envelope -------------------------------------------------------
 // A batched SMM session stages N ordinary packages inside one sealed blob:
@@ -137,13 +136,9 @@ inline constexpr u32 kMaxBatchPackages = 64;
 /// Wraps already-serialized packages into a batch envelope.
 Bytes serialize_batch(const std::vector<Bytes>& packages);
 
-/// Splits a batch envelope back into its inner package wires. Structural
-/// validation only (magic, count bounds, length framing); each inner wire
-/// still needs parse_patchset. Owning variant: each inner wire is copied.
-Result<std::vector<Bytes>> parse_batch(ByteSpan wire);
-
-/// Zero-copy variant: identical framing validation, but each inner wire is
-/// a borrowed span into `wire`.
+/// Splits a batch envelope into its inner package wires, each a borrowed
+/// span into `wire`. Structural validation only (magic, count bounds,
+/// length framing); each inner wire still needs parse_patchset_view.
 Result<std::vector<ByteSpan>> parse_batch_view(ByteSpan wire);
 
 /// True if `wire` starts with the batch envelope magic.

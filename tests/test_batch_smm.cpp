@@ -400,12 +400,13 @@ Bytes processed_package(core::KshotEnclave& enclave) {
   crypto::X25519Key shared = crypto::dh_shared(smm.private_key, enclave_pub);
   crypto::Key256 key =
       crypto::derive_key(ByteSpan(shared.data(), shared.size()), "sgx-smm");
-  auto box = crypto::SealedBox::deserialize(ByteSpan(*sealed).subspan(32));
+  auto box =
+      crypto::SealedBoxView::deserialize(MutByteSpan(*sealed).subspan(32));
   EXPECT_TRUE(box.is_ok()) << box.status().to_string();
   if (!box.is_ok()) return {};
-  auto plain = crypto::open(key, *box);
+  auto plain = crypto::open_in_place(key, *box);
   EXPECT_TRUE(plain.is_ok()) << plain.status().to_string();
-  return plain.is_ok() ? std::move(*plain) : Bytes{};
+  return plain.is_ok() ? Bytes(plain->begin(), plain->end()) : Bytes{};
 }
 
 /// The installed bodies as the kernel sees them (mem_X, or the text a

@@ -334,11 +334,25 @@ TEST(Aead, SerializeRoundTrip) {
   nonce[0] = 9;
   SealedBox box = seal(key, nonce, rng.next_bytes(100));
   Bytes wire = box.serialize();
-  auto parsed = SealedBox::deserialize(wire);
+  auto parsed = SealedBoxView::deserialize(wire);
   ASSERT_TRUE(parsed.is_ok());
   EXPECT_EQ(parsed->nonce, box.nonce);
-  EXPECT_EQ(parsed->ciphertext, box.ciphertext);
+  EXPECT_EQ(Bytes(parsed->ciphertext.begin(), parsed->ciphertext.end()),
+            box.ciphertext);
+  EXPECT_EQ(parsed->ciphertext.data(), wire.data() + 12 + 4);
   EXPECT_EQ(parsed->mac, box.mac);
+}
+
+TEST(Aead, EveryProperPrefixOfSealedWireRejected) {
+  Key256 key{};
+  Nonce96 nonce{};
+  Bytes wire = seal(key, nonce, Bytes(40, 0x5A)).serialize();
+  for (size_t keep = 0; keep < wire.size(); ++keep) {
+    Bytes cut(wire.begin(), wire.begin() + static_cast<std::ptrdiff_t>(keep));
+    auto parsed = SealedBoxView::deserialize(cut);
+    ASSERT_FALSE(parsed.is_ok()) << "prefix of " << keep << " bytes parsed";
+    EXPECT_EQ(parsed.status().code(), Errc::kOutOfRange) << keep;
+  }
 }
 
 TEST(Aead, TamperedCiphertextRejected) {

@@ -228,7 +228,7 @@ TEST(FuzzCorpus, SeedWiresAreWellFormed) {
       // Batch seeds are envelopes, not bare packages: the envelope must
       // split cleanly and every inner wire must be a package-sized blob.
       EXPECT_TRUE(patchtool::is_batch_wire(bytes)) << name;
-      auto pkgs = patchtool::parse_batch(bytes);
+      auto pkgs = patchtool::parse_batch_view(bytes);
       EXPECT_TRUE(pkgs.is_ok()) << name << ": " << pkgs.status().to_string();
       if (pkgs.is_ok()) {
         EXPECT_EQ(pkgs->size(), 2u) << name;

@@ -6,7 +6,9 @@
 #include <algorithm>
 #include <cstring>
 
+#include "common/byte_io.hpp"
 #include "common/rng.hpp"
+#include "crypto/simple_hash.hpp"
 #include "isa/reloc.hpp"
 #include "kcc/compiler.hpp"
 #include "kcc/parser.hpp"
@@ -739,9 +741,6 @@ TEST(Package, RoundTrip) {
 
 TEST(Package, OpOverride) {
   Bytes wire = serialize_patchset(sample_set(), PatchOp::kRollback);
-  auto op = peek_op(wire);
-  ASSERT_TRUE(op.is_ok());
-  EXPECT_EQ(*op, PatchOp::kRollback);
   auto parsed = parse_patchset(wire);
   ASSERT_TRUE(parsed.is_ok());
   EXPECT_EQ(parsed->patches[0].op, PatchOp::kRollback);
@@ -810,6 +809,135 @@ TEST(Package, MultiFunctionRoundTrip) {
   EXPECT_EQ(parsed->patches[1].name, "second_fn");
   EXPECT_EQ(parsed->patches[1].code.size(), 1000u);
   EXPECT_EQ(parsed->patches[1].relocs[0].patch_index, 0);
+}
+
+// ---- Counts the parser has not yet checked against the wire -----------------
+
+// A v1 package wire with a valid digest over `entries` whose set header
+// claims `count` functions.
+Bytes forged_package(u16 count, const Bytes& entries) {
+  crypto::Digest256 digest = package_digest(entries);
+  ByteWriter w;
+  w.put_u32(kPackageMagic);
+  w.put_u16(kPackageVersion);
+  w.put_u16(count);
+  w.put_u32(static_cast<u32>(entries.size()));
+  w.put_bytes(ByteSpan(digest.data(), digest.size()));
+  w.put_bytes(entries);
+  return w.take();
+}
+
+TEST(PackageView, ForgedFunctionCountDoesNotSizeTheArena) {
+  // Empty id and kernel version, then two bytes: too few for any header.
+  Bytes wire = forged_package(0xFFFF, Bytes{0, 0, 0, 0});
+  ASSERT_EQ(wire.size(), 48u);
+  Arena arena;
+  auto view = parse_patchset_view(wire, arena);
+  ASSERT_FALSE(view.is_ok());
+  EXPECT_EQ(view.status().message(), "truncated function header");
+  EXPECT_LE(arena.bytes_allocated(), 4096u);
+}
+
+TEST(PackageView, ForgedRelocCountDoesNotSizeTheArena) {
+  ByteWriter e;
+  e.put_string8("");  // id
+  e.put_string8("");  // kernel version
+  e.put_u16(0);       // sequence
+  e.put_u8(static_cast<u8>(PatchOp::kPatch));
+  e.put_u8(static_cast<u8>(PatchType::kType1));
+  e.put_u64(0x100040);  // taddr
+  e.put_u64(0);         // paddr
+  e.put_u32(0);         // code size
+  e.put_u16(5);         // ftrace_off
+  e.put_u16(0xFFFF);    // nreloc, with 15 bytes left: not even one reloc
+  e.put_u16(0);         // nvar
+  e.put_u32(crypto::crc32(ByteSpan{}));
+  e.put_u64(crypto::sdbm(to_bytes("f")));
+  e.put_string8("f");
+  e.put_zeros(15);
+  Bytes wire = forged_package(1, e.take());
+  Arena arena;
+  auto view = parse_patchset_view(wire, arena);
+  ASSERT_FALSE(view.is_ok());
+  EXPECT_EQ(view.status().message(), "truncated reloc");
+  EXPECT_LE(arena.bytes_allocated(), 4096u);
+}
+
+// ---- Batch envelope framing -------------------------------------------------
+
+Bytes batch_header(u32 magic, u32 count) {
+  ByteWriter w;
+  w.put_u32(magic);
+  w.put_u32(count);
+  return w.take();
+}
+
+void expect_batch_rejected(const Bytes& wire, const std::string& message) {
+  auto pkgs = parse_batch_view(wire);
+  ASSERT_FALSE(pkgs.is_ok());
+  EXPECT_EQ(pkgs.status().code(), Errc::kIntegrityFailure);
+  EXPECT_EQ(pkgs.status().message(), message);
+}
+
+TEST(BatchEnvelope, InnerWiresAreSpansIntoTheEnvelope) {
+  Bytes a = serialize_patchset(sample_set(), PatchOp::kPatch);
+  Bytes b = Bytes(7, 0xAB);
+  Bytes wire = serialize_batch({a, b});
+  auto pkgs = parse_batch_view(wire);
+  ASSERT_TRUE(pkgs.is_ok()) << pkgs.status().to_string();
+  ASSERT_EQ(pkgs->size(), 2u);
+  EXPECT_EQ(Bytes((*pkgs)[0].begin(), (*pkgs)[0].end()), a);
+  EXPECT_EQ(Bytes((*pkgs)[1].begin(), (*pkgs)[1].end()), b);
+  EXPECT_EQ((*pkgs)[0].data(), wire.data() + 12);
+  EXPECT_EQ((*pkgs)[1].data(), wire.data() + 12 + a.size() + 4);
+}
+
+TEST(BatchEnvelope, BadMagicRejected) {
+  Bytes wire = serialize_batch({Bytes(5, 1)});
+  wire[0] ^= 0xFF;
+  expect_batch_rejected(wire, "bad batch magic");
+}
+
+TEST(BatchEnvelope, ZeroCountRejected) {
+  expect_batch_rejected(batch_header(kBatchMagic, 0), "bad batch count");
+}
+
+TEST(BatchEnvelope, CountAboveMaxRejected) {
+  std::vector<Bytes> pkgs(kMaxBatchPackages + 1, Bytes(5, 1));
+  expect_batch_rejected(serialize_batch(pkgs), "bad batch count");
+  pkgs.pop_back();
+  EXPECT_TRUE(parse_batch_view(serialize_batch(pkgs)).is_ok());
+}
+
+TEST(BatchEnvelope, ZeroLengthEntryRejected) {
+  expect_batch_rejected(serialize_batch({Bytes(5, 1), Bytes{}}),
+                        "truncated batch entry");
+}
+
+TEST(BatchEnvelope, EntryLongerThanTheRestRejected) {
+  ByteWriter w;
+  w.put_bytes(batch_header(kBatchMagic, 1));
+  w.put_u32(10);
+  w.put_bytes(Bytes(9, 1));
+  expect_batch_rejected(w.take(), "truncated batch entry");
+}
+
+TEST(BatchEnvelope, TrailingBytesRejected) {
+  Bytes wire = serialize_batch({Bytes(5, 1)});
+  wire.push_back(0);
+  expect_batch_rejected(wire, "trailing bytes in batch");
+}
+
+TEST(BatchEnvelope, EveryProperPrefixRejected) {
+  Bytes wire = serialize_batch(
+      {serialize_patchset(sample_set(), PatchOp::kPatch), Bytes(3, 7)});
+  ASSERT_TRUE(parse_batch_view(wire).is_ok());
+  for (size_t keep = 0; keep < wire.size(); ++keep) {
+    Bytes cut(wire.begin(), wire.begin() + static_cast<std::ptrdiff_t>(keep));
+    auto pkgs = parse_batch_view(cut);
+    ASSERT_FALSE(pkgs.is_ok()) << "prefix of " << keep << " bytes parsed";
+    EXPECT_EQ(pkgs.status().code(), Errc::kIntegrityFailure) << keep;
+  }
 }
 
 // ---- Serializer properties over random sets --------------------------------
