@@ -710,12 +710,13 @@ Status differential_check(const kcc::Module& mod, const CveCase& c,
       KSHOT_RETURN_IF_ERROR(m.mem().write_u64(
           cpu.sp(), machine::kReturnSentinel, machine::AccessMode::normal()));
       cpu.rip = sym->addr;
-      auto res = m.run(20'000'000);
+      constexpr u64 kBudget = 20'000'000;
+      auto res = m.run(kBudget);
       bool oops = res.kind == machine::StepKind::kOops;
       if (res.kind != machine::StepKind::kRetTop && !oops) {
         return Status{Errc::kInternal,
                       std::string(which) + ": machine did not complete: " +
-                          res.detail};
+                          machine::describe_stop(res, kBudget, cpu.rip)};
       }
       std::ostringstream why;
       if (oops != expect->oops) {

@@ -12,6 +12,7 @@
 // functionality via the standard approach of calculating label differences").
 #pragma once
 
+#include "common/byte_io.hpp"
 #include "common/status.hpp"
 #include "common/types.hpp"
 
@@ -107,12 +108,140 @@ struct DecodeFault {
   const char* message;  // static storage
 };
 
-/// The decoder's Result-free core, shared by decode() and the interpreter.
-/// Decodes one instruction from code[0, n) into `out` and returns null, or
-/// returns a static DecodeFault (and `out` is unspecified). It builds no
-/// Status and no string, so the interpreter's per-step decode allocates
-/// nothing.
-const DecodeFault* decode_into(const u8* code, size_t n, Decoded& out);
+namespace detail {
+
+// The failures decode_into() reports: static, so a rejected decode builds
+// no string until decode() wraps one in a Status. Inline variables, so each
+// has one address in the whole program.
+inline constexpr DecodeFault kEmpty{Errc::kOutOfRange, "empty code"};
+inline constexpr DecodeFault kTruncated{Errc::kOutOfRange,
+                                        "truncated instruction"};
+inline constexpr DecodeFault kBadRegister{Errc::kInvalidArgument,
+                                          "bad register"};
+inline constexpr DecodeFault kBad0F{Errc::kInvalidArgument, "bad 0F escape"};
+inline constexpr DecodeFault kUnknownOpcode{Errc::kInvalidArgument,
+                                            "unknown opcode"};
+
+inline const DecodeFault* decode_reg_reg(Op op, const u8* code, size_t n,
+                                         Decoded& out) {
+  if (n < 3) return &kTruncated;
+  if (code[1] >= kNumRegs || code[2] >= kNumRegs) return &kBadRegister;
+  out = {{op, code[1], code[2], 0}, 3};
+  return nullptr;
+}
+
+inline const DecodeFault* decode_reg_imm(Op op, const u8* code, size_t n,
+                                         Decoded& out) {
+  if (n < 6) return &kTruncated;
+  if (code[1] >= kNumRegs) return &kBadRegister;
+  out = {{op, code[1], 0, static_cast<i32>(load_u32(code + 2))}, 6};
+  return nullptr;
+}
+
+inline const DecodeFault* decode_reg_reg_disp(Op op, const u8* code,
+                                              size_t n, Decoded& out) {
+  if (n < 7) return &kTruncated;
+  if (code[1] >= kNumRegs || code[2] >= kNumRegs) return &kBadRegister;
+  out = {{op, code[1], code[2], static_cast<i32>(load_u32(code + 3))}, 7};
+  return nullptr;
+}
+
+inline const DecodeFault* decode_rel32(Op op, const u8* code, size_t n,
+                                       Decoded& out) {
+  if (n < 5) return &kTruncated;
+  out = {{op, 0, 0, static_cast<i32>(load_u32(code + 1))}, 5};
+  return nullptr;
+}
+
+inline const DecodeFault* decode_reg(Op op, const u8* code, size_t n,
+                                     Decoded& out) {
+  if (n < 2) return &kTruncated;
+  if (code[1] >= kNumRegs) return &kBadRegister;
+  out = {{op, code[1]}, 2};
+  return nullptr;
+}
+
+inline const DecodeFault* decode_one_byte(Op op, Decoded& out) {
+  out = {{op}, 1};
+  return nullptr;
+}
+
+}  // namespace detail
+
+/// The decoder's Result-free core, shared by decode(), the bindiff walker
+/// and the interpreter: the one decoder. Decodes one instruction from
+/// code[0, n) into `out` and returns null, or returns a static DecodeFault
+/// (and `out` is unspecified). It builds no Status and no string, so the
+/// interpreter's per-step decode allocates nothing. It is defined here, and
+/// always inlined, so the interpreter's loop decodes next to its execute
+/// switch.
+[[gnu::always_inline]] inline const DecodeFault* decode_into(const u8* code,
+                                                             size_t n,
+                                                             Decoded& out) {
+  using namespace detail;
+  if (n == 0) return &kEmpty;
+  switch (code[0]) {
+    case 0x90: return decode_one_byte(Op::kNop, out);
+    case 0xC3: return decode_one_byte(Op::kRet, out);
+    case 0xCC: return decode_one_byte(Op::kInt3, out);
+    case 0xF4: return decode_one_byte(Op::kHlt, out);
+    case 0x0F:
+      if (n >= 2 && code[1] == 0x0B) {
+        out = {{Op::kUd2}, 2};
+        return nullptr;
+      }
+      if (n >= 5 && code[1] == 0x1F && code[2] == 0x44 && code[3] == 0x00 &&
+          code[4] == 0x00) {
+        out = {{Op::kNop5}, 5};
+        return nullptr;
+      }
+      return &kBad0F;
+    case 0xE9: return decode_rel32(Op::kJmp, code, n, out);
+    case 0xE8: return decode_rel32(Op::kCall, code, n, out);
+    case 0x50: return decode_rel32(Op::kJe, code, n, out);
+    case 0x51: return decode_rel32(Op::kJne, code, n, out);
+    case 0x52: return decode_rel32(Op::kJl, code, n, out);
+    case 0x53: return decode_rel32(Op::kJge, code, n, out);
+    case 0x54: return decode_rel32(Op::kJg, code, n, out);
+    case 0x55: return decode_rel32(Op::kJle, code, n, out);
+    case 0x10: return decode_reg_reg(Op::kMov, code, n, out);
+    case 0x11: return decode_reg_imm(Op::kMovi, code, n, out);
+    case 0x20: return decode_reg_reg(Op::kAdd, code, n, out);
+    case 0x21: return decode_reg_reg(Op::kSub, code, n, out);
+    case 0x22: return decode_reg_reg(Op::kMul, code, n, out);
+    case 0x23: return decode_reg_reg(Op::kDiv, code, n, out);
+    case 0x24: return decode_reg_reg(Op::kMod, code, n, out);
+    case 0x25: return decode_reg_reg(Op::kXor, code, n, out);
+    case 0x26: return decode_reg_reg(Op::kAnd, code, n, out);
+    case 0x27: return decode_reg_reg(Op::kOr, code, n, out);
+    case 0x28: return decode_reg_reg(Op::kShl, code, n, out);
+    case 0x29: return decode_reg_reg(Op::kShr, code, n, out);
+    case 0x30: return decode_reg_imm(Op::kAddi, code, n, out);
+    case 0x31: return decode_reg_imm(Op::kSubi, code, n, out);
+    case 0x32: return decode_reg_imm(Op::kMuli, code, n, out);
+    case 0x33: return decode_reg_imm(Op::kDivi, code, n, out);
+    case 0x34: return decode_reg_imm(Op::kModi, code, n, out);
+    case 0x35: return decode_reg_imm(Op::kXori, code, n, out);
+    case 0x36: return decode_reg_imm(Op::kAndi, code, n, out);
+    case 0x37: return decode_reg_imm(Op::kOri, code, n, out);
+    case 0x38: return decode_reg_imm(Op::kShli, code, n, out);
+    case 0x39: return decode_reg_imm(Op::kShri, code, n, out);
+    case 0x3A: return decode_reg_imm(Op::kLoadG, code, n, out);
+    case 0x3B: return decode_reg_imm(Op::kStoreG, code, n, out);
+    case 0x3C: return decode_reg_reg_disp(Op::kLoadR, code, n, out);
+    case 0x3D: return decode_reg_reg_disp(Op::kStoreR, code, n, out);
+    case 0x40: return decode_reg_reg(Op::kCmp, code, n, out);
+    case 0x41: return decode_reg_imm(Op::kCmpi, code, n, out);
+    case 0x60: return decode_reg(Op::kPush, code, n, out);
+    case 0x61: return decode_reg(Op::kPop, code, n, out);
+    case 0x72:
+      if (n < 2) return &kTruncated;
+      out = {{Op::kTrap, 0, 0, code[1]}, 2};
+      return nullptr;
+    default:
+      return &kUnknownOpcode;
+  }
+}
 
 /// Decodes one instruction at the start of `code`.
 Result<Decoded> decode(ByteSpan code);

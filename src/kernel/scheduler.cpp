@@ -62,10 +62,10 @@ void Scheduler::run_thread_quantum(Thread& t, u64 quantum_instrs) {
 
   machine_.cpu() = t.ctx_;
   u64 budget = quantum_instrs;
-  machine::StepResult res;  // written only when a step stops
   while (budget > 0) {
-    --budget;
-    if (machine_.step_into(res)) continue;
+    // Every step spends one unit of budget, the stopping one included.
+    machine::StepResult res;  // written only when a step stops
+    budget -= machine_.run_into(budget, res);
     switch (res.kind) {
       case machine::StepKind::kOk:
         continue;

@@ -1,5 +1,6 @@
 #include "machine/machine.hpp"
 
+#include <sstream>
 #include <string_view>
 
 #include "common/byte_io.hpp"
@@ -34,7 +35,33 @@ bool mem_fault(StepResult& stop, u64 addr, const AccessFault& f) {
   return stop_with(stop, StepKind::kMemFault, addr, f.message);
 }
 
+/// Lowercase name of a stop kind, e.g. "halt" or "memory fault".
+const char* step_kind_name(StepKind kind) {
+  switch (kind) {
+    case StepKind::kOk: return "ok";
+    case StepKind::kHalt: return "halt";
+    case StepKind::kBreak: return "break";
+    case StepKind::kOops: return "oops";
+    case StepKind::kMemFault: return "memory fault";
+    case StepKind::kBadInstr: return "bad instruction";
+    case StepKind::kRetTop: return "return to sentinel";
+  }
+  return "?";
+}
+
 }  // namespace
+
+std::string describe_stop(const StepResult& stop, u64 max_instrs, u64 rip) {
+  std::ostringstream os;
+  if (stop.kind == StepKind::kOk) {
+    os << "instruction budget of " << max_instrs << " exhausted";
+  } else {
+    os << step_kind_name(stop.kind);
+  }
+  os << " at rip 0x" << std::hex << rip;
+  if (!stop.detail.empty()) os << ": " << stop.detail;
+  return os.str();
+}
 
 Machine::Machine(size_t mem_bytes, PhysAddr smram_base, size_t smram_size,
                  u64 entropy_seed)
@@ -170,57 +197,9 @@ void Machine::trigger_smi() {
   in_smi_ = false;
 }
 
-StepResult Machine::step() {
-  StepResult stop;
-  (void)step_into(stop);
-  return stop;
-}
-
-bool Machine::step_into(StepResult& stop) {
-  const AccessMode mode = access_mode();
-  isa::Decoded dec;
-  const isa::DecodeFault* bad = nullptr;
-  if (const u8* window =
-          mem_.exec_window(cpu_.rip, isa::kMaxInstrLen, mode, fetch_memo_)) {
-    // The memo's page was checked for this mode and nothing that check()
-    // reads has changed since: decode straight from the live frame.
-    bad = isa::decode_into(window, isa::kMaxInstrLen, dec);
-  } else {
-    // Checked fetch of up to the longest instruction; refreshes the memo.
-    u8 buf[isa::kMaxInstrLen] = {0};
-    size_t want = isa::kMaxInstrLen;
-    if (cpu_.rip + want > mem_.size()) {
-      if (cpu_.rip >= mem_.size()) {
-        return stop_with(stop, StepKind::kMemFault, cpu_.rip,
-                         "rip out of range");
-      }
-      want = mem_.size() - cpu_.rip;
-    }
-    Status st = mem_.fetch(cpu_.rip, want, MutByteSpan(buf, sizeof(buf)),
-                           mode, &fetch_memo_);
-    if (!st.is_ok()) {
-      return stop_with(stop, StepKind::kMemFault, cpu_.rip,
-                       "fetch: " + st.message());
-    }
-    bad = isa::decode_into(buf, want, dec);
-  }
-  if (bad != nullptr) {
-    return stop_with(stop, StepKind::kBadInstr, cpu_.rip, bad->message);
-  }
-  charge_cycles(cost_.cycles_per_instr);
-  ++instret_;
-  const bool retired = exec(dec.instr, dec.len, stop);
-
-  // Firmware periodic SMI timer: fires between instructions.
-  if (periodic_smi_interval_ != 0 && cycles_ >= next_periodic_smi_ &&
-      !in_smi_) {
-    trigger_smi();
-    next_periodic_smi_ = cycles_ + periodic_smi_interval_;
-  }
-  return retired;
-}
-
-bool Machine::exec(const isa::Instr& in, size_t len, StepResult& stop) {
+[[gnu::always_inline]] inline bool Machine::exec(const isa::Instr& in,
+                                                 size_t len,
+                                                 StepResult& stop) {
   using isa::Op;
   u64 next = cpu_.rip + len;
   auto& r = cpu_.regs;
@@ -410,6 +389,62 @@ bool Machine::exec(const isa::Instr& in, size_t len, StepResult& stop) {
   return true;
 }
 
+[[gnu::always_inline]] inline bool Machine::step_core(StepResult& stop) {
+  const AccessMode mode = access_mode();
+  // While the memo covers rip (its page was checked for this mode and
+  // nothing check() reads has changed since), decode straight from the
+  // live frame; otherwise take the checked fetch, which refreshes it.
+  const u8* code =
+      mem_.exec_window(cpu_.rip, isa::kMaxInstrLen, mode, fetch_memo_);
+  size_t n = isa::kMaxInstrLen;
+  u8 buf[isa::kMaxInstrLen];
+  if (code == nullptr) {
+    n = fetch_checked(mode, buf, stop);
+    if (n == 0) return false;
+    code = buf;
+  }
+  isa::Decoded dec;
+  if (const isa::DecodeFault* bad = isa::decode_into(code, n, dec)) {
+    return stop_with(stop, StepKind::kBadInstr, cpu_.rip, bad->message);
+  }
+  charge_cycles(cost_.cycles_per_instr);
+  ++instret_;
+  const bool retired = exec(dec.instr, dec.len, stop);
+
+  // Firmware periodic SMI timer: fires between instructions.
+  if (periodic_smi_interval_ != 0 && cycles_ >= next_periodic_smi_ &&
+      !in_smi_) {
+    trigger_smi();
+    next_periodic_smi_ = cycles_ + periodic_smi_interval_;
+  }
+  return retired;
+}
+
+StepResult Machine::step() {
+  StepResult stop;
+  (void)step_core(stop);
+  return stop;
+}
+
+size_t Machine::fetch_checked(AccessMode mode, u8 (&buf)[isa::kMaxInstrLen],
+                              StepResult& stop) {
+  size_t want = isa::kMaxInstrLen;
+  if (cpu_.rip + want > mem_.size()) {
+    if (cpu_.rip >= mem_.size()) {
+      stop_with(stop, StepKind::kMemFault, cpu_.rip, "rip out of range");
+      return 0;
+    }
+    want = mem_.size() - cpu_.rip;
+  }
+  Status st = mem_.fetch(cpu_.rip, want, MutByteSpan(buf, sizeof(buf)), mode,
+                         &fetch_memo_);
+  if (!st.is_ok()) {
+    stop_with(stop, StepKind::kMemFault, cpu_.rip, "fetch: " + st.message());
+    return 0;
+  }
+  return want;
+}
+
 Status Machine::set_periodic_smi(u64 interval_cycles) {
   if (smram_locked_) {
     return {Errc::kPermissionDenied, "SMRAM is locked (D_LCK)"};
@@ -419,11 +454,21 @@ Status Machine::set_periodic_smi(u64 interval_cycles) {
   return Status::ok();
 }
 
+// Aligned so the loop's place in the instruction cache does not depend on
+// the size of whatever the linker puts before it.
+__attribute__((aligned(64))) u64 Machine::run_into(u64 max_instrs,
+                                                   StepResult& stop) {
+  u64 i = 0;
+  while (i < max_instrs) {
+    ++i;
+    if (!step_core(stop)) break;
+  }
+  return i;
+}
+
 StepResult Machine::run(u64 max_instrs) {
   StepResult stop;
-  for (u64 i = 0; i < max_instrs; ++i) {
-    if (!step_into(stop)) break;
-  }
+  (void)run_into(max_instrs, stop);
   return stop;
 }
 

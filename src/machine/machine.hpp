@@ -54,6 +54,11 @@ struct StepResult {
   std::string detail;    // diagnostic text for faults
 };
 
+/// Names why run(max_instrs) ended at `rip` with `stop`: "instruction
+/// budget of N exhausted at rip 0x…" for a run that used its whole budget
+/// (kOk), else the stop's kind and rip, then its detail if it has one.
+std::string describe_stop(const StepResult& stop, u64 max_instrs, u64 rip);
+
 /// Return address sentinel pushed by the kernel runtime before dispatching
 /// into a function; `ret` to it reports kRetTop.
 inline constexpr u64 kReturnSentinel = 0xFFFF'FFFF'FFFF'F000ULL;
@@ -92,15 +97,17 @@ class Machine {
   /// Interprets the instruction at cpu().rip in the current mode.
   StepResult step();
 
-  /// The step core that step() and run() wrap. Returns true when the
-  /// instruction retired and execution may go on (kOk), leaving `stop`
-  /// untouched; otherwise writes the stop's kind, info and detail into
-  /// `stop` and returns false. The ok path builds no StepResult, Status or
-  /// string, so a caller that steps one instruction at a time (the
-  /// scheduler) should call this rather than step().
-  [[nodiscard]] bool step_into(StepResult& stop);
+  /// The interpreter loop: steps until one instruction stops the run or
+  /// `max_instrs` steps have been taken, and returns the steps taken, the
+  /// stopping one included. Writes `stop` only when a step stops (kind,
+  /// info and detail), so a caller that passes a default StepResult reads
+  /// kOk after a run that used its whole budget. The ok path builds no
+  /// StepResult, Status or string.
+  u64 run_into(u64 max_instrs, StepResult& stop);
 
-  /// Runs up to `max_instrs` instructions; stops early on any non-kOk result.
+  /// Runs up to `max_instrs` instructions; stops early on any non-kOk
+  /// result. A run that used its whole budget returns kOk with an empty
+  /// detail; describe_stop() names it.
   StepResult run(u64 max_instrs);
 
   /// Arms a firmware periodic SMI timer: an SMI fires automatically every
@@ -211,14 +218,25 @@ class Machine {
   void restore_state_from_smram();
 
  private:
-  /// Executes one decoded instruction; the same contract as step_into().
+  /// The one step: fetch (through the memo or a checked fetch), decode,
+  /// charge, exec, then the periodic-SMI test. Returns true when the
+  /// instruction retired and execution may go on, leaving `stop` untouched;
+  /// otherwise writes the stop into `stop` and returns false. Inlined into
+  /// step() and run_into().
+  [[nodiscard]] bool step_core(StepResult& stop);
+  /// The checked fetch step_core() falls back to when the memo does not
+  /// cover rip: fills `buf` and returns the bytes fetched (and refreshes
+  /// the memo), or writes a kMemFault into `stop` and returns 0.
+  size_t fetch_checked(AccessMode mode, u8 (&buf)[isa::kMaxInstrLen],
+                       StepResult& stop);
+  /// Executes one decoded instruction; the same contract as step_core().
   [[nodiscard]] bool exec(const isa::Instr& in, size_t len, StepResult& stop);
   /// Entry charge for the next SMI; draws one jitter per AP (never touches
   /// hw_rng, and draws nothing at all on a 1-CPU machine).
   u64 rendezvous_cost();
 
   PhysMem mem_;
-  /// The code page step() last fetched through a checked fetch.
+  /// The code page the step core last fetched through a checked fetch.
   FetchMemo fetch_memo_;
   CpuState cpu_;
   CpuMode mode_ = CpuMode::kProtected;

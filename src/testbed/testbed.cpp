@@ -117,10 +117,13 @@ Result<SyscallOutcome> Testbed::run_syscall(int nr, std::array<u64, 5> args,
       out.trap_code = res.info;
       out.detail = res.detail;
       break;
-    default:
+    default: {
+      const u64 rip = machine_->cpu().rip;
       machine_->cpu() = saved;
       return Status{Errc::kInternal,
-                    "syscall did not complete: " + res.detail};
+                    "syscall did not complete: " +
+                        machine::describe_stop(res, max_instrs, rip)};
+    }
   }
   machine_->cpu() = saved;
   return out;

@@ -3,6 +3,8 @@
 // memory layout, and virtual-time accounting across the whole pipeline.
 #include <gtest/gtest.h>
 
+#include <sstream>
+
 #include "testbed/testbed.hpp"
 
 namespace kshot {
@@ -138,6 +140,39 @@ TEST(Integration, SequentialDistinctPatchesAccumulate) {
   e1 = t.run_syscall(c1.syscall_nr, c1.exploit_args);
   ASSERT_TRUE(e1.is_ok());
   EXPECT_FALSE(e1->oops);
+}
+
+TEST(Integration, IncompleteSyscallNamesItsStop) {
+  // A syscall that neither returns nor oopses fails with the reason: the
+  // exhausted budget and where it ran out, or the stop that ended it.
+  const auto& c = cve::find_case("CVE-2014-0196");
+  auto tb = Testbed::boot(c, {});
+  ASSERT_TRUE(tb.is_ok()) << tb.status().to_string();
+  Testbed& t = **tb;
+  const u64 entry = *t.kernel().syscall_entry(c.syscall_nr);
+  std::ostringstream at;
+  at << " at rip 0x" << std::hex << entry;
+
+  const Bytes self_loop = {0xE9, 0xFB, 0xFF, 0xFF, 0xFF};  // jmp -5
+  ASSERT_TRUE(t.machine()
+                  .mem()
+                  .write(entry, self_loop, machine::AccessMode::smm())
+                  .is_ok());
+  auto looped = t.run_syscall(c.syscall_nr, c.benign_args, 2000);
+  ASSERT_FALSE(looped.is_ok());
+  EXPECT_EQ(looped.status().message(),
+            "syscall did not complete: instruction budget of 2000 "
+            "exhausted" + at.str());
+
+  const Bytes hlt = {0xF4};
+  ASSERT_TRUE(
+      t.machine().mem().write(entry, hlt, machine::AccessMode::smm()).is_ok());
+  auto halted = t.run_syscall(c.syscall_nr, c.benign_args);
+  ASSERT_FALSE(halted.is_ok());
+  std::ostringstream after_hlt;
+  after_hlt << "syscall did not complete: halt at rip 0x" << std::hex
+            << entry + 1;
+  EXPECT_EQ(halted.status().message(), after_hlt.str());
 }
 
 TEST(Integration, LargePatchLayoutWorks) {

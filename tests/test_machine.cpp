@@ -8,6 +8,7 @@
 #include <optional>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/byte_io.hpp"
@@ -764,8 +765,8 @@ TEST(Interp, PeriodicSmiNopSweepMatchesClosedForm) {
 }
 
 // ---- Step core ----------------------------------------------------------------
-// step() and run() both wrap Machine::step_into, which writes a StepResult
-// only when an instruction stops the run.
+// step() and the run_into() loop (which run() wraps) share one step core,
+// which writes a StepResult only when an instruction stops the run.
 
 constexpr u64 kRoPage = 0x20000;      // readable, not writable
 constexpr u64 kNoReadPage = 0x21000;  // writable, not readable
@@ -958,6 +959,197 @@ TEST(Interp, PopAndPushOfSpOrdering) {
   ASSERT_EQ(m.step().kind, StepKind::kOk);
   EXPECT_EQ(m.cpu().sp(), kWord - 8);
   EXPECT_EQ(*m.mem().read_u64(kWord - 8, AccessMode::normal()), kWord - 8);
+}
+
+constexpr u64 kProgCode = 0x1000;  // where random_program() runs
+constexpr u64 kProgData = 0x8000;  // the data page its r8 points at
+constexpr u64 kSlots = 8;          // 8-byte patch slots at the code's start
+
+/// An 8-byte patch for a slot, as a movi immediate: three bytes of
+/// reg-reg ALU op (or a hlt and two nops), then a jcc with rel32 0, so
+/// any patch decodes to whole instructions and falls through.
+i32 slot_patch(u64 pick) {
+  u32 head = 0x9090F4;  // hlt; nop; nop
+  if (pick % 32 != 0) {
+    head = (0x20 + pick % 8) | (pick >> 3) % 8 << 8 | (pick >> 6) % 8 << 16;
+  }
+  return static_cast<i32>((0x50 + (pick >> 9) % 6) << 24 | head);
+}
+
+/// A seeded random program for the step-core differential test: kSlots
+/// patch slots, then ALU ops, compares and branches, loads and stores,
+/// push/pop/call/ret, the odd trap, int3 or hlt, and stores that rewrite a
+/// slot of the running W+X page. r0–r7 are scratch; r8 points at a data
+/// page and r9 at the code. The last instruction jumps back to the start.
+Bytes random_program(Rng& rng, size_t n_instrs) {
+  using isa::Op;
+  constexpr Op kAlu[] = {Op::kAdd, Op::kSub, Op::kMul, Op::kXor,
+                         Op::kAnd, Op::kOr,  Op::kShl, Op::kShr};
+  constexpr Op kAluImm[] = {Op::kAddi, Op::kSubi, Op::kMuli, Op::kXori,
+                            Op::kAndi, Op::kOri,  Op::kShli, Op::kShri,
+                            Op::kDivi, Op::kModi, Op::kMovi};
+  constexpr Op kBranch[] = {Op::kJmp, Op::kJe, Op::kJne, Op::kJl,
+                            Op::kJge, Op::kJg, Op::kJle};
+  auto reg = [&](u64 n) { return static_cast<u8>(rng.next_below(n)); };
+  auto pick = [&](const auto& table) {
+    return table[rng.next_below(std::size(table))];
+  };
+  isa::Assembler a;
+  std::vector<isa::Label> at(kSlots + n_instrs + 1);
+  for (auto& l : at) l = a.new_label();
+  auto target = [&] { return at[rng.next_below(at.size())]; };
+  for (size_t i = 0; i < kSlots; ++i) {
+    a.bind(at[i]);
+    u8 slot[8];
+    store_u64(slot, static_cast<u64>(slot_patch(rng.next())));
+    for (size_t off = 0; off < sizeof(slot);) {
+      const isa::Decoded d = *isa::decode(ByteSpan(slot + off, 8 - off));
+      a.emit(d.instr);
+      off += d.len;
+    }
+  }
+  for (size_t i = kSlots; i < kSlots + n_instrs; ++i) {
+    a.bind(at[i]);
+    const u64 dice = rng.next_below(200);
+    if (dice < 2) {
+      a.alu(rng.next_below(2) == 0 ? Op::kDiv : Op::kMod, reg(8), reg(10));
+    } else if (dice < 50) {
+      a.alu(pick(kAlu), reg(8), reg(10));
+    } else if (dice < 80) {
+      a.alui(pick(kAluImm), reg(8),
+             static_cast<i64>(rng.next_below(200)) - 20);
+    } else if (dice < 96) {
+      if (rng.next_below(2) == 0) {
+        a.cmp(reg(8), reg(8));
+      } else {
+        a.cmpi(reg(8), static_cast<i64>(rng.next_below(64)) - 32);
+      }
+    } else if (dice < 124) {
+      a.branch(pick(kBranch), target());
+    } else if (dice < 140) {
+      const i32 slot = static_cast<i32>(8 * rng.next_below(64));
+      switch (rng.next_below(4)) {
+        case 0: a.loadg(reg(8), static_cast<u32>(kProgData + slot)); break;
+        case 1: a.storeg(reg(8), static_cast<u32>(kProgData + slot)); break;
+        case 2: a.loadr(reg(8), 8, slot); break;
+        default: a.storer(reg(8), 8, slot); break;
+      }
+    } else if (dice < 156) {
+      if (rng.next_below(2) == 0) {
+        a.push(reg(10));
+      } else {
+        a.pop(reg(8));
+      }
+    } else if (dice < 166) {
+      a.branch(Op::kCall, target());
+    } else if (dice < 169) {
+      a.ret();
+    } else if (dice < 187) {
+      // A store into the running W+X page, ahead of or behind rip.
+      a.movi(7, slot_patch(rng.next()));
+      a.storer(7, 9, static_cast<i32>(8 * rng.next_below(kSlots)));
+    } else if (dice < 188) {
+      a.trap(static_cast<u8>(rng.next_below(256)));
+    } else if (dice < 189) {
+      a.emit({rng.next_below(2) == 0 ? Op::kHlt : Op::kInt3});
+    } else if (dice < 195) {
+      a.nop();
+    } else {
+      a.nop5();
+    }
+  }
+  a.bind(at.back());
+  a.jmp(at.front());
+  return *a.finish();
+}
+
+TEST(Interp, RunMatchesStepByStep) {
+  // run() (one fused loop), run_into() called in random chunks (the
+  // scheduler's way) and step() one instruction at a time must leave the
+  // same machine behind: registers, flags, clocks, SMIs, the stop and
+  // every byte of memory. The program's own stores and a periodic SMI's
+  // handler rewrite the code while it runs, and a fork holds every frame
+  // shared, so the first such write swaps the code page's frame.
+  Rng rng(0xD1FF);
+  u64 exhausted = 0, stopped = 0, smis = 0, code_writes = 0;
+  for (int prog = 0; prog < 400; ++prog) {
+    SCOPED_TRACE(::testing::Message() << "program " << prog);
+    const Bytes code = random_program(rng, 24 + rng.next_below(64));
+    const u64 budget = 1 + rng.next_below(600);
+    const u64 interval = 16 + rng.next_below(400);
+    auto boot = [&](std::optional<PhysMem>& keep) {
+      Machine m = make_machine();
+      EXPECT_TRUE(m.mem().write(kProgCode, code, AccessMode::smm()).is_ok());
+      EXPECT_TRUE(m.set_smm_handler([](Machine& mm) {
+                     const u64 n = mm.smi_count();
+                     EXPECT_TRUE(mm.mem()
+                                     .write_u64(kProgCode + 8 * (n % kSlots),
+                                                static_cast<u64>(
+                                                    slot_patch(n * 0x9E37)),
+                                                AccessMode::smm())
+                                     .is_ok());
+                   })
+                      .is_ok());
+      EXPECT_TRUE(m.set_periodic_smi(interval).is_ok());
+      for (int i = 0; i < 8; ++i) m.cpu().regs[i] = 3 * i + 1;
+      m.cpu().regs[8] = kProgData;
+      m.cpu().regs[9] = kProgCode;
+      m.cpu().sp() = 0x100000;
+      m.cpu().rip = kProgCode;
+      keep.emplace(m.mem().fork());
+      return m;
+    };
+    std::optional<PhysMem> keep_run, keep_chunks, keep_step;
+    Machine by_run = boot(keep_run);
+    Machine by_chunks = boot(keep_chunks);
+    Machine by_step = boot(keep_step);
+
+    const StepResult run_stop = by_run.run(budget);
+
+    u64 chunk_steps = 0;
+    StepResult chunk_stop;
+    while (chunk_steps < budget && chunk_stop.kind == StepKind::kOk) {
+      const u64 chunk = std::min(budget - chunk_steps, 1 + rng.next_below(40));
+      chunk_steps += by_chunks.run_into(chunk, chunk_stop);
+    }
+
+    u64 steps = 0;
+    StepResult step_stop;
+    while (steps < budget && step_stop.kind == StepKind::kOk) {
+      ++steps;
+      step_stop = by_step.step();
+    }
+
+    EXPECT_EQ(chunk_steps, steps);
+    for (const StepResult* r : {&run_stop, &std::as_const(chunk_stop)}) {
+      EXPECT_EQ(r->kind, step_stop.kind) << step_stop.detail;
+      EXPECT_EQ(r->info, step_stop.info);
+      EXPECT_EQ(r->detail, step_stop.detail);
+    }
+    for (const Machine* m : {&by_run, &by_chunks}) {
+      expect_same_cpu(*m, by_step);
+      EXPECT_EQ(m->smi_count(), by_step.smi_count());
+      const auto diff =
+          first_difference(m->mem(), by_step.mem(), kMemEnd, {});
+      EXPECT_FALSE(diff.has_value())
+          << "memory differs at 0x" << std::hex << diff->addr;
+    }
+    if (step_stop.kind == StepKind::kOk) {
+      ++exhausted;
+    } else {
+      ++stopped;
+    }
+    smis += by_step.smi_count();
+    if (first_difference(by_step.mem(), *keep_step, kProgCode + kPageSize,
+                         std::array{AddrRange{0, kProgCode}})) {
+      ++code_writes;
+    }
+  }
+  // The comparison proves little unless every path is common.
+  EXPECT_GT(exhausted, 80u);
+  EXPECT_GT(stopped, 80u);
+  EXPECT_GT(smis, 500u);
+  EXPECT_GT(code_writes, 100u);
 }
 
 // ---- SMM ----------------------------------------------------------------------
